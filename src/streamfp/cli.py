@@ -25,7 +25,7 @@ from . import tally as tally_mod
 from .field import make_field
 from .gf2poly import IRREDUCIBLE_DEGREE_CAP, find_irreducible
 from .seeds import derive_seed
-from .stream import bits_from_bytes, encode_fingerprint, fingerprint
+from .stream import Fingerprint, begin_seeded, encode_fingerprint
 from .tally import GrowthFn, OutOfRangeError
 
 __all__ = ["main"]
@@ -64,46 +64,78 @@ def _write_output(text: str, path: str | None) -> None:
         raise
 
 
-def _read_input_bits(args) -> tuple[int, str]:
-    """Resolve (n, bits) from --bits / --input / stdin per --format."""
+# File and stdin input is read in chunks of this many k-byte blocks.  A
+# block holds exactly 8 segments, so a raw chunk never splits a segment,
+# and the chunk, not the input, sets the memory the reader holds.
+_CHUNK_BLOCKS = 4096
+
+
+def _stream_input(args, start) -> Fingerprint:
+    """Fingerprint --bits / --input / stdin (per --format) in one pass.
+
+    start(n) opens the stream once the input length n is known; the input
+    is then fed in fixed chunks and never held whole.
+    """
     sources = [s for s in (args.bits, args.input) if s is not None]
     if len(sources) != 1:
         raise ValueError("provide exactly one of --bits or --input")
-    raw = False
     if args.bits is not None:
-        bits = args.bits
-        if bits.strip("01"):
-            raise ValueError("--bits must consist of '0' and '1' only")
-    else:
-        if args.input == "-":
-            if args.n is None:
-                raise ValueError("streaming from stdin requires --n")
-            data = sys.stdin.buffer.read()
-        else:
-            with open(args.input, "rb") as fh:
-                data = fh.read()
-        raw = args.format == "raw"
-        if raw:
-            bits = bits_from_bytes(data)
-        else:
-            bits = "".join(data.decode("ascii").split())
-            if bits.strip("01"):
-                raise ValueError("bits input must consist of '0' and '1' only")
-    if args.n is None:
-        n = len(bits)
-    elif raw:
-        # Raw bytes pad to a multiple of 8; --n selects the leading prefix.
-        if args.n > len(bits):
-            raise ValueError(f"--n {args.n} exceeds the {len(bits)} bits available")
-        bits = bits[: args.n]
-        n = args.n
-    else:
-        if args.n != len(bits):
-            raise ValueError(f"--n {args.n} does not match the {len(bits)} input bits")
-        n = args.n
+        if args.n is not None and args.n != len(args.bits):
+            raise ValueError(f"--n {args.n} does not match the {len(args.bits)} input bits")
+        state = start(_checked_length(len(args.bits)))
+        state.feed(args.bits)
+        return state.finish()
+    if args.input == "-":
+        if args.n is None:
+            raise ValueError("streaming from stdin requires --n")
+        return _stream_file(args, sys.stdin.buffer, start)
+    with open(args.input, "rb") as fh:
+        return _stream_file(args, fh, start)
+
+
+def _checked_length(n: int) -> int:
     if n < 1:
         raise ValueError("input must hold at least one bit")
-    return n, bits
+    return n
+
+
+def _text_chunks(fh, size: int):
+    """'0'/'1' text of a --format bits input, whitespace removed, by chunk."""
+    for chunk in iter(lambda: fh.read(size), b""):
+        yield b"".join(chunk.split()).decode("latin-1")
+
+
+def _stream_file(args, fh, start) -> Fingerprint:
+    n = args.n
+    if args.format == "raw":
+        # Raw bytes pad to a multiple of 8; --n selects the leading prefix.
+        if n is None:
+            n = 8 * os.fstat(fh.fileno()).st_size
+        state = start(_checked_length(n))
+        chunk_bytes = state.ctx.k * _CHUNK_BLOCKS
+        while state.profile.bits_read < n:
+            want = min(chunk_bytes, -(-(n - state.profile.bits_read) // 8))
+            data = fh.read(want)
+            state.feed_bytes(data, min(8 * len(data), n - state.profile.bits_read))
+            if len(data) < want:
+                raise ValueError(
+                    f"--n {n} exceeds the {state.profile.bits_read} bits available"
+                )
+        return state.finish()
+    if n is None:
+        # A counting pass first: the field, and so k, depends on n.
+        n = sum(len(text) for text in _text_chunks(fh, _CHUNK_BLOCKS * 64))
+        fh.seek(0)
+    state = start(_checked_length(n))
+    seen = 0
+    for text in _text_chunks(fh, state.ctx.k * _CHUNK_BLOCKS):
+        seen += len(text)
+        if seen > n:
+            raise ValueError(f"--n {n} does not match the input, which holds more bits")
+        state.feed(text)
+    if seen < n:
+        raise ValueError(f"--n {n} does not match the {seen} input bits")
+    return state.finish()
 
 
 def _language_from_args(args, seed: int) -> sketch_mod.SparseLanguageSpec:
@@ -151,11 +183,15 @@ def _growth_from_arg(text: str) -> GrowthFn:
 
 def _cmd_fingerprint(args) -> int:
     seed = _resolve_seed(args.seed)
-    n, bits = _read_input_bits(args)
     ctx = _ctx_override(args)
     rule_sized = ctx is None
-    f_of_n = sketch_mod.DensityFn.parse(args.f).eval(n) if ctx is None else None
-    fp = fingerprint(n, bits, seed=seed, f_of_n=f_of_n, ctx=ctx)
+    density = sketch_mod.DensityFn.parse(args.f)
+
+    def start(n):
+        f_of_n = density.eval(n) if ctx is None else None
+        return begin_seeded(n, seed, f_of_n, ctx)
+
+    fp = _stream_input(args, start)
     record = fp.to_json_dict()
     record["rule_sized"] = rule_sized
     record["tool"] = {"name": "streamfp", "version": __version__}
@@ -197,11 +233,14 @@ def _cmd_sketch_build(args) -> int:
 def _cmd_sketch_query(args) -> int:
     seed = _resolve_seed(args.seed)
     sk = sketch_mod.load_sketch(args.sketch)
-    args.n = getattr(args, "n", None)
-    n, bits = _read_input_bits(args)
-    if n != sk.n:
-        raise ValueError(f"input holds {n} bits but the sketch indexes n={sk.n}")
-    accepted = sketch_mod.query_membership(sk, bits, seed)
+
+    def start(n):
+        if n != sk.n:
+            raise ValueError(f"input holds {n} bits but the sketch indexes n={sk.n}")
+        return begin_seeded(n, seed, ctx=sk.ctx)
+
+    # The same draw and test as sketch.query_membership, on streamed input.
+    accepted = sketch_mod.contains(sk, _stream_input(args, start))
     result = {
         "kind": "sketch-query",
         "tool": {"name": "streamfp", "version": __version__},

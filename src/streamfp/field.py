@@ -11,6 +11,12 @@ and are stripped under ``python -O``).
 Display conventions: an element prints as fixed-width hex of its k-bit
 pattern (paired with k), and as a bit string in b_{k-1}..b_0 order,
 most significant coefficient first.
+
+Multiplying by one fixed element a is GF(2)-linear, so it splits over
+the bytes of the other operand: with ceil(k/8) tables of 256 entries,
+entry b of table i holding a * (b u^{8i}), the product v*a is the XOR of
+one entry per byte of v (split tables; Plank, Greenan & Miller, FAST
+2013).  The entries are plain ints, so the same tables serve every k.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ from dataclasses import dataclass
 
 from .gf2poly import Gf2Poly, _clmul, _mod, find_irreducible, is_irreducible
 
-__all__ = ["FieldCtx", "select_field_size", "make_field", "ENUMERATION_DEGREE_CAP"]
+__all__ = [
+    "FieldCtx",
+    "select_field_size",
+    "make_field",
+    "split_tables",
+    "horner_fold",
+    "ENUMERATION_DEGREE_CAP",
+]
 
 # Exhaustive enumeration of the field is refused above this degree: 2^24
 # elements is the most a desk-scale sweep should walk.
@@ -127,6 +140,39 @@ class FieldCtx:
         if not 0 <= a < self.q:
             raise ValueError(f"element {a} out of range for GF(2^{self.k})")
         return format(a, f"0{self.k}b")
+
+
+def split_tables(a: int, modulus: int, k: int) -> list[list[int]]:
+    """Tables for v -> v*a in GF(2)[u]/(modulus), deg modulus = k: entry b
+    of table i is a * (b u^{8i}).  Each table is the XOR span of its 8
+    basis products a*u^j, built one new bit at a time."""
+    basis = []
+    p = a
+    for _ in range(k):
+        basis.append(p)
+        p <<= 1
+        if p >> k:
+            p ^= modulus
+    tables = []
+    for i in range(0, k, 8):
+        table = [0] * 256
+        for j, pj in enumerate(basis[i:i + 8]):
+            bit = 1 << j
+            for b in range(bit):
+                table[bit | b] = table[b] ^ pj
+        tables.append(table)
+    return tables
+
+
+def horner_fold(v: int, segments, tables: list[list[int]]) -> int:
+    """v <- v*a + s for each s in turn, a being the point the split tables
+    were built for; one multiplication and one addition per segment."""
+    nbytes = len(tables)
+    for s in segments:
+        for table, b in zip(tables, v.to_bytes(nbytes, "little")):
+            s ^= table[b]
+        v = s
+    return v
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,7 +11,9 @@ Two interchangeable backends:
 
 * ``numba``: the same loops JIT-compiled with ``@njit`` (default when
   numba imports cleanly);
-* ``numpy``: vectorized over the points axis, pure ufunc arithmetic.
+* ``numpy``: vectorized over the points axis, pure ufunc arithmetic; the
+  fold is sequential in its accumulator, so it has no points axis and
+  runs the stream's split-table loop, :func:`streamfp.field.horner_fold`.
 
 ``STREAMFP_BACKEND`` (``"numba"`` or ``"numpy"``) pins the module-level
 functions to one backend.  ``backend_impls()`` exposes every available
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .field import horner_fold, split_tables
 
 __all__ = [
     "WORD_DEGREE_CAP",
@@ -86,28 +90,9 @@ def _np_eval_points(points: np.ndarray, coeffs: np.ndarray, m_low: int, k: int) 
     return v
 
 
-def _scalar_mulmod(x: int, y: int, m_low: int, k: int, mask: int) -> int:
-    res = 0
-    top = 1 << (k - 1)
-    for _ in range(k):
-        if y & 1:
-            res ^= x
-        y >>= 1
-        carry = x & top
-        x = (x << 1) & mask
-        if carry:
-            x ^= m_low
-    return res
-
-
 def _np_fold_segments(segments: np.ndarray, a: int, m_low: int, k: int) -> int:
-    # A fold is sequential in the accumulator, so there is no points axis
-    # to vectorize over; the portable path runs the word-sized scalar loop.
-    mask = _mask64(k)
-    v = 1
-    for s in np.asarray(segments, np.uint64).tolist():
-        v = _scalar_mulmod(v, a, m_low, k, mask) ^ s
-    return v
+    tables = split_tables(a, m_low | (1 << k), k)
+    return horner_fold(1, np.asarray(segments, np.uint64).tolist(), tables)
 
 
 # ---------------------------------------------------------------- numba

@@ -16,11 +16,23 @@ costs one multiplication and one addition, v <- v*a + w(s).  Distinct
 equal-length inputs give distinct coefficient vectors, so their
 polynomials agree on at most r-1 of the q points.
 
+The multiplication by a runs on split tables (see :mod:`streamfp.field`):
+ceil(k/8) tables of 256 elements each, built once per stream from a
+alone.  Each product is then ceil(k/8) lookups and XORs, for every k,
+including k > 64.  Whole segments are packed into ints by numpy in bulk,
+and the fold itself is one scalar Horner loop.  feed() takes '0'/'1'
+text, feed_bytes() raw bytes (most significant bit first); both go
+through the same packer and fold, and any chunking is allowed.
+
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), the partial
 segment buffer (at most k), and three counters of |n| bits each (n, the
 read cursor, completed segments).  That totals at most 4k + 1 + 3|n|
-bits, within C*(k + log2 n) for C = 8, for every n, k >= 1.
+bits, within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
+tables (ceil(k/8) * 256 elements of k bits) are derived from a alone and
+are constant in n, so they are a cache of a, not state that grows with
+the input; the numpy buffers of one feed call scale with that call's
+chunk, never with n.
 
 Tuple coding (for shipping a fingerprint as one bit string): each data
 bit b is sent as "1b" and parts are separated by "00", so
@@ -33,9 +45,18 @@ b_{k-1}..b_0 order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .field import ENUMERATION_DEGREE_CAP, FieldCtx, make_field, select_field_size
+import numpy as np
+
+from .field import (
+    ENUMERATION_DEGREE_CAP,
+    FieldCtx,
+    horner_fold,
+    make_field,
+    select_field_size,
+    split_tables,
+)
 from .gf2poly import Gf2Poly
 
 __all__ = [
@@ -43,6 +64,7 @@ __all__ = [
     "StreamState",
     "Fingerprint",
     "begin",
+    "begin_seeded",
     "fingerprint",
     "split_segments",
     "coefficients",
@@ -107,6 +129,20 @@ class Fingerprint:
         )
 
 
+def _segment_ints(rows: np.ndarray) -> list[int]:
+    """Elements of the segments in the rows of a 0/1 uint8 matrix: the bit
+    in column i is the u^i coefficient, so a short row zero-extends high."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    words = -(-packed.shape[1] // 8)
+    padded = np.zeros((rows.shape[0], 8 * words), np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    limbs = padded.view("<u8")
+    ints = limbs[:, -1].tolist()
+    for j in range(words - 2, -1, -1):
+        ints = [(hi << 64) | lo for hi, lo in zip(ints, limbs[:, j].tolist())]
+    return ints
+
+
 class StreamState:
     """In-flight fingerprint computation; create with begin()."""
 
@@ -120,55 +156,66 @@ class StreamState:
         self.v = 1
         self.seed = seed
         self.profile = ResourceProfile(random_bits=ctx.k)
-        self._pending: list[str] = []
-        self._pending_len = 0
+        self._tables = split_tables(self.a, ctx.m_bits, ctx.k)
+        self._pending = np.empty(0, np.uint8)  # bits of the partial segment
         self._done_segments = 0
         self._finished = False
         self._note_state()
 
     def _note_state(self) -> None:
         k = self.ctx.k
-        live = (k + 1) + k + k + self._pending_len + 3 * self.n.bit_length()
+        live = (k + 1) + k + k + self._pending.size + 3 * self.n.bit_length()
         if live > self.profile.peak_state_bits:
             self.profile.peak_state_bits = live
-
-    def _segment_len(self) -> int:
-        if self._done_segments < self.r - 1:
-            return self.ctx.k
-        return self.n - (self.r - 1) * self.ctx.k
 
     def feed(self, bits: str) -> None:
         """Consume the next chunk of the input, any chunking allowed."""
         if self._finished:
             raise ValueError("stream already finished")
-        if bits.strip("01"):
+        try:
+            arr = np.frombuffer(bits.encode("ascii"), np.uint8) - np.uint8(ord("0"))
+        except UnicodeEncodeError:
+            arr = None
+        if arr is None or (arr.size and arr.max() > 1):
             raise ValueError("input must consist of '0' and '1' only")
-        if self.profile.bits_read + len(bits) > self.n:
-            raise ValueError(
-                f"overfed: {self.profile.bits_read + len(bits)} bits for n={self.n}"
-            )
-        self.profile.bits_read += len(bits)
-        buf = "".join(self._pending) + bits
-        pos = 0
-        while self._done_segments < self.r:
-            need = self._segment_len()
-            if len(buf) - pos < need:
-                break
-            self._absorb(buf[pos:pos + need])
-            pos += need
-        rest = buf[pos:]
-        # Between calls the retained buffer is always shorter than one
-        # segment, which keeps the live state within the documented bound.
-        self._pending = [rest] if rest else []
-        self._pending_len = len(rest)
-        self._note_state()
+        self._absorb(arr)
 
-    def _absorb(self, segment: str) -> None:
-        b = self.ctx.from_segment(segment)
-        self.profile.conversions += 1
-        self.v = self.ctx.add(self.ctx.mul(self.v, self.a), b)
-        self.profile.field_ops += 2
-        self._done_segments += 1
+    def feed_bytes(self, data: bytes, nbits: int | None = None) -> None:
+        """Consume the first nbits bits of raw bytes (all of them by default),
+        most significant bit of each byte first; any chunking allowed."""
+        if self._finished:
+            raise ValueError("stream already finished")
+        raw = np.frombuffer(data, np.uint8)
+        if nbits is None:
+            nbits = 8 * raw.size
+        elif not 0 <= nbits <= 8 * raw.size:
+            raise ValueError(f"nbits={nbits} outside 0..{8 * raw.size} for {raw.size} bytes")
+        self._absorb(np.unpackbits(raw, count=nbits))
+
+    def _absorb(self, bits: np.ndarray) -> None:
+        if self.profile.bits_read + bits.size > self.n:
+            raise ValueError(
+                f"overfed: {self.profile.bits_read + bits.size} bits for n={self.n}"
+            )
+        self.profile.bits_read += bits.size
+        buf = np.concatenate((self._pending, bits)) if self._pending.size else bits
+        k = self.ctx.k
+        count = min(buf.size // k, max(0, self.n // k - self._done_segments))
+        segments = _segment_ints(buf[:count * k].reshape(count, k))
+        rest = buf[count * k:]
+        if self.profile.bits_read == self.n and rest.size:
+            # All n bits are in: what is left is the short final segment.
+            segments += _segment_ints(rest.reshape(1, rest.size))
+            rest = rest[:0]
+        self.v = horner_fold(self.v, segments, self._tables)
+        self.profile.conversions += len(segments)
+        self.profile.field_ops += 2 * len(segments)
+        self._done_segments += len(segments)
+        # Between calls the retained buffer is always shorter than one
+        # segment, which keeps the live state within the documented bound;
+        # the copy lets the caller's chunk go.
+        self._pending = rest.copy()
+        self._note_state()
 
     def finish(self) -> Fingerprint:
         """Close the stream; requires exactly n bits to have been fed."""
@@ -179,7 +226,7 @@ class StreamState:
                 f"finish before end of stream: {self.profile.bits_read} of {self.n} bits"
             )
         self._finished = True
-        assert self._done_segments == self.r and self._pending_len == 0
+        assert self._done_segments == self.r and self._pending.size == 0
         assert self.profile.conversions == self.r
         assert self.profile.field_ops <= 2 * self.r
         return Fingerprint(n=self.n, a=self.a, v=self.v, ctx=self.ctx, seed=self.seed)
@@ -188,6 +235,22 @@ class StreamState:
 def begin(n: int, ctx: FieldCtx, rng, seed: int | None = None) -> StreamState:
     """Start a stream of n bits over ctx; draws the evaluation point."""
     return StreamState(n, ctx, rng, seed)
+
+
+def begin_seeded(
+    n: int,
+    seed: int,
+    f_of_n: int | None = None,
+    ctx: FieldCtx | None = None,
+) -> StreamState:
+    """Start a stream as fingerprint() does: the point is drawn from
+    random.Random(seed), and the field comes from select_field_size(n,
+    f_of_n) unless an explicit ctx overrides the sizing."""
+    if ctx is None:
+        if f_of_n is None:
+            raise ValueError("either f_of_n or ctx is required")
+        ctx = make_field(select_field_size(n, f_of_n))
+    return begin(n, ctx, random.Random(seed), seed=seed)
 
 
 def fingerprint(
@@ -204,11 +267,7 @@ def fingerprint(
     """
     if len(x) != n:
         raise ValueError(f"length mismatch: |x|={len(x)}, n={n}")
-    if ctx is None:
-        if f_of_n is None:
-            raise ValueError("either f_of_n or ctx is required")
-        ctx = make_field(select_field_size(n, f_of_n))
-    state = begin(n, ctx, random.Random(seed), seed=seed)
+    state = begin_seeded(n, seed, f_of_n, ctx)
     state.feed(x)
     return state.finish()
 
@@ -335,4 +394,5 @@ def decode_fingerprint(bits: str, ctx: FieldCtx) -> Fingerprint:
 
 def bits_from_bytes(data: bytes) -> str:
     """Bit string of raw bytes, most significant bit of each byte first."""
-    return "".join(format(b, "08b") for b in data)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8)) + np.uint8(ord("0"))
+    return bits.tobytes().decode("ascii")

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from streamfp import cli
 from streamfp.cli import (
     EXIT_BOUND,
     EXIT_BUDGET,
@@ -137,6 +139,117 @@ def test_stdin_requires_n():
         capture_output=True,
     )
     assert proc.returncode == EXIT_PRECONDITION
+
+
+def test_raw_n_beyond_file_exits_3_without_output(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"\xb0\x01")
+    dst = tmp_path / "fp.json"
+    code, out, err = run_cli(capsys, "fingerprint", "--input", os.fspath(src),
+                             "--format", "raw", "--n", "17", "--seed", "7",
+                             "--output", os.fspath(dst))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "exceeds the 16 bits available" in err
+    assert not dst.exists()
+
+
+def test_raw_n_beyond_stdin_exits_3_without_output(tmp_path):
+    dst = tmp_path / "fp.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamfp.cli", "fingerprint", "--input", "-",
+         "--format", "raw", "--n", str(8 * 5000 + 1), "--seed", "7",
+         "--output", os.fspath(dst)],
+        input=bytes(5000),
+        capture_output=True,
+    )
+    assert proc.returncode == EXIT_PRECONDITION
+    assert b"exceeds the 40000 bits available" in proc.stderr
+    assert proc.stdout == b"" and not dst.exists()
+
+
+def test_raw_file_length_from_the_file(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"\xb0\x01")
+    r = run_json(capsys, "fingerprint", "--input", os.fspath(src), "--format", "raw",
+                 "--seed", "7")
+    r2 = run_json(capsys, "fingerprint", "--bits", "1011000000000001", "--seed", "7")
+    assert r["n"] == 16 and r == r2
+
+
+def test_chunked_reader_matches_inline_bits(tmp_path, capsys, monkeypatch):
+    # One-block chunks put every segment and every run of whitespace (and
+    # the raw prefix cut) on or across a chunk boundary.
+    monkeypatch.setattr(cli, "_CHUNK_BLOCKS", 1)
+    rng = random.Random(55)
+    data = rng.randbytes(160)
+    n = 8 * len(data) - 3
+    bits = "".join(format(b, "08b") for b in data)[:n]
+    want = run_json(capsys, "fingerprint", "--bits", bits, "--k", "9", "--seed", "5")
+
+    raw = tmp_path / "input.bin"
+    raw.write_bytes(data)
+    got = run_json(capsys, "fingerprint", "--input", os.fspath(raw), "--format", "raw",
+                   "--n", str(n), "--k", "9", "--seed", "5")
+    assert got == want
+
+    pieces = []
+    for ch in bits:
+        pieces.append(ch)
+        if rng.random() < 0.2:
+            pieces.append(rng.choice([" ", "\n", "\r\n", "\t", "  \n "]))
+    text = tmp_path / "input.txt"
+    text.write_text("".join(pieces))
+    for extra in ((), ("--n", str(n))):
+        got = run_json(capsys, "fingerprint", "--input", os.fspath(text), "--k", "9",
+                       "--seed", "5", *extra)
+        assert got == want
+
+
+def test_bits_stream_whitespace_across_chunks(tmp_path):
+    from streamfp.stream import fingerprint
+
+    rng = random.Random(56)
+    n = 200_000  # k = 39 by the sizing rule: chunks of 39 * 4096 characters
+    bits = format(rng.getrandbits(n), f"0{n}b")
+    lines = [bits[i:i + 61] for i in range(0, n, 61)]
+    payload = "\n".join(" ".join((line[:30], line[30:])) for line in lines) + "\n"
+    assert len(payload) > 39 * cli._CHUNK_BLOCKS
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamfp.cli", "fingerprint", "--input", "-",
+         "--n", str(n), "--seed", "12"],
+        input=payload.encode(),
+        capture_output=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    want = fingerprint(n, bits, seed=12, f_of_n=n)
+    rec = json.loads(proc.stdout)
+    assert (rec["k"], rec["v_hex"]) == (want.k, want.ctx.elem_hex(want.v))
+
+
+@pytest.mark.parametrize("stray", [b"x", b"\xff", b"2"])
+def test_stray_byte_deep_in_text_stream_exits_3(stray):
+    n = 300_000
+    payload = bytearray(b"01" * (n // 2))
+    payload[250_000] = stray[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamfp.cli", "fingerprint", "--input", "-",
+         "--n", str(n), "--seed", "3"],
+        input=bytes(payload),
+        capture_output=True,
+    )
+    assert proc.returncode == EXIT_PRECONDITION
+    assert b"Traceback" not in proc.stderr
+    assert b"'0' and '1'" in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_bits_file_count_mismatch(tmp_path, capsys):
+    src = tmp_path / "input.txt"
+    src.write_text("1011 0\n")
+    code, _, err = run_cli(capsys, "fingerprint", "--input", os.fspath(src), "--n", "4")
+    assert code == EXIT_PRECONDITION and "does not match" in err
+    code, _, err = run_cli(capsys, "fingerprint", "--input", os.fspath(src), "--n", "6")
+    assert code == EXIT_PRECONDITION and "does not match the 5 input bits" in err
 
 
 # ------------------------------------------------------------------- sketch

@@ -11,8 +11,10 @@ import pytest
 from streamfp.field import (
     ENUMERATION_DEGREE_CAP,
     FieldCtx,
+    horner_fold,
     make_field,
     select_field_size,
+    split_tables,
 )
 from streamfp.gf2poly import Gf2Poly, find_irreducible
 
@@ -257,3 +259,19 @@ def test_word_and_bigint_tiers_agree():
         a = rng.getrandbits(24)
         b = rng.getrandbits(24)
         assert ctx.mul(a, b) == int((Gf2Poly(a) * Gf2Poly(b)) % m)
+
+
+@pytest.mark.parametrize("k", [1, 5, 8, 12, 64, 65, 72])
+def test_split_tables_match_bigint_mul(k):
+    ctx = make_field(k)
+    rng = random.Random(900 + k)
+    for a in (0, 1, rng.getrandbits(k)):
+        tables = split_tables(a, ctx.m_bits, k)
+        assert len(tables) == -(-k // 8)
+        for i, table in enumerate(tables):
+            width = min(8, k - 8 * i)
+            for b in range(1 << width):
+                assert table[b] == ctx.mul(a, b << (8 * i)), (k, a, i, b)
+        for _ in range(50):
+            v = rng.getrandbits(k)
+            assert horner_fold(v, [0], tables) == ctx.mul(v, a)

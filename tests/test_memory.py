@@ -1,0 +1,72 @@
+"""The O(k + log n) state claim, measured on the running process: the peak
+RSS of `fingerprint --format raw` stays flat as the input grows, read from
+a file or from a stdin pipe."""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+# A child's ru_maxrss also holds the peak of the address space it was
+# spawned from (Linux keeps the old high-water mark across exec, and a
+# vfork child shares its parent's), so the CLI is started from a small
+# launcher process, not from the test process.
+LAUNCHER = r"""
+import os, shutil, subprocess, sys
+stdin_path, args = sys.argv[1], sys.argv[2:]
+proc = subprocess.Popen(
+    [sys.executable, "-m", "streamfp.cli", *args],
+    stdin=subprocess.PIPE if stdin_path else subprocess.DEVNULL,
+    stdout=subprocess.DEVNULL,
+)
+if stdin_path:
+    with open(stdin_path, "rb") as fh:
+        shutil.copyfileobj(fh, proc.stdin)
+    proc.stdin.close()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+MIB = 1 << 20
+HEADROOM_MIB = 24   # over a bare `--version` start
+GROWTH_MIB = 8      # allowed difference between the 1 MiB and 16 MiB runs
+
+
+def peak_rss_mib(*args: str, stdin_path: str = "") -> float:
+    out = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, stdin_path, *args],
+        capture_output=True, check=True, text=True,
+    ).stdout.split()
+    code, rss_kib = int(out[0]), int(out[1])
+    assert code == 0, args
+    return rss_kib / 1024
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("memory")
+    paths = {}
+    for mib in (1, 16):
+        path = root / f"input-{mib}.bin"
+        path.write_bytes(random.Random(mib).randbytes(mib * MIB))
+        paths[mib] = os.fspath(path)
+    return paths
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_fingerprint_rss_is_flat_in_n(inputs, source):
+    bound = peak_rss_mib("--version") + HEADROOM_MIB
+    rss = {}
+    for mib, path in inputs.items():
+        args = ("fingerprint", "--format", "raw", "--seed", "1")
+        if source == "file":
+            rss[mib] = peak_rss_mib(*args, "--input", path)
+        else:
+            rss[mib] = peak_rss_mib(*args, "--input", "-", "--n", str(8 * mib * MIB),
+                                    stdin_path=path)
+        assert rss[mib] < bound, (source, mib, rss[mib], bound)
+    assert abs(rss[16] - rss[1]) < GROWTH_MIB, (source, rss)

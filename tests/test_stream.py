@@ -1,6 +1,6 @@
 """Streaming fingerprints: hand-worked Horner folds, the direct
-polynomial oracle, agreement counting, resource accounting, and the
-self-delimiting tuple coding."""
+polynomial oracle, agreement counting, resource accounting, the raw-byte
+entry point, and the self-delimiting tuple coding."""
 
 from __future__ import annotations
 
@@ -330,3 +330,70 @@ def test_bits_from_bytes_msb_first():
     assert bits_from_bytes(b"\xb0") == "10110000"
     assert bits_from_bytes(b"\x01\x80") == "0000000110000000"
     assert bits_from_bytes(b"") == ""
+
+
+def run_stream_bytes(data: bytes, n: int, ctx, a: int, step: int):
+    """Feed the first n bits of data in byte chunks of the given size."""
+    state = begin(n, ctx, FixedRng(a))
+    for pos in range(0, -(-n // 8), step):
+        chunk = data[pos:pos + step]
+        state.feed_bytes(chunk, min(8 * len(chunk), n - 8 * pos))
+    return state.finish()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 63, 64, 65, 72])
+def test_split_table_fold_matches_direct_eval(k):
+    # Edge cases of the fold against the big-int referee: the point a = 0,
+    # k not dividing n, n < k, k = 1, and widths around the 64-bit word.
+    ctx = make_field(k)
+    rng = random.Random(7000 + k)
+    for n in sorted({1, max(1, k - 1), k, k + 1, 3 * k, 3 * k + 5, 211}):
+        data = rng.randbytes(-(-n // 8))
+        x = bits_from_bytes(data)[:n]
+        for a in (0, 1, rng.getrandbits(k)):
+            want = direct_eval(ctx, x, a)
+            assert run_stream(x, ctx, a).v == want, (k, n, a)
+            assert run_stream_bytes(data, n, ctx, a, step=3).v == want, (k, n, a)
+
+
+@given(
+    data=st.binary(min_size=1, max_size=64),
+    cut=st.integers(min_value=0, max_value=7),
+    k=st.sampled_from([1, 3, 8, 13, 64, 70]),
+    cuts=st.lists(st.integers(min_value=0, max_value=64), max_size=6),
+    a_seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_feed_bytes_random_chunking_equals_feed(data, cut, k, cuts, a_seed):
+    n = max(1, 8 * len(data) - cut)  # usually not a multiple of 8
+    ctx = make_field(k)
+    a = random.Random(a_seed).getrandbits(k)
+    x = bits_from_bytes(data)[:n]
+    bounds = sorted({0, -(-n // 8), *(c for c in cuts if c < -(-n // 8))})
+    state = begin(n, ctx, FixedRng(a))
+    for lo, hi in zip(bounds, bounds[1:]):
+        # Every chunk but the last is whole bytes; the last ends at bit n.
+        state.feed_bytes(data[lo:hi], min(8 * (hi - lo), n - 8 * lo))
+    fp = state.finish()
+    assert fp.v == run_stream(x, ctx, a).v
+    assert state.profile.conversions == -(-n // k)
+    assert state.profile.peak_state_bits <= SPACE_CONSTANT * (k + n.bit_length())
+
+
+def test_feed_bytes_validates():
+    state = begin(12, GF4, FixedRng(1))
+    with pytest.raises(ValueError):
+        state.feed_bytes(b"\xff", 9)
+    with pytest.raises(ValueError):
+        state.feed_bytes(b"\xff", -1)
+    state.feed_bytes(b"\xff")
+    with pytest.raises(ValueError):
+        state.feed_bytes(b"\xff")  # 16 bits for n=12
+    state.feed_bytes(b"\xf0", 4)
+    assert state.finish().n == 12
+
+
+def test_feed_rejects_non_ascii():
+    state = begin(4, GF4, FixedRng(1))
+    with pytest.raises(ValueError, match="'0' and '1'"):
+        state.feed("10\u00e91")
