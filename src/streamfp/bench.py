@@ -1,11 +1,11 @@
-"""Throughput benchmark for the streaming fold, comparing kernel backends.
+"""Throughput benchmark for the streaming fold.
 
-Feeds a synthetic segment stream (uniform k-bit words) through the
-sequential fold of every available backend and reports segments/sec and
-field-ops/sec (two field operations per segment).  Backends must agree
-on the folded value bit for bit; the report records that cross-check.
-The portable numpy/scalar path is measured on a capped slice of the
-stream so comparisons stay quick; rates are per-second either way.
+Folds a synthetic segment stream (uniform k-bit words, ``mib`` MiB of
+them) once through :func:`streamfp.kernels.fold_segments` for each
+degree and reports segments/sec and field-ops/sec (two field operations
+per segment).  A leading slice of the stream is folded again with the
+big-int tier (``FieldCtx.mul``/``add``); the two must agree bit for bit,
+and the report records that cross-check as ``matches_bigint``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ __all__ = ["run_bench", "DEFAULT_KS"]
 
 DEFAULT_KS = (8, 16, 32, 64)
 
-_PORTABLE_SEGMENT_CAP = 200_000
-_SEGMENT_CAP = 8_000_000
+# Segments the big-int cross-check folds: a leading slice, so the check
+# adds little to a run that times a MiB or more of segments.
+_BIGINT_CHECK_SEGMENTS = 4096
 
 
 def _random_words(seed: int, k: int, count: int) -> np.ndarray:
@@ -34,64 +35,47 @@ def _random_words(seed: int, k: int, count: int) -> np.ndarray:
     return words >> np.uint64(64 - k)
 
 
-def _time_fold(impl, segments: np.ndarray, a: int, m_low: int, k: int) -> tuple[float, int]:
-    warm = segments[: min(1024, segments.size)]
-    impl.fold_segments(warm, a, m_low, k)  # warm start (JIT, caches)
-    t0 = time.perf_counter()
-    v = impl.fold_segments(segments, a, m_low, k)
-    dt = time.perf_counter() - t0
-    return dt, int(v)
+def _bigint_fold(ctx, segments, a: int) -> int:
+    v = 1
+    for s in segments:
+        v = ctx.add(ctx.mul(v, a), s)
+    return v
 
 
-def run_bench(
-    ks=DEFAULT_KS,
-    mib: int = 16,
-    seed: int = 0,
-    backend: str = "both",
-) -> dict:
+def run_bench(ks=DEFAULT_KS, mib: int = 1, seed: int = 0) -> dict:
     """Benchmark report dict; content is deterministic given the seed
-    except for the measured rates themselves."""
-    impls = kernels.backend_impls()
-    if backend != "both":
-        if backend not in impls:
-            raise ValueError(f"backend {backend!r} is not available")
-        impls = {backend: impls[backend]}
-    results: dict = {}
+    except for the measured times and rates themselves."""
+    if mib < 1:
+        raise ValueError(f"bench folds at least 1 MiB, got --mib {mib}")
     for k in ks:
         if not 1 <= k <= kernels.WORD_DEGREE_CAP:
             raise ValueError(f"bench covers k in 1..{kernels.WORD_DEGREE_CAP}, got {k}")
+    results: dict = {}
+    for k in ks:
         ctx = make_field(k)
-        total_segments = max(1, min((mib * 8 * (1 << 20)) // k, _SEGMENT_CAP))
-        segments = _random_words(derive_seed(seed, "bench-data", k), k, total_segments)
+        count = mib * 8 * (1 << 20) // k
+        segments = _random_words(derive_seed(seed, "bench-data", k), k, count)
         a = int(_random_words(derive_seed(seed, "bench-point", k), k, 1)[0])
-        slice_len = min(total_segments, _PORTABLE_SEGMENT_CAP)
-        per_backend: dict = {}
-        folded: dict[str, int] = {}
-        for name, impl in impls.items():
-            segs = segments[:slice_len] if name == "numpy" else segments
-            dt, _ = _time_fold(impl, segs, a, ctx.m_low, k)
-            folded[name] = impl.fold_segments(segments[:slice_len], a, ctx.m_low, k)
-            rate = segs.size / dt if dt > 0 else float("inf")
-            per_backend[name] = {
-                "segments_measured": int(segs.size),
-                "seconds": dt,
-                "segments_per_sec": rate,
-                "field_ops_per_sec": 2 * rate,
-            }
-        agree = len(set(folded.values())) == 1
-        if not agree:
-            raise AssertionError(f"backends disagree on the folded value at k={k}")
+        t0 = time.perf_counter()
+        kernels.fold_segments(segments, a, ctx.m_low, k)
+        dt = time.perf_counter() - t0
+        head = segments[:_BIGINT_CHECK_SEGMENTS]
+        if kernels.fold_segments(head, a, ctx.m_low, k) != _bigint_fold(ctx, head.tolist(), a):
+            raise AssertionError(f"fold_segments disagrees with the big-int tier at k={k}")
+        rate = count / dt if dt > 0 else float("inf")
         results[str(k)] = {
             "k": k,
             "t_hex": ctx.modulus.to_hex(),
-            "backends": per_backend,
-            "backends_agree": agree,
+            "segments_measured": count,
+            "seconds": dt,
+            "segments_per_sec": rate,
+            "field_ops_per_sec": 2 * rate,
+            "matches_bigint": True,
         }
     return {
         "kind": "bench",
         "tool": {"name": "streamfp", "version": __version__},
         "seed": seed,
         "mib": mib,
-        "default_backend": kernels.BACKEND,
         "results": results,
     }

@@ -15,11 +15,10 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
+from ._atomic import write_atomic
 from ._version import __version__
 from . import bench as bench_mod
-from . import kernels
 from . import sketch as sketch_mod
 from . import tally as tally_mod
 from .field import make_field
@@ -52,16 +51,7 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".streamfp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, text.encode())
 
 
 # File and stdin input is read in chunks of this many k-byte blocks.  A
@@ -142,10 +132,16 @@ def _language_from_args(args, seed: int) -> sketch_mod.SparseLanguageSpec:
     if args.language_file:
         with open(args.language_file) as fh:
             desc = json.load(fh)
-        kind = desc["kind"]
-        params = desc.get("params", {})
+        params = desc.get("params", {}) if isinstance(desc, dict) else None
+        if not isinstance(params, dict) or not isinstance(desc.get("kind"), str):
+            raise ValueError(f"{args.language_file}: expected a JSON object "
+                             '{"kind": ..., "params": {...}}')
+        for name, typ in (("seed", int), ("max_ones", int), ("member", str)):
+            if params.get(name) is not None and not isinstance(params[name], typ):
+                raise ValueError(f"{args.language_file}: params.{name} must be "
+                                 f"a JSON {'string' if typ is str else 'integer'}")
         return sketch_mod.make_language(
-            kind,
+            desc["kind"],
             seed=params.get("seed"),
             max_ones=params.get("max_ones"),
             member=params.get("member"),
@@ -175,7 +171,9 @@ def _ctx_override(args):
     return make_field(args.k)
 
 
-def _growth_from_arg(text: str) -> GrowthFn:
+def _growth_from_arg(text: str | None, flag: str) -> GrowthFn:
+    if text is None:
+        raise ValueError(f"--validate and --construct need {flag}")
     return GrowthFn.from_json(json.loads(text))
 
 
@@ -293,9 +291,7 @@ def _cmd_sketch_fp_rate(args) -> int:
 
 def _cmd_bench(args) -> int:
     ks = tuple(int(x) for x in args.k.split(","))
-    report = bench_mod.run_bench(
-        ks=ks, mib=args.mib, seed=_resolve_seed(args.seed), backend=args.backend
-    )
+    report = bench_mod.run_bench(ks=ks, mib=args.mib, seed=_resolve_seed(args.seed))
     _write_output(_dump_json(report), args.output)
     return EXIT_OK
 
@@ -324,8 +320,8 @@ def _cmd_tally(args) -> int:
         if not args.lengths:
             raise ValueError("--validate needs --lengths")
         lengths = tally_mod.as_tally(int(x) for x in args.lengths.split(","))
-        d = _growth_from_arg(args.density)
-        g = _growth_from_arg(args.gap)
+        d = _growth_from_arg(args.density, "--density")
+        g = _growth_from_arg(args.gap, "--gap")
         check = tally_mod.validate_tally(lengths, d, g, cap)
         result = {
             "kind": "tally-validate",
@@ -339,8 +335,8 @@ def _cmd_tally(args) -> int:
             "witness": list(check.witness) if check.witness else None,
         }
     else:
-        d = _growth_from_arg(args.density)
-        g = _growth_from_arg(args.gap)
+        d = _growth_from_arg(args.density, "--density")
+        g = _growth_from_arg(args.gap, "--gap")
         lengths = tally_mod.construct_lengths(d, g, args.count, cap)
         result = {
             "kind": "tally-construct",
@@ -391,8 +387,16 @@ def _add_language_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON {kind, params} describing the language")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PRECONDITION; argparse's own code, 2, is EXIT_IO."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PRECONDITION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="streamfp",
         description="One-pass GF(2^k) fingerprints and sparse-set membership sketches",
     )
@@ -442,12 +446,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--output", default=None)
     fr.set_defaults(func=_cmd_sketch_fp_rate)
 
-    p = sub.add_parser("bench", help="kernel throughput, comparing backends")
+    p = sub.add_parser("bench", help="fold throughput, checked against the big-int tier")
     p.add_argument("--k", default=",".join(str(k) for k in bench_mod.DEFAULT_KS),
                    help="comma-separated extension degrees")
-    p.add_argument("--mib", type=int, default=16, help="stream size to fold, in MiB")
+    p.add_argument("--mib", type=int, default=1, help="stream size to fold per degree, in MiB")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--backend", choices=("both", "numba", "numpy"), default="both")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_bench)
 

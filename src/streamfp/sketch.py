@@ -28,12 +28,12 @@ import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._atomic import write_atomic
 from ._version import __version__
 from .field import ENUMERATION_DEGREE_CAP, FieldCtx, make_field, select_field_size
 from .gf2poly import Gf2Poly
@@ -521,16 +521,7 @@ def save_sketch(sketch: SketchSet, path: str) -> None:
         for idx in g:
             v_hex = ctx.elem_hex(int(v_vals[idx])).encode()
             out += struct.pack("<H", len(v_hex)) + v_hex
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spsk-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(out))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, bytes(out))
 
 
 def load_sketch(path: str) -> SketchSet:

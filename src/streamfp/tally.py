@@ -26,6 +26,7 @@ materializing the tower.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
@@ -84,6 +85,12 @@ def iter_log(depth: int, n: int) -> int:
     return v
 
 
+def _int_like(x) -> bool:
+    """A value int() turns into an integer or a ValueError, never a
+    TypeError or an OverflowError (JSON's Infinity)."""
+    return isinstance(x, (int, str)) or (isinstance(x, float) and math.isfinite(x))
+
+
 @dataclass(frozen=True)
 class GrowthFn:
     """A nondecreasing length-to-length function from a named family.
@@ -107,8 +114,15 @@ class GrowthFn:
             raise ValueError(f"unknown growth family {self.family!r}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if not all(_int_like(self.params.get(key, 1)) for key in ("scale", "coeff", "exponent")):
+            raise ValueError("growth params scale, coeff and exponent must be integers")
         if self.family == "custom-table":
-            pts = list(self.params.get("points", ()))
+            pts = self.params.get("points", ())
+            if not isinstance(pts, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_int_like, p))
+                for p in pts
+            ):
+                raise ValueError("custom-table points must be [n, value] pairs")
             if not pts:
                 raise ValueError("custom-table needs points")
             ns = [int(p[0]) for p in pts]
@@ -147,6 +161,16 @@ class GrowthFn:
 
     @classmethod
     def from_json(cls, d: Mapping) -> "GrowthFn":
+        if (
+            not isinstance(d, Mapping)
+            or "family" not in d
+            or not _int_like(d.get("depth", 1))
+            or not isinstance(d.get("params", {}), Mapping)
+        ):
+            raise ValueError(
+                'growth function must be a JSON object {"family": ..., '
+                '"depth": int, "params": {...}}'
+            )
         return cls(
             family=d["family"],
             depth=int(d.get("depth", 1)),

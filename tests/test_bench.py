@@ -1,4 +1,4 @@
-"""Benchmark driver: deterministic inputs, backend agreement, report shape."""
+"""Benchmark driver: deterministic inputs, big-int cross-check, report shape."""
 
 from __future__ import annotations
 
@@ -18,14 +18,20 @@ def test_random_words_deterministic_and_in_range():
 
 
 def test_run_bench_compares_backends():
-    report = run_bench(ks=(8,), mib=1, seed=2, backend="both")
-    entry = report["results"]["8"]
-    assert entry["backends_agree"] is True
-    expected = {"numpy"} | ({"numba"} if kernels.NUMBA_AVAILABLE else set())
-    assert set(entry["backends"]) == expected
-    for stats in entry["backends"].values():
-        assert stats["segments_measured"] > 0
-        assert stats["seconds"] > 0
+    # One fold implementation remains; the comparison is against the big-int tier.
+    report = run_bench(ks=(8, 64), mib=1, seed=2)
+    assert set(report) == {"kind", "tool", "seed", "mib", "results"}
+    for k, entry in report["results"].items():
+        assert entry["matches_bigint"] is True
+        assert entry["segments_measured"] == 8 * (1 << 20) // int(k)
+        assert entry["seconds"] > 0
+
+
+def test_run_bench_raises_when_fold_disagrees_with_bigint(monkeypatch):
+    fold = kernels.fold_segments
+    monkeypatch.setattr(kernels, "fold_segments", lambda *a: fold(*a) ^ 1)
+    with pytest.raises(AssertionError, match="big-int"):
+        run_bench(ks=(16,), mib=1, seed=2)
 
 
 def test_run_bench_validates_k():
@@ -33,3 +39,6 @@ def test_run_bench_validates_k():
         run_bench(ks=(0,), mib=1, seed=1)
     with pytest.raises(ValueError):
         run_bench(ks=(65,), mib=1, seed=1)
+    for mib in (0, -3):
+        with pytest.raises(ValueError):
+            run_bench(ks=(8,), mib=mib, seed=1)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -105,6 +106,24 @@ def test_fingerprint_raw_format(tmp_path, capsys):
                  "--format", "raw", "--n", "4", "--seed", "7")
     r2 = run_json(capsys, "fingerprint", "--bits", "1011", "--seed", "7")
     assert r["v_hex"] == r2["v_hex"]
+
+
+def test_outputs_get_the_mode_plain_open_gives(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        fp = tmp_path / "fp.json"
+        sk = tmp_path / "s.spsk"
+        code, _, _ = run_cli(capsys, "fingerprint", "--bits", "1011", "--seed", "7",
+                             "--output", os.fspath(fp))
+        assert code == EXIT_OK
+        run_json(capsys, "sketch", "build", "--language", "singleton", "--member", "1011",
+                 "--n", "4", "--seed", "1", "--output", os.fspath(sk))
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in (plain, fp, sk)}
+    assert modes == {0o640}
 
 
 def test_fingerprint_input_errors(tmp_path, capsys):
@@ -349,6 +368,22 @@ def test_fp_rate_language_file(tmp_path, capsys):
     assert r["member_count"] == 7
 
 
+@pytest.mark.parametrize("desc", [
+    "{}",
+    "[]",
+    '{"kind": "low-weight", "params": [1]}',
+    '{"kind": "low-weight", "params": {"max_ones": "1"}}',
+    '{"kind": "singleton", "params": {"member": 101}}',
+])
+def test_language_file_bad_shape_exits_3(tmp_path, capsys, desc):
+    path = tmp_path / "lang.json"
+    path.write_text(desc)
+    code, out, err = run_cli(capsys, "sketch", "fp-rate", "--language-file", os.fspath(path),
+                             "--n", "6", "--trials", "1", "--seed", "8")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "lang.json" in err
+
+
 # -------------------------------------------------------------------- tally
 
 def test_tally_padding_stable_cli(capsys):
@@ -393,6 +428,28 @@ def test_tally_construct_cli(capsys):
     assert r["lengths"] == ["1", "3", "7"]
 
 
+@pytest.mark.parametrize("mode", ["--validate", "--construct"])
+@pytest.mark.parametrize("gap", [
+    None,
+    "{}",
+    "[]",
+    '{"family": "identity", "params": [1]}',
+    '{"family": "identity", "depth": [1]}',
+    '{"family": "polynomial", "params": {"coeff": [1]}}',
+    '{"family": "polynomial", "depth": Infinity}',
+    '{"family": "custom-table", "params": {"points": 5}}',
+    '{"family": "custom-table", "params": {"points": [1]}}',
+])
+def test_tally_bad_growth_argument_exits_3(capsys, mode, gap):
+    argv = ["tally", mode, "--lengths", "1,5", "--density", json.dumps({"family": "identity"})]
+    if gap is not None:
+        argv += ["--gap", gap]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("streamfp: ")
+    assert gap is not None or "--gap" in err
+
+
 def test_tally_exactly_one_mode(capsys):
     code, _, _ = run_cli(capsys, "tally", "--validate", "--construct")
     assert code == EXIT_PRECONDITION
@@ -409,21 +466,43 @@ def test_bench_smoke(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     entry = report["results"]["8"]
-    assert entry["backends_agree"] is True
-    for stats in entry["backends"].values():
-        assert stats["segments_per_sec"] > 0
-        assert stats["field_ops_per_sec"] > 0
+    assert entry["matches_bigint"] is True
+    assert entry["segments_per_sec"] > 0
+    assert entry["field_ops_per_sec"] > 0
 
 
 def test_bench_single_backend(capsys):
-    r = run_json(capsys, "bench", "--k", "8", "--mib", "1", "--seed", "5",
-                 "--backend", "numpy")
-    assert list(r["results"]["8"]["backends"]) == ["numpy"]
+    # The bench has one fold path; the old --backend selector is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--k", "8", "--mib", "1", "--seed", "5", "--backend", "numpy"])
+    assert exc.value.code == EXIT_PRECONDITION
+    out = capsys.readouterr()
+    assert out.out == "" and "--backend" in out.err
+
+
+def test_bench_mib_below_one_exits_3(capsys):
+    for mib in ("0", "-3"):
+        code, out, err = run_cli(capsys, "bench", "--k", "8", "--mib", mib, "--seed", "5")
+        assert code == EXIT_PRECONDITION and out == ""
+        assert "--mib" in err
 
 
 # ------------------------------------------------------------------ version
 
 def test_version_flag(capsys):
+    for argv in (["--version"], ["--help"], ["sketch", "query", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["fingerprint", "--bogus"],
+    ["sketch", "query", "--bits", "1011"],
+    ["fingerprint", "--bits", "1011", "--k", "x"],
+])
+def test_usage_errors_exit_3(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+        main(argv)
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "usage: streamfp" in capsys.readouterr().err

@@ -1,12 +1,9 @@
-"""Word-tier kernels: every backend must agree bit for bit with the
-big-integer polynomial tier, and with each other."""
+"""Word-tier kernels: they must agree bit for bit with the big-integer
+polynomial tier."""
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from streamfp import kernels
 from streamfp.field import make_field
 from streamfp.gf2poly import Gf2Poly
 
-BACKENDS = sorted(kernels.backend_impls())
 DIFF_KS = (1, 2, 3, 5, 8, 16, 24, 32, 47, 63, 64)
 
 
@@ -23,38 +19,32 @@ def _ref_mul(ctx, a: int, b: int) -> int:
     return int((Gf2Poly(a) * Gf2Poly(b)) % ctx.modulus)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mulmod_matches_bigint_tier(backend):
-    impl = kernels.backend_impls()[backend]
+def test_mulmod_matches_bigint_tier():
     rng = random.Random(101)
     for k in DIFF_KS:
         ctx = make_field(k)
         xs = np.array([rng.getrandbits(k) for _ in range(64)], np.uint64)
         ys = np.array([rng.getrandbits(k) for _ in range(64)], np.uint64)
-        got = impl.mulmod(xs, ys, ctx.m_low, k)
+        got = kernels.mulmod(xs, ys, ctx.m_low, k)
         want = [_ref_mul(ctx, int(x), int(y)) for x, y in zip(xs, ys)]
         assert got.tolist() == want, f"k={k}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mulmod_broadcasts_scalar(backend):
-    impl = kernels.backend_impls()[backend]
+def test_mulmod_broadcasts_scalar():
     ctx = make_field(8)
     ys = np.arange(256, dtype=np.uint64)
-    got = impl.mulmod(3, ys, ctx.m_low, 8)
+    got = kernels.mulmod(3, ys, ctx.m_low, 8)
     want = [_ref_mul(ctx, 3, int(y)) for y in ys]
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_eval_points_is_horner(backend):
-    impl = kernels.backend_impls()[backend]
+def test_eval_points_is_horner():
     rng = random.Random(55)
     for k in (2, 8, 16):
         ctx = make_field(k)
         coeffs = [rng.getrandbits(k) for _ in range(5)]
         pts = [rng.getrandbits(k) for _ in range(32)]
-        got = impl.eval_points(
+        got = kernels.eval_points(
             np.array(pts, np.uint64), np.array(coeffs, np.uint64), ctx.m_low, k
         )
         for a, v in zip(pts, got.tolist()):
@@ -64,91 +54,32 @@ def test_eval_points_is_horner(backend):
             assert v == want, (k, a)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_eval_points_empty_coeffs_gives_ones(backend):
-    impl = kernels.backend_impls()[backend]
+def test_eval_points_empty_coeffs_gives_ones():
     ctx = make_field(4)
-    got = impl.eval_points(
+    got = kernels.eval_points(
         np.arange(16, dtype=np.uint64), np.empty(0, np.uint64), ctx.m_low, 4
     )
     assert got.tolist() == [1] * 16
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fold_segments_is_horner(backend):
-    impl = kernels.backend_impls()[backend]
+def test_fold_segments_is_horner():
     rng = random.Random(9)
     for k in (1, 8, 33, 64):
         ctx = make_field(k)
         segs = [rng.getrandbits(k) for _ in range(40)]
         a = rng.getrandbits(k)
-        got = impl.fold_segments(np.array(segs, np.uint64), a, ctx.m_low, k)
+        got = kernels.fold_segments(np.array(segs, np.uint64), a, ctx.m_low, k)
         want = 1
         for s in segs:
             want = ctx.add(ctx.mul(want, a), s)
         assert got == want, k
 
 
-def test_backends_agree_directly():
-    impls = kernels.backend_impls()
-    if len(impls) < 2:
-        pytest.skip("only one backend importable")
-    rng = random.Random(31)
-    for k in (7, 24, 64):
-        ctx = make_field(k)
-        xs = np.array([rng.getrandbits(k) for _ in range(128)], np.uint64)
-        ys = np.array([rng.getrandbits(k) for _ in range(128)], np.uint64)
-        coeffs = np.array([rng.getrandbits(k) for _ in range(6)], np.uint64)
-        results_mul = {n: im.mulmod(xs, ys, ctx.m_low, k).tolist() for n, im in impls.items()}
-        results_eval = {
-            n: im.eval_points(xs, coeffs, ctx.m_low, k).tolist() for n, im in impls.items()
-        }
-        results_fold = {
-            n: im.fold_segments(xs, int(ys[0]), ctx.m_low, k) for n, im in impls.items()
-        }
-        assert len({tuple(v) for v in results_mul.values()}) == 1
-        assert len({tuple(v) for v in results_eval.values()}) == 1
-        assert len(set(results_fold.values())) == 1
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_degree_guard(backend):
-    impl = kernels.backend_impls()[backend]
+def test_degree_guard():
     xs = np.ones(4, np.uint64)
     with pytest.raises(ValueError):
-        impl.mulmod(xs, xs, 3, 0)
+        kernels.mulmod(xs, xs, 3, 0)
     with pytest.raises(ValueError):
-        impl.mulmod(xs, xs, 3, 65)
+        kernels.mulmod(xs, xs, 3, 65)
     with pytest.raises(ValueError):
-        impl.fold_segments(xs, 1, 3, 65)
-
-
-def _backend_in_subprocess(env_value: str | None) -> str:
-    env = dict(os.environ)
-    env.pop("STREAMFP_BACKEND", None)
-    if env_value is not None:
-        env["STREAMFP_BACKEND"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "import streamfp.kernels as k; print(k.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    return out.stdout.strip() or out.stderr
-
-
-def test_backend_env_pin():
-    assert _backend_in_subprocess("numpy") == "numpy"
-    if kernels.NUMBA_AVAILABLE:
-        assert _backend_in_subprocess("numba") == "numba"
-        assert _backend_in_subprocess(None) == "numba"
-    assert "STREAMFP_BACKEND" in _backend_in_subprocess("bogus")
-
-
-def test_module_level_functions_bound_to_active_backend():
-    ctx = make_field(8)
-    xs = np.arange(8, dtype=np.uint64)
-    active = kernels.backend_impls()[kernels.BACKEND]
-    assert kernels.mulmod(xs, xs, ctx.m_low, 8).tolist() == active.mulmod(
-        xs, xs, ctx.m_low, 8
-    ).tolist()
+        kernels.fold_segments(xs, 1, 3, 65)
