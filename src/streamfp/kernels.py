@@ -2,27 +2,36 @@
 
 These are the hot loops: evaluating a fingerprint polynomial at every
 field point (sketch building, exact false-positive counts) and folding
-long segment streams.  Elements are uint64 bit patterns, so the kernels
-cover extension degrees 1..64 (the word tier); wider fields stay on the
-big-int tier in :mod:`streamfp.gf2poly`.  Both tiers must agree bit for
-bit; the differential tests enforce that.
+long segment streams.  Elements are uint64 bit patterns, so ``mulmod``
+and the fold cover extension degrees 1..64 (the word tier); wider fields
+stay on the big-int tier in :mod:`streamfp.gf2poly`.  Both tiers must
+agree bit for bit; the differential tests enforce that.
 
-``mulmod`` and ``eval_points`` are vectorized over the points axis with
-pure ufunc arithmetic.  The fold is sequential in its accumulator, so it
-has no points axis and runs the stream's split-table loop,
-:func:`streamfp.field.horner_fold`.
+``eval_points`` runs on log/antilog tables of the multiplicative group
+(Plank, Greenan & Miller, FAST 2013), so each Horner step is one gather
+``exp[log[v] + log[a]]``.  ``log[0]`` is a sentinel past every sum of
+two real logs, and the gather clips it into the zero tail of ``exp``, so
+a zero operand gives a zero product.  The tables hold 3q uint32 entries
+(12 bytes per element), are built on a field's first call and cached,
+and cover k in 1..``ENUMERATION_DEGREE_CAP``, the fields a sketch sweeps.
+The fold is sequential in its accumulator, so it has no points axis and
+runs the stream's split-table loop, :func:`streamfp.field.horner_fold`.
 
-The multiply is k steps of shift-and-reduce: per step the low bit of one
-operand gates an XOR of the other into the accumulator, then that other
-operand is multiplied by u, folding the overflow bit into the low terms
-of the modulus (``m_low`` = modulus minus its leading term).
+Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
+64: per step the low bit of one operand gates an XOR of the other into the
+accumulator, then that other operand is multiplied by u, folding the
+overflow bit into the low terms of the modulus (``m_low`` = modulus
+minus its leading term).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .field import horner_fold, split_tables
+from .field import ENUMERATION_DEGREE_CAP, horner_fold, split_tables
+from .gf2poly import _powmod, _prime_divisors
 
 __all__ = [
     "WORD_DEGREE_CAP",
@@ -71,15 +80,63 @@ def mulmod(x, y, m_low: int, k: int) -> np.ndarray:
     return _mulmod(x, y, m_low, k)
 
 
+def _primitive_element(modulus: int, k: int) -> int:
+    """Least g whose powers run through all q - 1 nonzero elements: g^(q-1)
+    is 1 and g^((q-1)/p) is not, for each prime p | q - 1."""
+    order = (1 << k) - 1
+    primes = _prime_divisors(order)
+    for g in range(1, order + 1):
+        if _powmod(g, order, modulus) == 1 and all(
+            _powmod(g, order // p, modulus) != 1 for p in primes
+        ):
+            return g
+    raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {k}")
+
+
+# A process sweeps one field at a time, and at k = 24 a pair of tables
+# takes 192 MiB, so only the last few fields' tables are kept.
+@functools.lru_cache(maxsize=4)
+def _log_tables(k: int, m_low: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) for GF(2^k): exp[i] = g^(i mod (q-1)) for i < 2q - 2,
+    then a zero tail; log[g^i] = i and log[0] = 2q - 2, the sentinel."""
+    q = 1 << k
+    modulus = m_low | q
+    g = _primitive_element(modulus, k)
+    exp = np.zeros(2 * q, np.uint32)
+    exp[0] = 1
+    m, gm = 1, g
+    while m < q - 1:  # exp[m:2m] = exp[:m] * g^m
+        tables = np.array(split_tables(gm, modulus, k), np.uint32)
+        head = exp[:min(m, q - 1 - m)]
+        prod = tables[0][head & 0xFF]
+        for i in range(1, len(tables)):
+            prod ^= tables[i][(head >> np.uint32(8 * i)) & 0xFF]
+        exp[m:m + head.size] = prod
+        gm = _powmod(gm, 2, modulus)
+        m *= 2
+    exp[q - 1:2 * q - 2] = exp[:q - 1]
+    log = np.empty(q, np.uint32)
+    log[exp[:q - 1]] = np.arange(q - 1, dtype=np.uint32)
+    log[0] = 2 * q - 2
+    log.flags.writeable = exp.flags.writeable = False  # shared by every caller
+    return log, exp
+
+
 def eval_points(points, coeffs, m_low: int, k: int) -> np.ndarray:
     """Horner value 1·a^r + c_0·a^{r-1} + … + c_{r-1} at every point a."""
-    _check_k(k)
-    points = np.asarray(points, np.uint64)
-    v = np.ones(points.shape, np.uint64)
-    for c in np.asarray(coeffs, np.uint64):
-        v = _mulmod(v, points, m_low, k)
+    if not 1 <= k <= ENUMERATION_DEGREE_CAP:
+        raise ValueError(
+            f"eval_points covers k in 1..{ENUMERATION_DEGREE_CAP}, got {k}"
+        )
+    log, exp = _log_tables(k, m_low)
+    log_a = log[np.asarray(points, np.uint64)]
+    v = np.ones(log_a.shape, np.uint32)
+    idx = np.empty_like(log_a)
+    for c in np.asarray(coeffs, np.uint64).astype(np.uint32):
+        np.add(log[v], log_a, out=idx)
+        np.take(exp, idx, out=v, mode="clip")
         v ^= c
-    return v
+    return v.astype(np.uint64)
 
 
 def fold_segments(segments, a: int, m_low: int, k: int) -> int:

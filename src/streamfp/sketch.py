@@ -253,12 +253,6 @@ class SketchSet:
     def size(self) -> int:
         return int(self.packed.size)
 
-    def point_count(self) -> int:
-        """Number of distinct points a that hold at least one value."""
-        if self.packed.size == 0:
-            return 0
-        return int(np.unique(self.packed >> np.uint64(self.ctx.k)).size)
-
 
 def _resolve_budget(entry_budget: int | None) -> int:
     if entry_budget is not None:
@@ -318,17 +312,21 @@ def build_sketch(
             f"build would create {projected} entries, over the budget of {budget}; "
             f"raise --entry-budget or {ENTRY_BUDGET_ENV} to proceed"
         )
-    if not members:
-        packed = np.empty(0, np.uint64)
-    else:
+    packed = np.empty(projected, np.uint64)
+    if members:
+        # One q-entry row per member, sorted in place, then compacted:
+        # the peak is this array, its keep-mask and the compacted copy.
         points = np.arange(q, dtype=np.uint64)
-        kk = np.uint64(ctx.k)
-        chunks = []
-        for y in members:
+        keys = points << np.uint64(ctx.k)
+        for row, y in zip(packed.reshape(len(members), q), members):
             coeffs = np.array(coefficients(ctx, y), dtype=np.uint64)
             vals = kernels.eval_points(points, coeffs, ctx.m_low, ctx.k)
-            chunks.append((points << kk) | vals)
-        packed = np.unique(np.concatenate(chunks))
+            np.bitwise_or(keys, vals, out=row)
+        packed.sort()
+        keep = np.empty(projected, bool)
+        keep[0] = True
+        np.not_equal(packed[1:], packed[:-1], out=keep[1:])
+        packed = packed[keep]
     return SketchSet(
         n=n,
         ctx=ctx,

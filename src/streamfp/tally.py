@@ -26,7 +26,6 @@ materializing the tower.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
@@ -86,9 +85,10 @@ def iter_log(depth: int, n: int) -> int:
 
 
 def _int_like(x) -> bool:
-    """A value int() turns into an integer or a ValueError, never a
-    TypeError or an OverflowError (JSON's Infinity)."""
-    return isinstance(x, (int, str)) or (isinstance(x, float) and math.isfinite(x))
+    """A value int() turns into the same integer or a ValueError: an int,
+    an integral float such as 2.0, or a string.  A float with a fraction
+    would be truncated and is refused, as is JSON's Infinity."""
+    return isinstance(x, (int, str)) or (isinstance(x, float) and x.is_integer())
 
 
 @dataclass(frozen=True)

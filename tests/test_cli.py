@@ -439,6 +439,10 @@ def test_tally_construct_cli(capsys):
     '{"family": "polynomial", "depth": Infinity}',
     '{"family": "custom-table", "params": {"points": 5}}',
     '{"family": "custom-table", "params": {"points": [1]}}',
+    # Non-integral numbers would be truncated by int(), not used as given.
+    '{"family": "polynomial", "depth": 1.5}',
+    '{"family": "polynomial", "params": {"coeff": 2.7}}',
+    '{"family": "custom-table", "params": {"points": [[1.5, 2]]}}',
 ])
 def test_tally_bad_growth_argument_exits_3(capsys, mode, gap):
     argv = ["tally", mode, "--lengths", "1,5", "--density", json.dumps({"family": "identity"})]
@@ -448,6 +452,17 @@ def test_tally_bad_growth_argument_exits_3(capsys, mode, gap):
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("streamfp: ")
     assert gap is not None or "--gap" in err
+
+
+@pytest.mark.parametrize("gap", [
+    '{"family": "polynomial", "depth": 1.0, "params": {"coeff": 2.0, "exponent": "1"}}',
+    '{"family": "custom-table", "params": {"points": [[1, 3.0], ["5", 11]]}}',
+])
+def test_tally_integral_growth_params_accepted(capsys, gap):
+    density = json.dumps({"family": "identity"})
+    r = run_json(capsys, "tally", "--validate", "--lengths", "1,5",
+                 "--density", density, "--gap", gap)
+    assert r["ok"] is True
 
 
 def test_tally_exactly_one_mode(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from streamfp import kernels
-from streamfp.field import make_field
+from streamfp.field import ENUMERATION_DEGREE_CAP, make_field
 from streamfp.gf2poly import Gf2Poly
 
 DIFF_KS = (1, 2, 3, 5, 8, 16, 24, 32, 47, 63, 64)
@@ -54,6 +54,42 @@ def test_eval_points_is_horner():
             assert v == want, (k, a)
 
 
+def _bigint_horner(ctx, coeffs, a: int) -> int:
+    v = 1
+    for c in coeffs:
+        v = ctx.add(ctx.mul(v, a), c)
+    return v
+
+
+def test_eval_points_matches_bigint_on_every_point():
+    rng = random.Random(77)
+    for k in range(1, 13):
+        ctx = make_field(k)
+        pts = np.arange(ctx.q, dtype=np.uint64)
+        # Zero coefficients drive v to 0 at a = 0, so the next step
+        # multiplies 0 by 0: both operands hit the log sentinel.
+        for coeffs in ([rng.getrandbits(k) for _ in range(5)], [0, 0, rng.getrandbits(k)]):
+            got = kernels.eval_points(pts, np.array(coeffs, np.uint64), ctx.m_low, k)
+            want = [_bigint_horner(ctx, coeffs, a) for a in range(ctx.q)]
+            assert got.tolist() == want, (k, coeffs)
+
+
+@pytest.mark.parametrize("k", [13, 16, 20])
+def test_eval_points_matches_bigint_on_random_points(k):
+    rng = random.Random(k)
+    ctx = make_field(k)
+    a0 = rng.getrandbits(k) | 1
+    pts = [0, a0] + [rng.getrandbits(k) for _ in range(200)]
+    # c_0 = a0 makes the first step at a0 give v = 0, which the next
+    # step must keep at 0.
+    for coeffs in ([a0] + [rng.getrandbits(k) for _ in range(3)],
+                   [0, 0] + [rng.getrandbits(k) for _ in range(2)]):
+        got = kernels.eval_points(np.array(pts, np.uint64), np.array(coeffs, np.uint64),
+                                  ctx.m_low, k)
+        want = [_bigint_horner(ctx, coeffs, a) for a in pts]
+        assert got.tolist() == want, coeffs
+
+
 def test_eval_points_empty_coeffs_gives_ones():
     ctx = make_field(4)
     got = kernels.eval_points(
@@ -83,3 +119,6 @@ def test_degree_guard():
         kernels.mulmod(xs, xs, 3, 65)
     with pytest.raises(ValueError):
         kernels.fold_segments(xs, 1, 3, 65)
+    for k in (0, ENUMERATION_DEGREE_CAP + 1):
+        with pytest.raises(ValueError):
+            kernels.eval_points(xs, xs, 3, k)

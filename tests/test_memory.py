@@ -1,6 +1,8 @@
-"""The O(k + log n) state claim, measured on the running process: the peak
-RSS of `fingerprint --format raw` stays flat as the input grows, read from
-a file or from a stdin pipe."""
+"""Memory claims, measured on the running process.  The O(k + log n)
+state claim: the peak RSS of `fingerprint --format raw` stays flat as the
+input grows, read from a file or from a stdin pipe.  Entry budgets bound
+real bytes: a sketch build's peak allocation is a small constant per
+projected entry."""
 
 from __future__ import annotations
 
@@ -8,8 +10,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from streamfp import kernels
+from streamfp.field import make_field, select_field_size
+from streamfp.sketch import build_sketch, make_language
 
 # A child's ru_maxrss also holds the peak of the address space it was
 # spawned from (Linux keeps the old high-water mark across exec, and a
@@ -70,3 +78,25 @@ def test_fingerprint_rss_is_flat_in_n(inputs, source):
                                     stdin_path=path)
         assert rss[mib] < bound, (source, mib, rss[mib], bound)
     assert abs(rss[16] - rss[1]) < GROWTH_MIB, (source, rss)
+
+
+BUILD_BYTES_PER_ENTRY = 20
+
+
+def test_build_peak_bytes_per_projected_entry():
+    spec = make_language("seeded-random", seed=3)
+    n = 32
+    ctx = make_field(select_field_size(n, spec.density.eval(n)))
+    projected = ctx.q * len(spec.enumerator(n))
+    assert (ctx.k, projected) == (14, 524288)
+    # The field's log/antilog tables are cached per field, not per build,
+    # so they are built before the measurement starts.
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
+    tracemalloc.start()
+    try:
+        sk = build_sketch(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sk.ctx == ctx
+    assert peak <= BUILD_BYTES_PER_ENTRY * projected, peak / projected

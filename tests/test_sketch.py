@@ -146,6 +146,18 @@ def test_sketch_matches_direct_set_construction():
     assert sk.rule_sized
 
 
+@pytest.mark.parametrize("spec, n, ctx", [
+    (pair_language("0000", "1111"), 4, GF4),             # the members agree at a = 1
+    (make_language("low-weight", max_ones=2), 9, None),  # many agreements, zero segments
+    (make_language("seeded-random", seed=5), 12, None),
+])
+def test_packed_is_strictly_increasing_uint64(spec, n, ctx):
+    sk = build_sketch(spec, n, ctx=ctx)
+    assert sk.packed.dtype == np.uint64
+    assert sk.packed.size > 0
+    assert (sk.packed[1:] > sk.packed[:-1]).all()
+
+
 # ------------------------------------------------------------------ queries
 
 def test_contains_member_fingerprint_any_point():
