@@ -13,17 +13,24 @@ Storage is one sorted uint64 array of packed (a << k) | v keys, i.e. a
 map keyed by a with sorted value sets, flattened.  Building and exact
 false-positive counting run on the batched kernels.
 
-The sketch file format (.spsk) is deterministic and platform-free:
+The sketch file format (.spsk, version 2) is that array itself,
+deterministic and little-endian:
 
-    magic "SPSK" | u32 version | u32 header length | header JSON
-    (canonical, sorted keys) | u64 record count | records
+    magic "SPSK" | u32 version = 2 | u32 header length | header JSON |
+    packed keys as u64 | SHA-256 of every byte before it
 
-with one record per point a holding value count and hex-coded values,
-sorted by a then v; element hex is fixed-width per the context.
+The header JSON has sorted keys and no spaces and holds k, t_hex, n,
+member_count, rule_sized, seed and entry_count.  Loading checks the
+magic, the version, the header's keys and types, k in
+1..ENUMERATION_DEGREE_CAP and an irreducible modulus of degree k, a file
+length of exactly 12 + header length + 8 entry_count + 32 bytes, the
+digest, strictly increasing keys and a last key below 2^(2k), and
+raises ValueError on the first that fails.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -412,6 +419,8 @@ def fp_rate_experiment(
         raise ValueError("mode must be 'exhaustive-a' or 'sampled-a'")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if mode == "sampled-a" and a_samples < 1:
+        raise ValueError("sampled-a mode needs a_samples >= 1")
     planned_k = (
         ctx.k if ctx is not None
         else select_field_size(n, max(1, spec.density.eval(n)))
@@ -484,82 +493,66 @@ def fp_rate_experiment(
 # ------------------------------------------------------------- file I/O
 
 _SPSK_MAGIC = b"SPSK"
-_SPSK_VERSION = 1
+_SPSK_VERSION = 2
+_SPSK_PREFIX = struct.Struct("<4sII")  # magic, version, header length
+_DIGEST_BYTES = 32  # SHA-256
+_HEADER_TYPES = {"entry_count": int, "k": int, "member_count": int, "n": int,
+                 "rule_sized": bool, "seed": (int, type(None)), "t_hex": str}
 
 
 def save_sketch(sketch: SketchSet, path: str) -> None:
     """Write the deterministic .spsk form (atomic: temp file + rename)."""
-    ctx = sketch.ctx
-    header = {
-        "magic": "SPSK",
-        "version": _SPSK_VERSION,
-        "n": sketch.n,
-        "k": ctx.k,
-        "t_hex": ctx.modulus.to_hex(),
-        "rule_sized": sketch.rule_sized,
-        "seed": sketch.source_seed,
-        "member_count": sketch.member_count,
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    kk = np.uint64(ctx.k)
-    a_keys = (sketch.packed >> kk).astype(np.uint64)
-    v_vals = sketch.packed & np.uint64((1 << ctx.k) - 1)
-    out = bytearray()
-    out += _SPSK_MAGIC
-    out += struct.pack("<II", _SPSK_VERSION, len(header_bytes))
-    out += header_bytes
-    boundaries = np.flatnonzero(np.diff(a_keys)) + 1 if a_keys.size else np.array([], int)
-    groups = np.split(np.arange(a_keys.size), boundaries)
-    records = [g for g in groups if g.size]
-    out += struct.pack("<Q", len(records))
-    for g in records:
-        a_hex = ctx.elem_hex(int(a_keys[g[0]])).encode()
-        out += struct.pack("<H", len(a_hex)) + a_hex
-        out += struct.pack("<I", g.size)
-        for idx in g:
-            v_hex = ctx.elem_hex(int(v_vals[idx])).encode()
-            out += struct.pack("<H", len(v_hex)) + v_hex
-    write_atomic(path, bytes(out))
+    header = json.dumps({
+        "entry_count": sketch.size, "k": sketch.ctx.k, "member_count": sketch.member_count,
+        "n": sketch.n, "rule_sized": sketch.rule_sized, "seed": sketch.source_seed,
+        "t_hex": sketch.ctx.modulus.to_hex(),
+    }, sort_keys=True, separators=(",", ":")).encode()
+    body = b"".join((_SPSK_PREFIX.pack(_SPSK_MAGIC, _SPSK_VERSION, len(header)),
+                     header, sketch.packed.astype("<u8").tobytes()))
+    write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def load_sketch(path: str) -> SketchSet:
-    """Read a .spsk file back; validates magic, version, and the field."""
+    """Read a .spsk file back, raising ValueError unless every check in the
+    module docstring passes."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _SPSK_MAGIC:
+    if len(blob) < _SPSK_PREFIX.size or blob[:4] != _SPSK_MAGIC:
         raise ValueError("not a sketch file (bad magic)")
+    _, version, header_len = _SPSK_PREFIX.unpack_from(blob)
+    if version != _SPSK_VERSION:
+        raise ValueError(f"unsupported sketch file version {version}")
+    start = _SPSK_PREFIX.size + header_len
     try:
-        version, header_len = struct.unpack_from("<II", blob, 4)
-        if version != _SPSK_VERSION:
-            raise ValueError(f"unsupported sketch file version {version}")
-        pos = 12
-        header = json.loads(blob[pos:pos + header_len].decode())
-        pos += header_len
-        ctx = FieldCtx(int(header["k"]), Gf2Poly.from_hex(header["t_hex"]))
-        (record_count,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        keys: list[int] = []
-        for _ in range(record_count):
-            (alen,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            a = ctx.elem_from_hex(blob[pos:pos + alen].decode())
-            pos += alen
-            (count,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            for _ in range(count):
-                (vlen,) = struct.unpack_from("<H", blob, pos)
-                pos += 2
-                v = ctx.elem_from_hex(blob[pos:pos + vlen].decode())
-                pos += vlen
-                keys.append((a << ctx.k) | v)
-        packed = np.array(sorted(keys), dtype=np.uint64)
-        return SketchSet(
-            n=int(header["n"]),
-            ctx=ctx,
-            packed=packed,
-            member_count=int(header["member_count"]),
-            source_seed=None if header.get("seed") is None else int(header["seed"]),
-            rule_sized=bool(header["rule_sized"]),
-        )
-    except (struct.error, KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"corrupt sketch file: {exc}") from exc
+        header = json.loads(blob[_SPSK_PREFIX.size:start])
+    except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"corrupt sketch file: bad header JSON ({exc})") from exc
+    if not isinstance(header, dict) or header.keys() != _HEADER_TYPES.keys():
+        keys = ", ".join(_HEADER_TYPES)
+        raise ValueError(f"corrupt sketch file: header keys must be {keys}")
+    for name, kind in _HEADER_TYPES.items():
+        value = header[name]
+        # bool is an int subclass: int fields refuse it, the bool field needs it.
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"corrupt sketch file: header {name} has the wrong type")
+    k, count = header["k"], header["entry_count"]
+    if header["n"] < 1 or header["member_count"] < 0 or count < 0:
+        raise ValueError("corrupt sketch file: header needs n >= 1 and counts >= 0")
+    if not 1 <= k <= ENUMERATION_DEGREE_CAP:
+        raise ValueError(f"corrupt sketch file: k must be in 1..{ENUMERATION_DEGREE_CAP}")
+    ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
+    expected = start + 8 * count + _DIGEST_BYTES
+    if len(blob) != expected:
+        raise ValueError(f"corrupt sketch file: {len(blob)} bytes, expected {expected}")
+    if hashlib.sha256(memoryview(blob)[:-_DIGEST_BYTES]).digest() != blob[-_DIGEST_BYTES:]:
+        raise ValueError("corrupt sketch file: digest mismatch")
+    # numpy's searchsorted copies an unaligned array on every call, so an
+    # unaligned key region (header length not 4 mod 8) is copied once here.
+    packed = np.require(np.frombuffer(blob, "<u8", count, start), requirements="A")
+    if not (packed[1:] > packed[:-1]).all():
+        raise ValueError("corrupt sketch file: entries are not strictly increasing")
+    if count and int(packed[-1]) >> (2 * k):
+        raise ValueError(f"corrupt sketch file: a key is not below 2^{2 * k}")
+    return SketchSet(n=header["n"], ctx=ctx, packed=packed,
+                     member_count=header["member_count"], source_seed=header["seed"],
+                     rule_sized=header["rule_sized"])

@@ -3,10 +3,12 @@ formats, and the exit-code contract."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
 import stat
+import struct
 import subprocess
 import sys
 
@@ -302,6 +304,67 @@ def test_sketch_query_length_mismatch(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
 
 
+def _spsk(header, keys: bytes, version: int = 2) -> bytes:
+    """A .spsk v2 file around the given header and keys, with a valid digest."""
+    if isinstance(header, dict):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = b"SPSK" + struct.pack("<II", version, len(header)) + header + keys
+    return body + hashlib.sha256(body).digest()
+
+
+# Each corrupt file breaks one check of load_sketch, named by the stderr
+# fragment; a missing file is an I/O failure instead.
+# Singleton 1011 at k = 4: 16 keys, the last (15 << 4) | 2 = 242 < 2^8.
+@pytest.mark.parametrize("make, code, fragment", [
+    (lambda h, keys, good: _spsk(b"[1,2]", keys), EXIT_PRECONDITION, "header keys"),
+    (lambda h, keys, good: _spsk(b"[" * 100000, keys), EXIT_PRECONDITION, "bad header JSON"),
+    (lambda h, keys, good: _spsk({**h, "t_hex": 19}, keys), EXIT_PRECONDITION,
+     "t_hex has the wrong type"),
+    (lambda h, keys, good: _spsk(h, keys, version=1), EXIT_PRECONDITION,
+     "unsupported sketch file version 1"),
+    (lambda h, keys, good: _spsk({**h, "seed": True}, keys), EXIT_PRECONDITION,
+     "seed has the wrong type"),
+    (lambda h, keys, good: _spsk({**h, "member_count": -1}, keys), EXIT_PRECONDITION,
+     "counts >= 0"),
+    (lambda h, keys, good: _spsk({**h, "k": 25}, keys), EXIT_PRECONDITION, "k must be in"),
+    (lambda h, keys, good: good + b"\0", EXIT_PRECONDITION, "bytes, expected"),
+    (lambda h, keys, good: good[:-1], EXIT_PRECONDITION, "bytes, expected"),
+    # The low byte of the last key, digest left as it was.
+    (lambda h, keys, good: good[:-40] + bytes([good[-40] ^ 1]) + good[-39:],
+     EXIT_PRECONDITION, "digest mismatch"),
+    (lambda h, keys, good: _spsk(h, keys[8:16] + keys[:8] + keys[16:]), EXIT_PRECONDITION,
+     "strictly increasing"),
+    (lambda h, keys, good: _spsk(h, keys[:-8] + struct.pack("<Q", 256)), EXIT_PRECONDITION,
+     "not below 2^8"),
+    (None, EXIT_IO, "No such file"),
+], ids=["non-object-header", "nested-header", "numeric-t_hex", "v1-version", "bool-seed",
+        "negative-member_count", "k-25", "trailing-byte",
+        "truncated-digest", "flipped-entry-byte", "swapped-entries", "key-too-large",
+        "missing-file"])
+def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, code,
+                                                       fragment):
+    good_path = tmp_path / "good.spsk"
+    run_json(capsys, "sketch", "build", "--language", "singleton", "--member", "1011",
+             "--n", "4", "--k", "4", "--seed", "3", "--output", os.fspath(good_path))
+    good = good_path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", good, 8)
+    header = json.loads(good[12:12 + header_len])
+    keys = good[12 + header_len:-32]
+    assert len(keys) == 8 * header["entry_count"] == 128
+    path = tmp_path / "bad.spsk"
+    if make is not None:
+        path.write_bytes(make(header, keys, good))
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamfp.cli", "sketch", "query", "--sketch", os.fspath(path),
+         "--bits", "1011", "--seed", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert fragment in proc.stderr
+
+
 def test_sketch_build_budget_exit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sketch", "build", "--language", "seeded-random",
                            "--n", "40", "--seed", "1", "--entry-budget", "1000",
@@ -366,6 +429,15 @@ def test_fp_rate_language_file(tmp_path, capsys):
                  "--n", "6", "--trials", "3", "--seed", "8")
     assert r["language"]["name"] == "low-weight"
     assert r["member_count"] == 7
+
+
+@pytest.mark.parametrize("a_samples", ["0", "-1"])
+def test_fp_rate_sampled_mode_refuses_a_samples_below_one(capsys, a_samples):
+    code, out, err = run_cli(capsys, "sketch", "fp-rate", "--language", "seeded-random",
+                             "--n", "10", "--trials", "3", "--seed", "42",
+                             "--mode", "sampled-a", "--a-samples", a_samples)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "a_samples >= 1" in err
 
 
 @pytest.mark.parametrize("desc", [

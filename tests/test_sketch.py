@@ -267,6 +267,46 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.packed, sk.packed)
 
 
+@pytest.mark.parametrize("spec, n, ctx", [
+    (make_language("empty"), 4, GF4),                        # 0 entries
+    (make_language("singleton", member="1011"), 4, make_field(1)),
+])
+def test_save_load_round_trip_edge_sketches(tmp_path, spec, n, ctx):
+    sk = build_sketch(spec, n, ctx=ctx)
+    path = os.fspath(tmp_path / "edge.spsk")
+    save_sketch(sk, path)
+    back = load_sketch(path)
+    assert (back.n, back.ctx, back.member_count) == (sk.n, sk.ctx, sk.member_count)
+    assert back.rule_sized is False and back.source_seed is None
+    assert back.packed.dtype == np.uint64 and back.packed.flags.aligned
+    assert np.array_equal(back.packed, sk.packed)
+
+
+def test_save_is_deterministic(tmp_path):
+    sk = build_sketch(make_language("seeded-random", seed=77), 8, source_seed=77)
+    first, second = tmp_path / "a.spsk", tmp_path / "b.spsk"
+    save_sketch(sk, os.fspath(first))
+    save_sketch(sk, os.fspath(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_spsk_v2_golden_bytes(tmp_path):
+    """Pins the v2 layout: prefix, canonical header, raw keys, SHA-256."""
+    sk = build_sketch(make_language("singleton", member="1011"), 4,
+                      ctx=make_field(4), source_seed=3)
+    path = tmp_path / "golden.spsk"
+    save_sketch(sk, os.fspath(path))
+    header = (b'{"entry_count":16,"k":4,"member_count":1,"n":4,'
+              b'"rule_sized":false,"seed":3,"t_hex":"0x13"}')
+    # d_1011(a) = a + 1101b: one segment, so the polynomial is monic of degree 1.
+    keys = b"".join(((a << 4) | (a ^ 0b1101)).to_bytes(8, "little") for a in range(16))
+    body = b"SPSK" + (2).to_bytes(4, "little") + (90).to_bytes(4, "little") + header + keys
+    digest = bytes.fromhex("0b5a8748b1d8be60dc97a24075e3cd03"
+                           "2318bb72795c0549b8a799f5812e659c")
+    assert len(header) == 90
+    assert path.read_bytes() == body + digest
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.spsk"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
