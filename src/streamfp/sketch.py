@@ -9,23 +9,26 @@ while a nonmember's polynomial can agree with the members' on at most
 a single random-point query accepts a nonmember with probability
 at most 1/4, with no false negatives.
 
-Storage is one sorted uint64 array of packed (a << k) | v keys, i.e. a
-map keyed by a with sorted value sets, flattened.  Building and exact
-false-positive counting run on the batched kernels.
+Storage is that pair set as a member_count x q table, values[j, a] =
+d_{y_j}(a), in the narrowest unsigned dtype that holds a field element
+(uint8, uint16 or uint32, by k alone), one row per member from the
+batched kernels.  A lookup compares one column; an exact false-positive
+count ORs row == d_x over the rows.
 
-The sketch file format (.spsk, version 2) is that array itself,
+The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
 
-    magic "SPSK" | u32 version = 2 | u32 header length | header JSON |
-    packed keys as u64 | SHA-256 of every byte before it
+    magic "SPSK" | u32 version = 3 | u32 header length | header JSON,
+    space-padded so the values start at a multiple of 64 bytes |
+    values, row by row | SHA-256 of every byte before it
 
-The header JSON has sorted keys and no spaces and holds k, t_hex, n,
-member_count, rule_sized, seed and entry_count.  Loading checks the
-magic, the version, the header's keys and types, k in
-1..ENUMERATION_DEGREE_CAP and an irreducible modulus of degree k, a file
-length of exactly 12 + header length + 8 entry_count + 32 bytes, the
-digest, strictly increasing keys and a last key below 2^(2k), and
-raises ValueError on the first that fails.
+The header JSON has sorted keys and no spaces before its padding and
+holds k, t_hex, n, member_count, rule_sized and seed.  Loading checks
+the magic, the version, the header's keys and types, k in
+1..ENUMERATION_DEGREE_CAP and an irreducible modulus of degree k, that
+the values start 64-byte aligned, a file length of exactly
+start + member_count q itemsize + 32 bytes, the digest, and that every
+value is below 2^k, and raises ValueError on the first that fails.
 """
 
 from __future__ import annotations
@@ -247,27 +250,44 @@ def make_language(kind: str, *, seed: int | None = None, max_ones: int | None = 
 
 @dataclass(frozen=True)
 class SketchSet:
-    """All pairs (a, d_y(a)) for members y, as sorted packed keys."""
+    """All pairs (a, d_y(a)) for members y: values[j, a] = d_{y_j}(a)."""
 
     n: int
     ctx: FieldCtx
-    packed: np.ndarray  # uint64, sorted, key = (a << k) | v
-    member_count: int
+    values: np.ndarray  # member_count x q, dtype _value_dtype(k)
     source_seed: int | None = None
     rule_sized: bool = True
 
     @property
+    def member_count(self) -> int:
+        return self.values.shape[0]
+
+    @property
     def size(self) -> int:
-        return int(self.packed.size)
+        """Stored entries: member_count x q, the count the entry budget bounds."""
+        return int(self.values.size)
+
+
+def _value_dtype(k: int) -> np.dtype:
+    """The narrowest little-endian unsigned dtype holding a GF(2^k) element."""
+    return np.min_scalar_type((1 << k) - 1).newbyteorder("<")
 
 
 def _resolve_budget(entry_budget: int | None) -> int:
-    if entry_budget is not None:
-        return entry_budget
-    env = os.environ.get(ENTRY_BUDGET_ENV, "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_ENTRY_BUDGET
+    """The argument (--entry-budget), else the environment, else the default."""
+    name = "--entry-budget"
+    if entry_budget is None:
+        name = ENTRY_BUDGET_ENV
+        text = os.environ.get(ENTRY_BUDGET_ENV, "").strip()
+        if not text:
+            return DEFAULT_ENTRY_BUDGET
+        try:
+            entry_budget = int(text)
+        except ValueError:
+            raise ValueError(f"{ENTRY_BUDGET_ENV} must be an integer, got {text!r}") from None
+    if entry_budget < 0:
+        raise ValueError(f"{name} must be >= 0, got {entry_budget}")
+    return entry_budget
 
 
 def _validate_members(spec: SparseLanguageSpec, n: int) -> list[str]:
@@ -319,37 +339,13 @@ def build_sketch(
             f"build would create {projected} entries, over the budget of {budget}; "
             f"raise --entry-budget or {ENTRY_BUDGET_ENV} to proceed"
         )
-    packed = np.empty(projected, np.uint64)
-    if members:
-        # One q-entry row per member, sorted in place, then compacted:
-        # the peak is this array, its keep-mask and the compacted copy.
-        points = np.arange(q, dtype=np.uint64)
-        keys = points << np.uint64(ctx.k)
-        for row, y in zip(packed.reshape(len(members), q), members):
-            coeffs = np.array(coefficients(ctx, y), dtype=np.uint64)
-            vals = kernels.eval_points(points, coeffs, ctx.m_low, ctx.k)
-            np.bitwise_or(keys, vals, out=row)
-        packed.sort()
-        keep = np.empty(projected, bool)
-        keep[0] = True
-        np.not_equal(packed[1:], packed[:-1], out=keep[1:])
-        packed = packed[keep]
-    return SketchSet(
-        n=n,
-        ctx=ctx,
-        packed=packed,
-        member_count=len(members),
-        source_seed=source_seed,
-        rule_sized=rule_sized,
-    )
-
-
-def _keys_present(packed: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    if packed.size == 0:
-        return np.zeros(keys.shape, bool)
-    idx = np.searchsorted(packed, keys)
-    idx = np.minimum(idx, packed.size - 1)
-    return packed[idx] == keys
+    values = np.empty((len(members), q), _value_dtype(ctx.k))
+    points = np.arange(q, dtype=np.uint64)
+    for row, y in zip(values, members):
+        coeffs = np.array(coefficients(ctx, y), dtype=np.uint64)
+        row[:] = kernels.eval_points(points, coeffs, ctx.m_low, ctx.k)
+    return SketchSet(n=n, ctx=ctx, values=values, source_seed=source_seed,
+                     rule_sized=rule_sized)
 
 
 def contains(sketch: SketchSet, fp) -> bool:
@@ -358,20 +354,25 @@ def contains(sketch: SketchSet, fp) -> bool:
         raise ValueError(f"length mismatch: fingerprint n={fp.n}, sketch n={sketch.n}")
     if fp.ctx != sketch.ctx:
         raise ValueError("fingerprint context does not match the sketch's field")
-    key = np.uint64((fp.a << sketch.ctx.k) | fp.v)
-    return bool(_keys_present(sketch.packed, np.array([key], np.uint64))[0])
+    return bool((sketch.values[:, fp.a] == fp.v).any())
 
 
-def exact_fp_count(sketch: SketchSet, x: str) -> int:
-    """|{a : (a, d_x(a)) is stored}| by sweeping every field point."""
-    ctx = sketch.ctx
+def exact_fp_count(sketch: SketchSet, x: str, points: np.ndarray | None = None) -> int:
+    """|{a : (a, d_x(a)) is stored}| over every field point, or over the
+    given uint64 points (repeats counted): one OR of row == d_x per member."""
     if len(x) != sketch.n:
         raise ValueError(f"length mismatch: |x|={len(x)}, sketch n={sketch.n}")
-    points = np.arange(ctx.q, dtype=np.uint64)
+    ctx, table = sketch.ctx, sketch.values
+    if points is None:
+        points = np.arange(ctx.q, dtype=np.uint64)
+    else:
+        table = table[:, points]
     coeffs = np.array(coefficients(ctx, x), dtype=np.uint64)
-    vals = kernels.eval_points(points, coeffs, ctx.m_low, ctx.k)
-    keys = (points << np.uint64(ctx.k)) | vals
-    return int(_keys_present(sketch.packed, keys).sum())
+    vals = kernels.eval_points(points, coeffs, ctx.m_low, ctx.k).astype(table.dtype)
+    hit = np.zeros(vals.shape, bool)
+    for row in table:
+        hit |= row == vals
+    return int(np.count_nonzero(hit))
 
 
 def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:
@@ -438,26 +439,17 @@ def fp_rate_experiment(
     nonmembers = _draw_nonmembers(spec, n, trials, seed)
     r = -(-n // fctx.k)
 
-    def fraction(x: str, index: int) -> tuple[int, int]:
+    def count(x: str, index: int) -> int:
         if mode == "exhaustive-a":
-            return exact_fp_count(sketch, x), fctx.q
+            return exact_fp_count(sketch, x)
         rng = derived_rng(seed, "query-points", index)
         pts = np.array([fctx.random_elem(rng) for _ in range(a_samples)], np.uint64)
-        coeffs = np.array(coefficients(fctx, x), dtype=np.uint64)
-        vals = kernels.eval_points(pts, coeffs, fctx.m_low, fctx.k)
-        keys = (pts << np.uint64(fctx.k)) | vals
-        return int(_keys_present(sketch.packed, keys).sum()), a_samples
+        return exact_fp_count(sketch, x, pts)
 
-    nm_counts: list[int] = []
-    nm_fractions: list[float] = []
     denom = fctx.q if mode == "exhaustive-a" else a_samples
-    for i, x in enumerate(nonmembers):
-        c, d = fraction(x, i)
-        nm_counts.append(c)
-        nm_fractions.append(c / d)
-    member_fractions = [
-        fraction(y, -1 - j)[0] / denom for j, y in enumerate(members)
-    ]
+    nm_counts = [count(x, i) for i, x in enumerate(nonmembers)]
+    nm_fractions = [c / denom for c in nm_counts]
+    member_fractions = [count(y, -1 - j) / denom for j, y in enumerate(members)]
     max_fraction = max(nm_fractions) if nm_fractions else 0.0
     report = {
         "kind": "fp-rate",
@@ -493,23 +485,27 @@ def fp_rate_experiment(
 # ------------------------------------------------------------- file I/O
 
 _SPSK_MAGIC = b"SPSK"
-_SPSK_VERSION = 2
+_SPSK_VERSION = 3
 _SPSK_PREFIX = struct.Struct("<4sII")  # magic, version, header length
+_SPSK_ALIGN = 64  # the values start at a multiple of this many bytes
 _DIGEST_BYTES = 32  # SHA-256
-_HEADER_TYPES = {"entry_count": int, "k": int, "member_count": int, "n": int,
-                 "rule_sized": bool, "seed": (int, type(None)), "t_hex": str}
+_HEADER_TYPES = {"k": int, "member_count": int, "n": int, "rule_sized": bool,
+                 "seed": (int, type(None)), "t_hex": str}
 
 
 def save_sketch(sketch: SketchSet, path: str) -> None:
     """Write the deterministic .spsk form (atomic: temp file + rename)."""
     header = json.dumps({
-        "entry_count": sketch.size, "k": sketch.ctx.k, "member_count": sketch.member_count,
-        "n": sketch.n, "rule_sized": sketch.rule_sized, "seed": sketch.source_seed,
+        "k": sketch.ctx.k, "member_count": sketch.member_count, "n": sketch.n,
+        "rule_sized": sketch.rule_sized, "seed": sketch.source_seed,
         "t_hex": sketch.ctx.modulus.to_hex(),
     }, sort_keys=True, separators=(",", ":")).encode()
-    body = b"".join((_SPSK_PREFIX.pack(_SPSK_MAGIC, _SPSK_VERSION, len(header)),
-                     header, sketch.packed.astype("<u8").tobytes()))
-    write_atomic(path, body + hashlib.sha256(body).digest())
+    header += b" " * (-(_SPSK_PREFIX.size + len(header)) % _SPSK_ALIGN)
+    head = _SPSK_PREFIX.pack(_SPSK_MAGIC, _SPSK_VERSION, len(header)) + header
+    values = np.ascontiguousarray(sketch.values, _value_dtype(sketch.ctx.k))
+    digest = hashlib.sha256(head)
+    digest.update(values)
+    write_atomic(path, head, values, digest.digest())
 
 
 def load_sketch(path: str) -> SketchSet:
@@ -535,24 +531,22 @@ def load_sketch(path: str) -> SketchSet:
         # bool is an int subclass: int fields refuse it, the bool field needs it.
         if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise ValueError(f"corrupt sketch file: header {name} has the wrong type")
-    k, count = header["k"], header["entry_count"]
-    if header["n"] < 1 or header["member_count"] < 0 or count < 0:
-        raise ValueError("corrupt sketch file: header needs n >= 1 and counts >= 0")
+    k, members = header["k"], header["member_count"]
+    if header["n"] < 1 or members < 0:
+        raise ValueError("corrupt sketch file: header needs n >= 1 and member_count >= 0")
     if not 1 <= k <= ENUMERATION_DEGREE_CAP:
         raise ValueError(f"corrupt sketch file: k must be in 1..{ENUMERATION_DEGREE_CAP}")
     ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
-    expected = start + 8 * count + _DIGEST_BYTES
+    if start % _SPSK_ALIGN:
+        raise ValueError(f"corrupt sketch file: value region not {_SPSK_ALIGN}-byte aligned")
+    dtype, count = _value_dtype(k), members * ctx.q
+    expected = start + count * dtype.itemsize + _DIGEST_BYTES
     if len(blob) != expected:
         raise ValueError(f"corrupt sketch file: {len(blob)} bytes, expected {expected}")
     if hashlib.sha256(memoryview(blob)[:-_DIGEST_BYTES]).digest() != blob[-_DIGEST_BYTES:]:
         raise ValueError("corrupt sketch file: digest mismatch")
-    # numpy's searchsorted copies an unaligned array on every call, so an
-    # unaligned key region (header length not 4 mod 8) is copied once here.
-    packed = np.require(np.frombuffer(blob, "<u8", count, start), requirements="A")
-    if not (packed[1:] > packed[:-1]).all():
-        raise ValueError("corrupt sketch file: entries are not strictly increasing")
-    if count and int(packed[-1]) >> (2 * k):
-        raise ValueError(f"corrupt sketch file: a key is not below 2^{2 * k}")
-    return SketchSet(n=header["n"], ctx=ctx, packed=packed,
-                     member_count=header["member_count"], source_seed=header["seed"],
+    values = np.frombuffer(blob, dtype, count, start).reshape(members, ctx.q)
+    if values.size and int(values.max()) >> k:
+        raise ValueError(f"corrupt sketch file: a value is not below 2^{k}")
+    return SketchSet(n=header["n"], ctx=ctx, values=values, source_seed=header["seed"],
                      rule_sized=header["rule_sized"])

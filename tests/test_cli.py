@@ -304,42 +304,48 @@ def test_sketch_query_length_mismatch(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
 
 
-def _spsk(header, keys: bytes, version: int = 2) -> bytes:
-    """A .spsk v2 file around the given header and keys, with a valid digest."""
+def _spsk(header, values: bytes, version: int = 3, align: bool = True) -> bytes:
+    """A .spsk file around the given header and values, with a valid digest;
+    the header is space-padded to put the values at 64 bytes unless align
+    is false."""
     if isinstance(header, dict):
         header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = b"SPSK" + struct.pack("<II", version, len(header)) + header + keys
+    if align:
+        header += b" " * (-(12 + len(header)) % 64)
+    body = b"SPSK" + struct.pack("<II", version, len(header)) + header + values
     return body + hashlib.sha256(body).digest()
 
 
 # Each corrupt file breaks one check of load_sketch, named by the stderr
 # fragment; a missing file is an I/O failure instead.
-# Singleton 1011 at k = 4: 16 keys, the last (15 << 4) | 2 = 242 < 2^8.
+# Singleton 1011 at k = 4: one row of 16 uint8 values, each below 2^4.
 @pytest.mark.parametrize("make, code, fragment", [
-    (lambda h, keys, good: _spsk(b"[1,2]", keys), EXIT_PRECONDITION, "header keys"),
-    (lambda h, keys, good: _spsk(b"[" * 100000, keys), EXIT_PRECONDITION, "bad header JSON"),
-    (lambda h, keys, good: _spsk({**h, "t_hex": 19}, keys), EXIT_PRECONDITION,
+    (lambda h, vals, good: _spsk(b"[1,2]", vals), EXIT_PRECONDITION, "header keys"),
+    (lambda h, vals, good: _spsk(b"[" * 100000, vals), EXIT_PRECONDITION, "bad header JSON"),
+    (lambda h, vals, good: _spsk({**h, "t_hex": 19}, vals), EXIT_PRECONDITION,
      "t_hex has the wrong type"),
-    (lambda h, keys, good: _spsk(h, keys, version=1), EXIT_PRECONDITION,
+    (lambda h, vals, good: _spsk(h, vals, version=1), EXIT_PRECONDITION,
      "unsupported sketch file version 1"),
-    (lambda h, keys, good: _spsk({**h, "seed": True}, keys), EXIT_PRECONDITION,
+    (lambda h, vals, good: _spsk({**h, "entry_count": 16}, vals, version=2),
+     EXIT_PRECONDITION, "unsupported sketch file version 2"),
+    (lambda h, vals, good: _spsk({**h, "seed": True}, vals), EXIT_PRECONDITION,
      "seed has the wrong type"),
-    (lambda h, keys, good: _spsk({**h, "member_count": -1}, keys), EXIT_PRECONDITION,
-     "counts >= 0"),
-    (lambda h, keys, good: _spsk({**h, "k": 25}, keys), EXIT_PRECONDITION, "k must be in"),
-    (lambda h, keys, good: good + b"\0", EXIT_PRECONDITION, "bytes, expected"),
-    (lambda h, keys, good: good[:-1], EXIT_PRECONDITION, "bytes, expected"),
-    # The low byte of the last key, digest left as it was.
-    (lambda h, keys, good: good[:-40] + bytes([good[-40] ^ 1]) + good[-39:],
+    (lambda h, vals, good: _spsk({**h, "member_count": -1}, vals), EXIT_PRECONDITION,
+     "member_count >= 0"),
+    (lambda h, vals, good: _spsk({**h, "k": 25}, vals), EXIT_PRECONDITION, "k must be in"),
+    (lambda h, vals, good: good + b"\0", EXIT_PRECONDITION, "bytes, expected"),
+    (lambda h, vals, good: good[:-1], EXIT_PRECONDITION, "bytes, expected"),
+    # The last value, digest left as it was.
+    (lambda h, vals, good: good[:-33] + bytes([good[-33] ^ 1]) + good[-32:],
      EXIT_PRECONDITION, "digest mismatch"),
-    (lambda h, keys, good: _spsk(h, keys[8:16] + keys[:8] + keys[16:]), EXIT_PRECONDITION,
-     "strictly increasing"),
-    (lambda h, keys, good: _spsk(h, keys[:-8] + struct.pack("<Q", 256)), EXIT_PRECONDITION,
-     "not below 2^8"),
+    (lambda h, vals, good: _spsk(h, vals[:-1] + bytes([16])), EXIT_PRECONDITION,
+     "not below 2^4"),
+    (lambda h, vals, good: _spsk(h, vals, align=False), EXIT_PRECONDITION,
+     "not 64-byte aligned"),
     (None, EXIT_IO, "No such file"),
-], ids=["non-object-header", "nested-header", "numeric-t_hex", "v1-version", "bool-seed",
-        "negative-member_count", "k-25", "trailing-byte",
-        "truncated-digest", "flipped-entry-byte", "swapped-entries", "key-too-large",
+], ids=["non-object-header", "nested-header", "numeric-t_hex", "v1-version", "v2-version",
+        "bool-seed", "negative-member_count", "k-25", "trailing-byte",
+        "truncated-digest", "flipped-value-byte", "value-too-large", "unaligned-values",
         "missing-file"])
 def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, code,
                                                        fragment):
@@ -348,12 +354,13 @@ def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, c
              "--n", "4", "--k", "4", "--seed", "3", "--output", os.fspath(good_path))
     good = good_path.read_bytes()
     (header_len,) = struct.unpack_from("<I", good, 8)
-    header = json.loads(good[12:12 + header_len])
-    keys = good[12 + header_len:-32]
-    assert len(keys) == 8 * header["entry_count"] == 128
+    start = 12 + header_len
+    header = json.loads(good[12:start])
+    values = good[start:-32]
+    assert start % 64 == 0 and len(values) == header["member_count"] * 16 == 16
     path = tmp_path / "bad.spsk"
     if make is not None:
-        path.write_bytes(make(header, keys, good))
+        path.write_bytes(make(header, values, good))
     proc = subprocess.run(
         [sys.executable, "-m", "streamfp.cli", "sketch", "query", "--sketch", os.fspath(path),
          "--bits", "1011", "--seed", "1"],
@@ -383,6 +390,41 @@ def test_sketch_build_budget_env():
         capture_output=True,
     )
     assert proc.returncode == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("command", [["sketch", "build", "--output"],
+                                     ["sketch", "fp-rate", "--trials", "1", "--output"]])
+def test_negative_entry_budget_exits_3_naming_the_flag(tmp_path, capsys, command):
+    code, _, err = run_cli(capsys, *command, os.fspath(tmp_path / "out"), "--language",
+                           "empty", "--n", "4", "--seed", "1", "--entry-budget", "-1")
+    assert code == EXIT_PRECONDITION
+    assert "--entry-budget must be >= 0" in err
+
+
+@pytest.mark.parametrize("value, fragment", [("abc", "must be an integer"),
+                                             ("-5", "must be >= 0")])
+def test_bad_entry_budget_env_exits_3_naming_the_variable(tmp_path, monkeypatch, capsys,
+                                                           value, fragment):
+    monkeypatch.setenv("STREAMFP_ENTRY_BUDGET", value)
+    code, _, err = run_cli(capsys, "sketch", "build", "--language", "empty", "--n", "4",
+                           "--seed", "1", "--output", os.fspath(tmp_path / "out.spsk"))
+    assert code == EXIT_PRECONDITION
+    assert f"STREAMFP_ENTRY_BUDGET {fragment}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sketch", "build", "--language", "singleton", "--member", "1011", "--n", "4"],
+    ["fingerprint", "--bits", "1011"],
+])
+@pytest.mark.parametrize("target", ["nodir/out", "isdir"])
+def test_unwritable_output_names_the_target(tmp_path, capsys, command, target):
+    (tmp_path / "isdir").mkdir()
+    target = os.fspath(tmp_path / target)
+    code, out, err = run_cli(capsys, *command, "--seed", "1", "--output", target)
+    assert code == EXIT_IO
+    assert out == ""
+    assert repr(target) in err and ".streamfp-" not in err
+    assert os.listdir(tmp_path) == ["isdir"]
 
 
 def test_fp_rate_reports_are_byte_identical(tmp_path, capsys):

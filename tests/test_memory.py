@@ -80,7 +80,7 @@ def test_fingerprint_rss_is_flat_in_n(inputs, source):
     assert abs(rss[16] - rss[1]) < GROWTH_MIB, (source, rss)
 
 
-BUILD_BYTES_PER_ENTRY = 20
+BUILD_BYTES_PER_ENTRY = 4
 
 
 def test_build_peak_bytes_per_projected_entry():

@@ -5,6 +5,7 @@ the acceptance-rate experiment driver."""
 from __future__ import annotations
 
 import os
+import random
 
 import numpy as np
 import pytest
@@ -120,9 +121,10 @@ def test_singleton_sketch_size_gf4():
 
 
 def test_pair_sketch_size_gf4():
-    # 4 + 4 minus the single agreement between the two members at a=1.
+    # 4 + 4: the members agree at a=1, and each row keeps its own value there.
     sk = build_sketch(pair_language("0000", "1111"), 4, ctx=GF4)
-    assert sk.size == 7
+    assert sk.size == 8
+    assert sk.values[0, 1] == sk.values[1, 1]
 
 
 def test_empty_sketch():
@@ -137,12 +139,11 @@ def test_sketch_matches_direct_set_construction():
     n = 8
     sk = build_sketch(spec, n)
     ctx = sk.ctx
-    oracle = {
-        (a << ctx.k) | direct_eval(ctx, y, a)
+    oracle = [
+        [direct_eval(ctx, y, a) for a in ctx.elements()]
         for y in spec.enumerator(n)
-        for a in ctx.elements()
-    }
-    assert set(sk.packed.tolist()) == oracle
+    ]
+    assert sk.values.tolist() == oracle
     assert sk.rule_sized
 
 
@@ -151,11 +152,14 @@ def test_sketch_matches_direct_set_construction():
     (make_language("low-weight", max_ones=2), 9, None),  # many agreements, zero segments
     (make_language("seeded-random", seed=5), 12, None),
 ])
-def test_packed_is_strictly_increasing_uint64(spec, n, ctx):
+def test_values_table_is_members_by_points_in_the_narrowest_dtype(spec, n, ctx):
     sk = build_sketch(spec, n, ctx=ctx)
-    assert sk.packed.dtype == np.uint64
-    assert sk.packed.size > 0
-    assert (sk.packed[1:] > sk.packed[:-1]).all()
+    q = sk.ctx.q
+    assert sk.values.shape == (len(spec.enumerator(n)), q)
+    assert sk.values.dtype == np.min_scalar_type(q - 1)
+    assert sk.values.flags.c_contiguous
+    assert sk.values.size > 0
+    assert int(sk.values.max()) < q
 
 
 # ------------------------------------------------------------------ queries
@@ -215,6 +219,34 @@ def test_completeness_exhaustive_rule_sized():
             assert contains(sk, fp)
 
 
+@pytest.mark.parametrize("k, n", [
+    (1, 4), (8, 4), (9, 4), (16, 4), (17, 4),  # uint8 ends at k = 8, uint16 at 16
+    (8, 9), (9, 10),                           # two segments: 0...0 and 1...1 agree once
+])
+def test_counts_and_lookups_match_direct_eval_at_dtype_boundaries(tmp_path, k, n):
+    ctx = make_field(k)
+    path = os.fspath(tmp_path / "s.spsk")
+    members = ("0" * n, "1" * n)
+    rows = {x: [direct_eval(ctx, x, a) for a in ctx.elements()]
+            for x in (*members, ("0110" * n)[:n])}
+    assert any(u == v for u, v in zip(*(rows[y] for y in members))) == (k == 1 or n > k)
+    rng = random.Random(k)
+    points = [0, 0, 1, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(60)]
+    for spec, stored in ((pair_language(*members), members), (make_language("empty"), ())):
+        built = build_sketch(spec, n, ctx=ctx)
+        save_sketch(built, path)
+        sk = load_sketch(path)  # the table as a query reads it, in place from the file
+        assert sk.values.dtype == built.values.dtype == np.min_scalar_type(ctx.q - 1)
+        assert np.array_equal(sk.values, built.values)
+        for x, row in rows.items():
+            hits = [any(rows[y][a] == v for y in stored) for a, v in enumerate(row)]
+            assert exact_fp_count(sk, x) == sum(hits)
+            assert exact_fp_count(sk, x, np.array(points, np.uint64)) == sum(
+                hits[a] for a in points)
+            for a in points[:8]:
+                assert contains(sk, Fingerprint(n=n, a=a, v=row[a], ctx=ctx)) == hits[a]
+
+
 def test_soundness_pairwise_bound_exhaustive():
     spec = make_language("seeded-random", seed=23)
     n = 6
@@ -264,7 +296,8 @@ def test_save_load_round_trip(tmp_path):
     assert back.member_count == sk.member_count
     assert back.rule_sized == sk.rule_sized
     assert back.source_seed == 77
-    assert np.array_equal(back.packed, sk.packed)
+    assert back.values.dtype == sk.values.dtype
+    assert np.array_equal(back.values, sk.values)
 
 
 @pytest.mark.parametrize("spec, n, ctx", [
@@ -278,8 +311,9 @@ def test_save_load_round_trip_edge_sketches(tmp_path, spec, n, ctx):
     back = load_sketch(path)
     assert (back.n, back.ctx, back.member_count) == (sk.n, sk.ctx, sk.member_count)
     assert back.rule_sized is False and back.source_seed is None
-    assert back.packed.dtype == np.uint64 and back.packed.flags.aligned
-    assert np.array_equal(back.packed, sk.packed)
+    assert back.values.dtype == np.uint8 and back.values.flags.aligned
+    assert back.values.shape == sk.values.shape
+    assert np.array_equal(back.values, sk.values)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -290,20 +324,22 @@ def test_save_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_spsk_v2_golden_bytes(tmp_path):
-    """Pins the v2 layout: prefix, canonical header, raw keys, SHA-256."""
+def test_spsk_v3_golden_bytes(tmp_path):
+    """Pins the v3 layout: prefix, canonical header padded to 64-byte
+    alignment, the values row by row, SHA-256."""
     sk = build_sketch(make_language("singleton", member="1011"), 4,
                       ctx=make_field(4), source_seed=3)
     path = tmp_path / "golden.spsk"
     save_sketch(sk, os.fspath(path))
-    header = (b'{"entry_count":16,"k":4,"member_count":1,"n":4,'
+    header = (b'{"k":4,"member_count":1,"n":4,'
               b'"rule_sized":false,"seed":3,"t_hex":"0x13"}')
+    assert len(header) == 73
+    header += b" " * 43  # 12 + 116 = 128: the values start 64-byte aligned
     # d_1011(a) = a + 1101b: one segment, so the polynomial is monic of degree 1.
-    keys = b"".join(((a << 4) | (a ^ 0b1101)).to_bytes(8, "little") for a in range(16))
-    body = b"SPSK" + (2).to_bytes(4, "little") + (90).to_bytes(4, "little") + header + keys
-    digest = bytes.fromhex("0b5a8748b1d8be60dc97a24075e3cd03"
-                           "2318bb72795c0549b8a799f5812e659c")
-    assert len(header) == 90
+    values = bytes(a ^ 0b1101 for a in range(16))  # k = 4: one uint8 per point
+    body = b"SPSK" + (3).to_bytes(4, "little") + (116).to_bytes(4, "little") + header + values
+    digest = bytes.fromhex("55b5ffbd70f7adbaf913e8ab791fcc4f"
+                           "679390ee5aced24704cb929e0ee106e0")
     assert path.read_bytes() == body + digest
 
 
