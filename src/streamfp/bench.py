@@ -1,11 +1,12 @@
 """Throughput benchmark for the streaming fold.
 
 Folds a synthetic segment stream (uniform k-bit words, ``mib`` MiB of
-them) once through :func:`streamfp.kernels.fold_segments` for each
-degree and reports segments/sec and field-ops/sec (two field operations
-per segment).  A leading slice of the stream is folded again with the
-big-int tier (``FieldCtx.mul``/``add``); the two must agree bit for bit,
-and the report records that cross-check as ``matches_bigint``.
+them) once through :func:`streamfp.kernels.fold_segments`, the block
+fold the stream runs for k <= 64, for each degree and reports
+segments/sec and field-ops/sec (two field operations per segment).  A
+leading slice of the stream is folded again with the big-int tier
+(``FieldCtx.mul``/``add``); the two must agree bit for bit, and the
+report records that cross-check as ``matches_bigint``.
 """
 
 from __future__ import annotations

@@ -290,7 +290,10 @@ def _cmd_sketch_fp_rate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    ks = tuple(int(x) for x in args.k.split(","))
+    try:
+        ks = tuple(int(x) for x in args.k.split(","))
+    except ValueError:
+        raise ValueError("--k must be a comma-separated list of integers") from None
     report = bench_mod.run_bench(ks=ks, mib=args.mib, seed=_resolve_seed(args.seed))
     _write_output(_dump_json(report), args.output)
     return EXIT_OK

@@ -2,7 +2,7 @@
 
 These are the hot loops: evaluating a fingerprint polynomial at every
 field point (sketch building, exact false-positive counts) and folding
-long segment streams.  Elements are uint64 bit patterns, so ``mulmod``
+the stream's segments.  Elements are uint64 bit patterns, so ``mulmod``
 and the fold cover extension degrees 1..64 (the word tier); wider fields
 stay on the big-int tier in :mod:`streamfp.gf2poly`.  Both tiers must
 agree bit for bit; the differential tests enforce that.
@@ -14,8 +14,17 @@ two real logs, and the gather clips it into the zero tail of ``exp``, so
 a zero operand gives a zero product.  The tables hold 3q uint32 entries
 (12 bytes per element), are built on a field's first call and cached,
 and cover k in 1..``ENUMERATION_DEGREE_CAP``, the fields a sketch sweeps.
-The fold is sequential in its accumulator, so it has no points axis and
-runs the stream's split-table loop, :func:`streamfp.field.horner_fold`.
+``fold`` is the stream's Horner fold v <- v*a + s by the k-th order
+Horner rule (Knuth, TAOCP vol. 2, 4.6.4; Estrin 1960).  The incoming v
+is one more leading coefficient, folded from 0; the coefficients are
+zero-padded at the front to B blocks of L, and Horner runs down all B
+blocks at once: L numpy steps, each ceil(k/8) gathers from the uint64
+split tables of a, one per byte of the block values.  The B block values
+are then folded by :func:`streamfp.field.horner_fold` with the split
+tables of a^L, the same algebra as composing chunks.  L is about
+sqrt(R/32) for R segments, which balances the numpy steps against the
+scalar outer fold; below 128 segments it is 1 and ``fold`` is
+``horner_fold`` itself.
 
 Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
 64: per step the low bit of one operand gates an XOR of the other into the
@@ -27,6 +36,7 @@ minus its leading term).
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -37,6 +47,7 @@ __all__ = [
     "WORD_DEGREE_CAP",
     "mulmod",
     "eval_points",
+    "fold",
     "fold_segments",
 ]
 
@@ -139,8 +150,52 @@ def eval_points(points, coeffs, m_low: int, k: int) -> np.ndarray:
     return v.astype(np.uint64)
 
 
+# A stream needs the tables of its point a and of a^L, and its chunks
+# share one block length L but for the last, so a few entries suffice.
+@functools.lru_cache(maxsize=8)
+def _point_tables(a: int, m_low: int, k: int) -> tuple[list[list[int]], np.ndarray]:
+    """Split tables of a, as int lists (the scalar fold) and as a
+    ceil(k/8) x 256 uint64 array (the block steps)."""
+    tables = split_tables(a, m_low | (1 << k), k)
+    words = np.array(tables, np.uint64)
+    words.flags.writeable = False  # shared by every caller
+    return tables, words
+
+
+def fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int) -> int:
+    """v <- v·a + s over the uint64 segments, in order, by blocks of L."""
+    return _block_fold(v, segments, a, m_low, k, max(1, math.isqrt(segments.size >> 5)))
+
+
+def _block_fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int,
+                length: int) -> int:
+    """fold with blocks of the given length; length 1 is horner_fold."""
+    tables, words = _point_tables(a, m_low, k)
+    if length == 1:
+        return horner_fold(v, segments.tolist(), tables)
+    r = segments.size
+    blocks = -(-(r + 1) // length)
+    pad = blocks * length - r - 1
+    coeffs = np.zeros(blocks * length, np.uint64)
+    coeffs[pad] = v
+    coeffs[pad + 1:] = segments
+    coeffs = coeffs.reshape(blocks, length)  # row b is block b
+    # The accumulator's little-endian bytes index the split tables directly.
+    acc = coeffs[:, 0].astype("<u8")
+    acc_bytes = acc.view(np.uint8).reshape(blocks, 8)
+    prod = np.empty(blocks, np.uint64)
+    term = np.empty(blocks, np.uint64)
+    for j in range(1, length):
+        words[0].take(acc_bytes[:, 0], out=prod)
+        for i in range(1, len(words)):
+            words[i].take(acc_bytes[:, i], out=term)
+            prod ^= term
+        np.bitwise_xor(prod, coeffs[:, j], out=acc)
+    a_pow = _powmod(a, length, m_low | (1 << k))
+    return horner_fold(0, acc.tolist(), _point_tables(a_pow, m_low, k)[0])
+
+
 def fold_segments(segments, a: int, m_low: int, k: int) -> int:
     """Fold v ← v·a + s over the segments, starting from v = 1."""
     _check_k(k)
-    tables = split_tables(a, m_low | (1 << k), k)
-    return horner_fold(1, np.asarray(segments, np.uint64).tolist(), tables)
+    return fold(1, np.asarray(segments, np.uint64).ravel(), a, m_low, k)

@@ -17,12 +17,16 @@ equal-length inputs give distinct coefficient vectors, so their
 polynomials agree on at most r-1 of the q points.
 
 The multiplication by a runs on split tables (see :mod:`streamfp.field`):
-ceil(k/8) tables of 256 elements each, built once per stream from a
-alone.  Each product is then ceil(k/8) lookups and XORs, for every k,
-including k > 64.  Whole segments are packed into ints by numpy in bulk,
-and the fold itself is one scalar Horner loop.  feed() takes '0'/'1'
+ceil(k/8) tables of 256 elements each, built from a alone.  Each product
+is then ceil(k/8) lookups and XORs, for every k.  feed() takes '0'/'1'
 text, feed_bytes() raw bytes (most significant bit first); both go
-through the same packer and fold, and any chunking is allowed.
+through the same packer and fold, and any chunking is allowed.  The
+packer turns each call's whole segments into uint64 limbs in bulk.  For
+k <= 64 the fold is :func:`streamfp.kernels.fold`, which runs Horner down
+blocks of the call's segments in parallel and joins the block values
+with the tables of a power of a; the algebra, and so the result, is the
+one-step-per-segment fold's.  Wider fields keep that scalar fold,
+:func:`streamfp.field.horner_fold`, on Python ints.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), the partial
@@ -31,8 +35,11 @@ read cursor, completed segments).  That totals at most 4k + 1 + 3|n|
 bits, within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
 tables (ceil(k/8) * 256 elements of k bits) are derived from a alone and
 are constant in n, so they are a cache of a, not state that grows with
-the input; the numpy buffers of one feed call scale with that call's
-chunk, never with n.
+the input.  The numpy buffers of one feed call, the block fold's B block
+values among them, scale with that call's chunk, never with n, and are
+gone when the call returns.  The counters model the one-pass verifier:
+conversions and field_ops count one conversion and two operations per
+segment, not the block fold's own schedule.
 
 Tuple coding (for shipping a fingerprint as one bit string): each data
 bit b is sent as "1b" and parts are separated by "00", so
@@ -49,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .field import (
     ENUMERATION_DEGREE_CAP,
     FieldCtx,
@@ -129,16 +137,38 @@ class Fingerprint:
         )
 
 
-def _segment_ints(rows: np.ndarray) -> list[int]:
-    """Elements of the segments in the rows of a 0/1 uint8 matrix: the bit
-    in column i is the u^i coefficient, so a short row zero-extends high."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    words = -(-packed.shape[1] // 8)
-    padded = np.zeros((rows.shape[0], 8 * words), np.uint8)
-    padded[:, :packed.shape[1]] = packed
-    limbs = padded.view("<u8")
+def _segment_limbs(bits: np.ndarray, count: int, k: int) -> np.ndarray:
+    """Little-endian uint64 limbs, a row of ceil(k/64) per segment, of the
+    first count k-bit segments of a 0/1 uint8 array: bit i of a segment is
+    its u^i coefficient, so a short final segment zero-extends high."""
+    words = np.zeros(count * k // 64 + 2, "<u8")
+    words.view(np.uint8)[:-(-bits.size // 8)] = np.packbits(bits, bitorder="little")
+    limbs = np.empty((count, -(-k // 64)), "<u8")
+    shift = np.empty(count, np.uint64)
+    high = np.empty(count, np.uint64)
+    for j in range(limbs.shape[1]):
+        # Limb j of each segment starts at bit 64j + ik: bit `shift` of
+        # word w, with its top bits in word w + 1.
+        w = np.arange(64 * j, 64 * j + count * k, k)
+        np.bitwise_and(w, 63, out=shift, casting="unsafe")
+        w >>= 6
+        limb = limbs[:, j]
+        np.take(words, w, out=limb)
+        limb >>= shift
+        w += 1
+        np.take(words, w, out=high)
+        high <<= 1
+        shift ^= 63  # 63 - shift: two steps, as a shift by 64 is undefined
+        high <<= shift
+        limb |= high
+        limb &= (1 << min(64, k - 64 * j)) - 1
+    return limbs
+
+
+def _limb_ints(limbs: np.ndarray) -> list[int]:
+    """The segments of _segment_limbs as Python ints, for k > 64."""
     ints = limbs[:, -1].tolist()
-    for j in range(words - 2, -1, -1):
+    for j in range(limbs.shape[1] - 2, -1, -1):
         ints = [(hi << 64) | lo for hi, lo in zip(ints, limbs[:, j].tolist())]
     return ints
 
@@ -156,7 +186,9 @@ class StreamState:
         self.v = 1
         self.seed = seed
         self.profile = ResourceProfile(random_bits=ctx.k)
-        self._tables = split_tables(self.a, ctx.m_bits, ctx.k)
+        # k <= 64 folds through kernels.fold, which caches its own tables.
+        if ctx.k > kernels.WORD_DEGREE_CAP:
+            self._tables = split_tables(self.a, ctx.m_bits, ctx.k)
         self._pending = np.empty(0, np.uint8)  # bits of the partial segment
         self._done_segments = 0
         self._finished = False
@@ -201,16 +233,17 @@ class StreamState:
         buf = np.concatenate((self._pending, bits)) if self._pending.size else bits
         k = self.ctx.k
         count = min(buf.size // k, max(0, self.n // k - self._done_segments))
-        segments = _segment_ints(buf[:count * k].reshape(count, k))
+        if self.profile.bits_read == self.n and buf.size > count * k:
+            count += 1  # all n bits are in: the rest is the short final segment
+        limbs = _segment_limbs(buf[:count * k], count, k)
         rest = buf[count * k:]
-        if self.profile.bits_read == self.n and rest.size:
-            # All n bits are in: what is left is the short final segment.
-            segments += _segment_ints(rest.reshape(1, rest.size))
-            rest = rest[:0]
-        self.v = horner_fold(self.v, segments, self._tables)
-        self.profile.conversions += len(segments)
-        self.profile.field_ops += 2 * len(segments)
-        self._done_segments += len(segments)
+        if k <= kernels.WORD_DEGREE_CAP:
+            self.v = kernels.fold(self.v, limbs[:, 0], self.a, self.ctx.m_low, k)
+        else:
+            self.v = horner_fold(self.v, _limb_ints(limbs), self._tables)
+        self.profile.conversions += count
+        self.profile.field_ops += 2 * count
+        self._done_segments += count
         # Between calls the retained buffer is always shorter than one
         # segment, which keeps the live state within the documented bound;
         # the copy lets the caller's chunk go.
@@ -245,7 +278,10 @@ def begin_seeded(
 ) -> StreamState:
     """Start a stream as fingerprint() does: the point is drawn from
     random.Random(seed), and the field comes from select_field_size(n,
-    f_of_n) unless an explicit ctx overrides the sizing."""
+    f_of_n) unless an explicit ctx overrides the sizing.  The seed must be
+    >= 0: random.Random uses only |seed|, so -s would replay s's point."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if ctx is None:
         if f_of_n is None:
             raise ValueError("either f_of_n or ctx is required")

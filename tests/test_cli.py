@@ -71,6 +71,20 @@ def test_fingerprint_reports_fresh_seed(capsys):
     assert isinstance(r["seed"], int)
 
 
+def test_negative_seed_exits_3(capsys, tmp_path):
+    # random.Random uses |seed|, so -s would silently replay s's point.
+    code, out, err = run_cli(capsys, "fingerprint", "--bits", "1011", "--seed", "-1")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "seed must be >= 0" in err
+    path = os.fspath(tmp_path / "s.spsk")
+    run_json(capsys, "sketch", "build", "--language", "singleton", "--member", "1011",
+             "--n", "4", "--seed", "3", "--output", path)
+    code, out, err = run_cli(capsys, "sketch", "query", "--sketch", path,
+                             "--bits", "1011", "--seed", "-11")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "seed must be >= 0" in err
+
+
 def test_fingerprint_tuple_bits(capsys):
     r = run_json(capsys, "fingerprint", "--bits", "1011", "--seed", "7", "--tuple-bits")
     assert set(r["tuple_bits"]) <= {"0", "1"}
@@ -614,6 +628,13 @@ def test_bench_mib_below_one_exits_3(capsys):
         code, out, err = run_cli(capsys, "bench", "--k", "8", "--mib", mib, "--seed", "5")
         assert code == EXIT_PRECONDITION and out == ""
         assert "--mib" in err
+
+
+@pytest.mark.parametrize("ks", ["", "8,x", "8,,16", "1.5"])
+def test_bench_bad_k_list_exits_3_naming_the_flag(capsys, ks):
+    code, out, err = run_cli(capsys, "bench", "--k", ks, "--mib", "1", "--seed", "5")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "--k must be a comma-separated list of integers" in err
 
 
 # ------------------------------------------------------------------ version

@@ -7,10 +7,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamfp import kernels
-from streamfp.field import ENUMERATION_DEGREE_CAP, make_field
+from streamfp.field import ENUMERATION_DEGREE_CAP, horner_fold, make_field, split_tables
 from streamfp.gf2poly import Gf2Poly
+from streamfp.stream import direct_eval
 
 DIFF_KS = (1, 2, 3, 5, 8, 16, 24, 32, 47, 63, 64)
 
@@ -99,16 +102,54 @@ def test_eval_points_empty_coeffs_gives_ones():
 
 
 def test_fold_segments_is_horner():
+    # 5000 segments fold in 417 blocks of L = 12, the last block padded.
     rng = random.Random(9)
     for k in (1, 8, 33, 64):
         ctx = make_field(k)
-        segs = [rng.getrandbits(k) for _ in range(40)]
+        segs = [rng.getrandbits(k) for _ in range(5000)]
         a = rng.getrandbits(k)
         got = kernels.fold_segments(np.array(segs, np.uint64), a, ctx.m_low, k)
         want = 1
         for s in segs:
             want = ctx.add(ctx.mul(want, a), s)
         assert got == want, k
+
+
+def _segment_bits(segs, k: int) -> str:
+    """The bit string whose segments are segs: bit i of an element is the
+    i-th bit of its segment in reading order."""
+    return "".join(format(s, f"0{k}b")[::-1] for s in segs)
+
+
+@given(
+    k=st.sampled_from([1, 8, 9, 63, 64]),
+    r=st.integers(min_value=0, max_value=700),
+    length=st.integers(min_value=1, max_value=80),
+    a=st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=2**64 - 1)),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(k=9, r=5, length=40, a=3, seed=1)      # R < L: one block, mostly padding
+@example(k=9, r=40, length=40, a=3, seed=2)     # R = L: v alone in the first block
+@example(k=63, r=41, length=6, a=0, seed=3)     # R not divisible by L, a = 0
+@example(k=64, r=700, length=7, a=1, seed=4)    # R >> L, a = 1
+@example(k=1, r=300, length=80, a=1, seed=5)
+@settings(max_examples=150, deadline=None)
+def test_block_fold_matches_horner_fold_and_direct_eval(k, r, length, a, seed):
+    ctx = make_field(k)
+    a %= ctx.q
+    rng = random.Random(seed)
+    segs = [rng.getrandbits(k) for _ in range(r)]
+    v = rng.getrandbits(k)
+    arr = np.array(segs, np.uint64)
+    tables = split_tables(a, ctx.m_bits, k)
+    got = kernels._block_fold(v, arr, a, ctx.m_low, k, length)
+    assert got == horner_fold(v, segs, tables)
+    if r:
+        # From v = 1 the fold is d_x(a) for the input whose segments these are.
+        want = direct_eval(ctx, _segment_bits(segs, k), a)
+        assert kernels._block_fold(1, arr, a, ctx.m_low, k, length) == want
+    # The public entry picks L from R alone and must give the same value.
+    assert kernels.fold(v, arr, a, ctx.m_low, k) == got
 
 
 def test_degree_guard():

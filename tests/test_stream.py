@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -378,6 +379,39 @@ def test_feed_bytes_random_chunking_equals_feed(data, cut, k, cuts, a_seed):
     assert fp.v == run_stream(x, ctx, a).v
     assert state.profile.conversions == -(-n // k)
     assert state.profile.peak_state_bits <= SPACE_CONSTANT * (k + n.bit_length())
+
+
+@given(
+    k=st.sampled_from([1, 8, 9, 63, 64]),
+    size=st.integers(min_value=1, max_value=140),
+    ones=st.integers(min_value=0, max_value=40),
+    cuts=st.lists(st.integers(min_value=1, max_value=140 * 64 + 200), max_size=5),
+    a=st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=2**64 - 1)),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_feed_bytes_bit_chunks_match_direct_eval(k, size, ones, cuts, a, seed):
+    # Up to 140 segments, so one large feed folds in blocks (L >= 2 from 128
+    # segments) while a run of 1-bit feeds takes the L = 1 path.
+    ctx = make_field(k)
+    a %= ctx.q
+    rng = random.Random(seed)
+    n = max(1, size * k - rng.randrange(k))  # n < k and k not dividing n too
+    x = "".join(rng.choice("01") for _ in range(n))
+    bounds = sorted({0, n, *range(1, min(ones, n)), *(c for c in cuts if c < n)})
+    state = begin(n, ctx, FixedRng(a))
+    for lo, hi in zip(bounds, bounds[1:]):
+        piece = np.frombuffer(x[lo:hi].encode(), np.uint8) - np.uint8(ord("0"))
+        state.feed_bytes(np.packbits(piece).tobytes(), hi - lo)
+    assert state.finish().v == direct_eval(ctx, x, a)
+
+
+def test_negative_seed_is_refused():
+    # random.Random(-s) draws what random.Random(s) draws.
+    ctx = make_field(8)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        fingerprint(4, "1011", seed=-1, ctx=ctx)
+    assert fingerprint(4, "1011", seed=0, ctx=ctx).seed == 0
 
 
 def test_feed_bytes_validates():
