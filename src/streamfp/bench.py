@@ -30,10 +30,10 @@ _BIGINT_CHECK_SEGMENTS = 4096
 
 
 def _random_words(seed: int, k: int, count: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.PCG64(seed))
-    halves = gen.integers(0, 1 << 32, size=2 * count, dtype=np.uint64)
-    words = (halves[::2] << np.uint64(32)) | halves[1::2]
-    return words >> np.uint64(64 - k)
+    """count uniform k-bit words: the top k bits of count raw 64-bit draws."""
+    words = np.random.PCG64(seed).random_raw(count)
+    words >>= np.uint64(64 - k)
+    return words
 
 
 def _bigint_fold(ctx, segments, a: int) -> int:

@@ -7,13 +7,21 @@ and the fold cover extension degrees 1..64 (the word tier); wider fields
 stay on the big-int tier in :mod:`streamfp.gf2poly`.  Both tiers must
 agree bit for bit; the differential tests enforce that.
 
-``eval_points`` runs on log/antilog tables of the multiplicative group
-(Plank, Greenan & Miller, FAST 2013), so each Horner step is one gather
-``exp[log[v] + log[a]]``.  ``log[0]`` is a sentinel past every sum of
+``eval_points`` evaluates a batch of polynomials, one per row, on
+log/antilog tables of the multiplicative group (Plank, Greenan & Miller,
+FAST 2013), where a product is one gather ``exp[log[x] + log[y]]``.  The
+powers of a are the same for every row, so it works a block of points at
+a time: one power row advances P <- exp[log[P] + log[a]] once per
+exponent, shared by the batch, and each row adds its term c·a^e as
+``exp[log[c] + log[P]]``, one gather per row, coefficient and point
+(Horner needs two per step).  The value is a^r XOR the terms.  A block
+holds about 32768 / rows points, so one rows x block uint32 working
+array takes about 128 KiB.  ``log[0]`` is a sentinel past every sum of
 two real logs, and the gather clips it into the zero tail of ``exp``, so
-a zero operand gives a zero product.  The tables hold 3q uint32 entries
-(12 bytes per element), are built on a field's first call and cached,
-and cover k in 1..``ENUMERATION_DEGREE_CAP``, the fields a sketch sweeps.
+a zero coefficient or a = 0 gives a zero product.  The tables hold 3q
+uint32 entries (12 bytes per element), are built on a field's first call
+and cached, and cover k in 1..``ENUMERATION_DEGREE_CAP``, the fields a
+sketch sweeps.
 ``fold`` is the stream's Horner fold v <- v*a + s by the k-th order
 Horner rule (Knuth, TAOCP vol. 2, 4.6.4; Estrin 1960).  The incoming v
 is one more leading coefficient, folded from 0; the coefficients are
@@ -46,6 +54,7 @@ from .gf2poly import _powmod, _prime_divisors
 __all__ = [
     "WORD_DEGREE_CAP",
     "mulmod",
+    "block_points",
     "eval_points",
     "fold",
     "fold_segments",
@@ -133,21 +142,48 @@ def _log_tables(k: int, m_low: int) -> tuple[np.ndarray, np.ndarray]:
     return log, exp
 
 
-def eval_points(points, coeffs, m_low: int, k: int) -> np.ndarray:
-    """Horner value 1·a^r + c_0·a^{r-1} + … + c_{r-1} at every point a."""
+def block_points(rows: int) -> int:
+    """Points per block for a batch of rows polynomials: a rows x block
+    uint32 working array then takes about 128 KiB."""
+    return max(1, (1 << 15) // max(1, rows))
+
+
+def eval_points(points, coeffs, m_low: int, k: int, out=None) -> np.ndarray:
+    """a^r + c_0·a^{r-1} + … + c_{r-1} at every point a, for the one
+    polynomial of a 1-D coeffs (a 1-D result) or for each row of a 2-D
+    coeffs (rows x points), written into out, if given, in its dtype."""
     if not 1 <= k <= ENUMERATION_DEGREE_CAP:
         raise ValueError(
             f"eval_points covers k in 1..{ENUMERATION_DEGREE_CAP}, got {k}"
         )
     log, exp = _log_tables(k, m_low)
-    log_a = log[np.asarray(points, np.uint64)]
-    v = np.ones(log_a.shape, np.uint32)
-    idx = np.empty_like(log_a)
-    for c in np.asarray(coeffs, np.uint64).astype(np.uint32):
-        np.add(log[v], log_a, out=idx)
-        np.take(exp, idx, out=v, mode="clip")
-        v ^= c
-    return v.astype(np.uint64)
+    points = np.asarray(points, np.uint64)
+    coeffs = np.asarray(coeffs, np.uint64)
+    if out is None:
+        out = np.empty(coeffs.shape[:-1] + points.shape, np.uint64)
+    batch, res = np.atleast_2d(coeffs), np.atleast_2d(out)  # 1-D: one-row views
+    log_c = log[batch]
+    rows, r = batch.shape
+    step = block_points(rows)
+    for s in range(0, points.size, step):
+        log_a = log[points[s:s + step]]
+        power = np.ones(log_a.size, np.uint32)  # a^0, then a^e
+        log_p = np.zeros_like(power)
+        acc = np.empty((rows, log_a.size), np.uint32)
+        acc[:] = batch[:, -1:] if r else 0  # c_{r-1}·a^0
+        idx = np.empty_like(acc)
+        for e in range(1, r + 1):
+            np.add(log_p, log_a, out=log_p)
+            np.take(exp, log_p, out=power, mode="clip")
+            if e < r:  # add c_{r-1-e}·a^e, one gather per row and point
+                np.take(log, power, out=log_p)
+                np.add(log_c[:, r - 1 - e, None], log_p, out=idx)
+                # take reads idx through an intp copy, so it may overwrite idx
+                np.take(exp, idx, out=idx, mode="clip")
+                acc ^= idx
+        acc ^= power
+        res[:, s:s + log_a.size] = acc
+    return out
 
 
 # A stream needs the tables of its point a and of a^L, and its chunks

@@ -11,9 +11,10 @@ at most 1/4, with no false negatives.
 
 Storage is that pair set as a member_count x q table, values[j, a] =
 d_{y_j}(a), in the narrowest unsigned dtype that holds a field element
-(uint8, uint16 or uint32, by k alone), one row per member from the
-batched kernels.  A lookup compares one column; an exact false-positive
-count ORs row == d_x over the rows.
+(uint8, uint16 or uint32, by k alone), filled by one batched kernel call.
+A lookup compares one column; an exact false-positive count evaluates a
+batch of strings a block of points at a time and ORs row == d_x over the
+member rows.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -340,10 +341,8 @@ def build_sketch(
             f"raise --entry-budget or {ENTRY_BUDGET_ENV} to proceed"
         )
     values = np.empty((len(members), q), _value_dtype(ctx.k))
-    points = np.arange(q, dtype=np.uint64)
-    for row, y in zip(values, members):
-        coeffs = np.array(coefficients(ctx, y), dtype=np.uint64)
-        row[:] = kernels.eval_points(points, coeffs, ctx.m_low, ctx.k)
+    kernels.eval_points(np.arange(q, dtype=np.uint64), _coeff_rows(ctx, n, members),
+                        ctx.m_low, ctx.k, out=values)
     return SketchSet(n=n, ctx=ctx, values=values, source_seed=source_seed,
                      rule_sized=rule_sized)
 
@@ -357,22 +356,37 @@ def contains(sketch: SketchSet, fp) -> bool:
     return bool((sketch.values[:, fp.a] == fp.v).any())
 
 
-def exact_fp_count(sketch: SketchSet, x: str, points: np.ndarray | None = None) -> int:
+def _coeff_rows(ctx: FieldCtx, n: int, strings: list[str]) -> np.ndarray:
+    """The coefficients of each d_x, one row per length-n string."""
+    rows = [coefficients(ctx, x) for x in strings]
+    return np.array(rows, np.uint64).reshape(len(rows), -(-n // ctx.k))
+
+
+def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
     """|{a : (a, d_x(a)) is stored}| over every field point, or over the
-    given uint64 points (repeats counted): one OR of row == d_x per member."""
-    if len(x) != sketch.n:
-        raise ValueError(f"length mismatch: |x|={len(x)}, sketch n={sketch.n}")
+    given uint64 points (repeats counted).  x is one string (an int back)
+    or a list of strings (a list of counts): all are evaluated together, a
+    block of points at a time, and a block ORs row == d_x over the member
+    rows."""
+    xs = [x] if isinstance(x, str) else list(x)
+    for y in xs:
+        if len(y) != sketch.n:
+            raise ValueError(f"length mismatch: |x|={len(y)}, sketch n={sketch.n}")
     ctx, table = sketch.ctx, sketch.values
-    if points is None:
-        points = np.arange(ctx.q, dtype=np.uint64)
-    else:
-        table = table[:, points]
-    coeffs = np.array(coefficients(ctx, x), dtype=np.uint64)
-    vals = kernels.eval_points(points, coeffs, ctx.m_low, ctx.k).astype(table.dtype)
-    hit = np.zeros(vals.shape, bool)
-    for row in table:
-        hit |= row == vals
-    return int(np.count_nonzero(hit))
+    coeffs = _coeff_rows(ctx, sketch.n, xs)
+    every = points is None
+    points = np.arange(ctx.q, dtype=np.uint64) if every else np.asarray(points, np.uint64)
+    counts = np.zeros(len(xs), np.int64)
+    step = kernels.block_points(len(xs))
+    for s in range(0, points.size, step):
+        block = points[s:s + step]
+        vals = np.empty((len(xs), block.size), table.dtype)
+        kernels.eval_points(block, coeffs, ctx.m_low, ctx.k, out=vals)
+        hit = np.zeros(vals.shape, bool)
+        for row in table[:, s:s + step] if every else table[:, block]:
+            hit |= row == vals
+        counts += np.count_nonzero(hit, axis=1)
+    return int(counts[0]) if isinstance(x, str) else counts.tolist()
 
 
 def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:
@@ -439,17 +453,20 @@ def fp_rate_experiment(
     nonmembers = _draw_nonmembers(spec, n, trials, seed)
     r = -(-n // fctx.k)
 
-    def count(x: str, index: int) -> int:
-        if mode == "exhaustive-a":
-            return exact_fp_count(sketch, x)
-        rng = derived_rng(seed, "query-points", index)
-        pts = np.array([fctx.random_elem(rng) for _ in range(a_samples)], np.uint64)
-        return exact_fp_count(sketch, x, pts)
+    if mode == "exhaustive-a":
+        denom, counts = fctx.q, exact_fp_count(sketch, nonmembers + members)
+    else:
+        def count(x: str, index: int) -> int:
+            rng = derived_rng(seed, "query-points", index)
+            pts = np.array([fctx.random_elem(rng) for _ in range(a_samples)], np.uint64)
+            return exact_fp_count(sketch, x, pts)
 
-    denom = fctx.q if mode == "exhaustive-a" else a_samples
-    nm_counts = [count(x, i) for i, x in enumerate(nonmembers)]
+        denom = a_samples
+        counts = ([count(x, i) for i, x in enumerate(nonmembers)]
+                  + [count(y, -1 - j) for j, y in enumerate(members)])
+    nm_counts = counts[:trials]
     nm_fractions = [c / denom for c in nm_counts]
-    member_fractions = [count(y, -1 - j) / denom for j, y in enumerate(members)]
+    member_fractions = [c / denom for c in counts[trials:]]
     max_fraction = max(nm_fractions) if nm_fractions else 0.0
     report = {
         "kind": "fp-rate",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from streamfp import kernels
@@ -42,3 +45,16 @@ def test_run_bench_validates_k():
     for mib in (0, -3):
         with pytest.raises(ValueError):
             run_bench(ks=(8,), mib=mib, seed=1)
+
+
+def test_random_words_allocates_only_the_words():
+    count = 1 << 16
+    tracemalloc.start()
+    try:
+        words = _random_words(5, 1, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.dtype == np.uint64 and words.size == count
+    assert set(words.tolist()) == {0, 1}
+    assert peak <= 8 * count + 4096, peak

@@ -472,6 +472,25 @@ def test_fp_rate_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
+# SHA-256 of the stdout of `sketch fp-rate --n 16 --trials 8 --seed 5`, pinned
+# from the one-polynomial-at-a-time Horner sweep; the batched evaluation
+# must reproduce these bytes.  The JSON pins include the tool version.
+@pytest.mark.parametrize("extra, digest", [
+    ((), "3e6ddb9bfe3d6bf97ab42d7c83e6e7e9c69765bbe245819a8db70feb4a7dfac8"),
+    (("--report-format", "csv"),
+     "9d789188996a898ddfdbc3887d719872fb7db158d341c246bbe3bdd8a17686b3"),
+    (("--mode", "sampled-a", "--a-samples", "64"),
+     "19c00807636618c75bf5eb249b5cc993c81afc9d303b9577e741a501e833da59"),
+    (("--mode", "sampled-a", "--a-samples", "64", "--report-format", "csv"),
+     "4520a7f5cc44e708e460437132403dd865942cc59f5ea9bdc69c63ade307056a"),
+])
+def test_fp_rate_stdout_is_pinned(capsys, extra, digest):
+    code, out, _ = run_cli(capsys, "sketch", "fp-rate", "--n", "16", "--trials", "8",
+                           "--seed", "5", *extra)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fp_rate_exit_code_mapping():
     assert _fp_rate_exit({"bound_checked": True, "bound_satisfied": True}) == EXIT_OK
     assert _fp_rate_exit({"bound_checked": False, "bound_satisfied": None}) == EXIT_OK

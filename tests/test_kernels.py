@@ -101,6 +101,91 @@ def test_eval_points_empty_coeffs_gives_ones():
     assert got.tolist() == [1] * 16
 
 
+def _batch_rows(rng, ctx, r: int, zero_at: int) -> list[list[int]]:
+    """Random rows plus the edge rows: all-zero and zero-led coefficients,
+    and c_0 = a for a = zero_at, where Horner's v is 0 after one step."""
+    k = ctx.k
+    rows = [[rng.getrandbits(k) for _ in range(r)] for _ in range(3)]
+    rows.append([0] * r)
+    rows.append([0, 0] + [rng.getrandbits(k) for _ in range(r - 2)])
+    rows.append([zero_at] + [rng.getrandbits(k) for _ in range(r - 1)])
+    rows.append([zero_at, 0] + [rng.getrandbits(k) for _ in range(r - 2)])
+    return rows
+
+
+def _check_batch(ctx, rows, pts) -> None:
+    got = kernels.eval_points(np.array(pts, np.uint64), np.array(rows, np.uint64),
+                              ctx.m_low, ctx.k)
+    assert got.shape == (len(rows), len(pts))
+    for row, values in zip(rows, got.tolist()):
+        assert values == [_bigint_horner(ctx, row, a) for a in pts], (ctx.k, row)
+
+
+def test_batched_eval_points_matches_bigint_on_every_point():
+    rng = random.Random(78)
+    for k in range(1, 13):
+        ctx = make_field(k)
+        zero_at = rng.getrandbits(k) | 1
+        _check_batch(ctx, _batch_rows(rng, ctx, 5, zero_at), range(ctx.q))
+
+
+@pytest.mark.parametrize("k", [13, 16, 20, 24])
+def test_batched_eval_points_matches_bigint_on_random_points(k):
+    rng = random.Random(k + 100)
+    ctx = make_field(k)
+    zero_at = rng.getrandbits(k) | 1
+    pts = [0, zero_at, 1] + [rng.getrandbits(k) for _ in range(60)]
+    _check_batch(ctx, _batch_rows(rng, ctx, 4, zero_at), pts)
+    if k == 24:
+        kernels._log_tables.cache_clear()  # 192 MiB of tables
+
+
+def test_batched_eval_points_degree_zero_rows_give_ones():
+    ctx = make_field(5)
+    got = kernels.eval_points(np.arange(32, dtype=np.uint64), np.empty((3, 0), np.uint64),
+                              ctx.m_low, 5)
+    assert got.shape == (3, 32) and (got == 1).all()
+
+
+def test_one_row_batch_equals_the_1d_call():
+    rng = random.Random(3)
+    ctx = make_field(10)
+    pts = np.arange(ctx.q, dtype=np.uint64)
+    coeffs = np.array([rng.getrandbits(10) for _ in range(6)], np.uint64)
+    one = kernels.eval_points(pts, coeffs, ctx.m_low, 10)
+    batch = kernels.eval_points(pts, coeffs[None], ctx.m_low, 10)
+    assert one.shape == (ctx.q,) and batch.shape == (1, ctx.q)
+    assert (batch[0] == one).all()
+
+
+def test_batch_spanning_several_blocks_matches_row_by_row():
+    rng = random.Random(4)
+    ctx = make_field(14)
+    rows = 40
+    step = kernels.block_points(rows)
+    count = 3 * step + step // 3  # several blocks and a short last one
+    pts = np.array([rng.getrandbits(14) for _ in range(count)], np.uint64)
+    coeffs = np.array([[rng.getrandbits(14) for _ in range(4)] for _ in range(rows)],
+                      np.uint64)
+    got = kernels.eval_points(pts, coeffs, ctx.m_low, 14)
+    for row, values in zip(coeffs, got):
+        assert (values == kernels.eval_points(pts, row, ctx.m_low, 14)).all()
+    for j in (0, step - 1, step, count - 1):  # both sides of each block edge
+        want = [_bigint_horner(ctx, row.tolist(), int(pts[j])) for row in coeffs]
+        assert got[:, j].tolist() == want
+
+
+@pytest.mark.parametrize("k, dtype", [(8, np.uint8), (16, np.uint16), (20, np.uint32)])
+def test_eval_points_writes_into_out(k, dtype):
+    rng = random.Random(k)
+    ctx = make_field(k)
+    pts = np.array([0] + [rng.getrandbits(k) for _ in range(300)], np.uint64)
+    coeffs = np.array([[rng.getrandbits(k) for _ in range(3)] for _ in range(5)], np.uint64)
+    out = np.empty((5, pts.size), dtype)
+    assert kernels.eval_points(pts, coeffs, ctx.m_low, k, out=out) is out
+    assert (out == kernels.eval_points(pts, coeffs, ctx.m_low, k)).all()
+
+
 def test_fold_segments_is_horner():
     # 5000 segments fold in 417 blocks of L = 12, the last block padded.
     rng = random.Random(9)

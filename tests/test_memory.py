@@ -17,7 +17,7 @@ import pytest
 
 from streamfp import kernels
 from streamfp.field import make_field, select_field_size
-from streamfp.sketch import build_sketch, make_language
+from streamfp.sketch import build_sketch, exact_fp_count, make_language
 
 # A child's ru_maxrss also holds the peak of the address space it was
 # spawned from (Linux keeps the old high-water mark across exec, and a
@@ -100,3 +100,20 @@ def test_build_peak_bytes_per_projected_entry():
         tracemalloc.stop()
     assert sk.ctx == ctx
     assert peak <= BUILD_BYTES_PER_ENTRY * projected, peak / projected
+
+
+def test_exact_fp_count_peak_is_below_the_table():
+    # Counting a batch works a block of points at a time, so its working
+    # arrays stay below the sketch table however many inputs it counts.
+    spec = make_language("seeded-random", seed=3)
+    sk = build_sketch(spec, 32)
+    rng = random.Random(32)
+    xs = [format(rng.getrandbits(32), "032b") for _ in range(100)]
+    tracemalloc.start()
+    try:
+        counts = exact_fp_count(sk, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == len(xs)
+    assert peak <= sk.values.nbytes, peak / sk.values.nbytes

@@ -247,6 +247,39 @@ def test_counts_and_lookups_match_direct_eval_at_dtype_boundaries(tmp_path, k, n
                 assert contains(sk, Fingerprint(n=n, a=a, v=row[a], ctx=ctx)) == hits[a]
 
 
+def test_exact_fp_count_list_equals_per_string_counts():
+    spec = make_language("seeded-random", seed=29)
+    n = 32
+    sk = build_sketch(spec, n)
+    rng = random.Random(29)
+    xs = spec.enumerator(n)[:5] + [format(rng.getrandbits(n), "032b") for _ in range(60)]
+    points = np.array([0, 0, 1] + [rng.randrange(sk.ctx.q) for _ in range(3000)], np.uint64)
+    for pts in (None, points):
+        counts = exact_fp_count(sk, xs, pts)
+        assert counts == [exact_fp_count(sk, x, pts) for x in xs]
+        assert all(isinstance(c, int) for c in counts)
+    assert counts[:5] == [points.size] * 5  # members hit at every point
+    assert exact_fp_count(sk, []) == []
+    with pytest.raises(ValueError, match="length mismatch"):
+        exact_fp_count(sk, xs[:3] + ["0"])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_exhaustive_counts_are_the_union_of_agreements(k):
+    # The referee: d_x agrees with the member y exactly where direct_eval
+    # gives the same value, and x counts the union of those points.
+    spec = make_language("seeded-random", seed=31 + k)
+    n = 9
+    ctx = make_field(k)
+    sk = build_sketch(spec, n, ctx=ctx)
+    members = spec.enumerator(n)
+    rows = {x: [direct_eval(ctx, x, a) for a in ctx.elements()]
+            for x in (format(b, "09b") for b in range(1 << n))}
+    want = [sum(any(v == rows[y][a] for y in members) for a, v in enumerate(row))
+            for row in rows.values()]
+    assert exact_fp_count(sk, list(rows)) == want
+
+
 def test_soundness_pairwise_bound_exhaustive():
     spec = make_language("seeded-random", seed=23)
     n = 6
