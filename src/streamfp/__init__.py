@@ -5,10 +5,20 @@ machinery.
 Strings are read left to right; bit i of a stream is the coefficient
 of u^i inside its k-bit segment.  See the module docstrings for the
 conventions each layer adds on top of that.
+
+Importing the package loads no numpy: the batch kernels
+(:mod:`streamfp.kernels`) load it on first use, and the kernel names
+exported here resolve lazily.
 """
 
 from ._version import __version__
-from .field import ENUMERATION_DEGREE_CAP, FieldCtx, make_field, select_field_size
+from .field import (
+    ENUMERATION_DEGREE_CAP,
+    WORD_DEGREE_CAP,
+    FieldCtx,
+    make_field,
+    select_field_size,
+)
 from .gf2poly import (
     IRREDUCIBLE_DEGREE_CAP,
     Gf2Poly,
@@ -21,7 +31,6 @@ from .gf2poly import (
     is_irreducible,
     powmod,
 )
-from .kernels import WORD_DEGREE_CAP, eval_points, fold_segments, mulmod
 from .seeds import derive_seed, derived_rng
 from .sketch import (
     ACCEPT_BOUND,
@@ -141,3 +150,13 @@ __all__ = [
     "tally_to_json",
     "validate_tally",
 ]
+
+_KERNEL_NAMES = ("eval_points", "fold_segments", "mulmod")
+
+
+def __getattr__(name: str):
+    if name in _KERNEL_NAMES:
+        from . import kernels
+
+        return getattr(kernels, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

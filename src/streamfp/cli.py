@@ -18,7 +18,6 @@ import sys
 
 from ._atomic import write_atomic
 from ._version import __version__
-from . import bench as bench_mod
 from . import sketch as sketch_mod
 from . import tally as tally_mod
 from .field import make_field
@@ -290,8 +289,11 @@ def _cmd_sketch_fp_rate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod  # the one command that needs numpy up front
+
     try:
-        ks = tuple(int(x) for x in args.k.split(","))
+        ks = (bench_mod.DEFAULT_KS if args.k is None
+              else tuple(int(x) for x in args.k.split(",")))
     except ValueError:
         raise ValueError("--k must be a comma-separated list of integers") from None
     report = bench_mod.run_bench(ks=ks, mib=args.mib, seed=_resolve_seed(args.seed))
@@ -450,8 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fr.set_defaults(func=_cmd_sketch_fp_rate)
 
     p = sub.add_parser("bench", help="fold throughput, checked against the big-int tier")
-    p.add_argument("--k", default=",".join(str(k) for k in bench_mod.DEFAULT_KS),
-                   help="comma-separated extension degrees")
+    p.add_argument("--k", default=None,
+                   help="comma-separated extension degrees (default: 8,16,32,64)")
     p.add_argument("--mib", type=int, default=1, help="stream size to fold per degree, in MiB")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", default=None)
@@ -497,5 +499,14 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
 
+def console() -> int:
+    """Entry point of a CLI process: ``python -m streamfp.cli`` and the
+    ``streamfp`` script.  streamfp calls no BLAS routine, so OpenBLAS is
+    kept from starting a thread pool when numpy loads, unless the user
+    has set OPENBLAS_NUM_THREADS."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -22,6 +22,7 @@ one entry per byte of v (split tables; Plank, Greenan & Miller, FAST
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .gf2poly import Gf2Poly, _clmul, _mod, find_irreducible, is_irreducible
@@ -32,12 +33,18 @@ __all__ = [
     "make_field",
     "split_tables",
     "horner_fold",
+    "fold_block_length",
     "ENUMERATION_DEGREE_CAP",
+    "WORD_DEGREE_CAP",
 ]
 
 # Exhaustive enumeration of the field is refused above this degree: 2^24
 # elements is the most a desk-scale sweep should walk.
 ENUMERATION_DEGREE_CAP = 24
+
+# The word tier: an element fits one uint64, so the numpy kernels of
+# :mod:`streamfp.kernels` cover k up to this; wider fields stay on ints.
+WORD_DEGREE_CAP = 64
 
 
 def select_field_size(n: int, f_of_n: int) -> int:
@@ -173,6 +180,14 @@ def horner_fold(v: int, segments, tables: list[list[int]]) -> int:
             s ^= table[b]
         v = s
     return v
+
+
+def fold_block_length(r: int) -> int:
+    """Block length L of the block fold of r segments (see
+    :mod:`streamfp.kernels`): about sqrt(r/32), which balances its numpy
+    steps against the scalar outer fold.  Below 128 segments it is 1, and
+    the fold is :func:`horner_fold` itself."""
+    return max(1, math.isqrt(r >> 5))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """Batched GF(2^k) kernels over uint64 arrays, in numpy.
 
-These are the hot loops: evaluating a fingerprint polynomial at every
-field point (sketch building, exact false-positive counts) and folding
-the stream's segments.  Elements are uint64 bit patterns, so ``mulmod``
-and the fold cover extension degrees 1..64 (the word tier); wider fields
-stay on the big-int tier in :mod:`streamfp.gf2poly`.  Both tiers must
-agree bit for bit; the differential tests enforce that.
+With ``bench``, this is the one module that imports numpy at module
+level.  The others import numpy, or this module, inside the functions
+that run batch work: a sketch build or sweep, and a stream call of 128
+or more segments at k <= 64.  Short streams, sketch lookups and the
+other commands run on Python ints and never load numpy.  Elements are
+uint64 bit patterns, so ``mulmod``, ``cut_segments`` and the fold cover
+extension degrees 1..``WORD_DEGREE_CAP`` (the word tier); wider fields
+stay on the big-int tier.  Both tiers must agree bit for bit; the
+differential tests enforce that.
 
 ``eval_points`` evaluates a batch of polynomials, one per row, on
 log/antilog tables of the multiplicative group (Plank, Greenan & Miller,
@@ -22,6 +25,9 @@ a zero coefficient or a = 0 gives a zero product.  The tables hold 3q
 uint32 entries (12 bytes per element), are built on a field's first call
 and cached, and cover k in 1..``ENUMERATION_DEGREE_CAP``, the fields a
 sketch sweeps.
+
+``cut_segments`` cuts a stream call's packed bits into its k-bit
+segments, one uint64 each, with two gathers per segment.
 ``fold`` is the stream's Horner fold v <- v*a + s by the k-th order
 Horner rule (Knuth, TAOCP vol. 2, 4.6.4; Estrin 1960).  The incoming v
 is one more leading coefficient, folded from 0; the coefficients are
@@ -29,10 +35,11 @@ zero-padded at the front to B blocks of L, and Horner runs down all B
 blocks at once: L numpy steps, each ceil(k/8) gathers from the uint64
 split tables of a, one per byte of the block values.  The B block values
 are then folded by :func:`streamfp.field.horner_fold` with the split
-tables of a^L, the same algebra as composing chunks.  L is about
-sqrt(R/32) for R segments, which balances the numpy steps against the
-scalar outer fold; below 128 segments it is 1 and ``fold`` is
-``horner_fold`` itself.
+tables of a^L, the same algebra as composing chunks.  L is
+:func:`streamfp.field.fold_block_length`, about sqrt(R/32) for R
+segments; below 128 segments it is 1 and ``fold`` is ``horner_fold``
+itself, which is why the stream calls this module only from 128
+segments on.
 
 Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
 64: per step the low bit of one operand gates an XOR of the other into the
@@ -44,11 +51,16 @@ minus its leading term).
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .field import ENUMERATION_DEGREE_CAP, horner_fold, split_tables
+from .field import (
+    ENUMERATION_DEGREE_CAP,
+    WORD_DEGREE_CAP,
+    fold_block_length,
+    horner_fold,
+    split_tables,
+)
 from .gf2poly import _powmod, _prime_divisors
 
 __all__ = [
@@ -56,11 +68,10 @@ __all__ = [
     "mulmod",
     "block_points",
     "eval_points",
+    "cut_segments",
     "fold",
     "fold_segments",
 ]
-
-WORD_DEGREE_CAP = 64
 
 # Kept for the benchmark's environment record, which reports them with
 # every result: there is one backend and no JIT tier.
@@ -198,9 +209,33 @@ def _point_tables(a: int, m_low: int, k: int) -> tuple[list[list[int]], np.ndarr
     return tables, words
 
 
+def cut_segments(data: bytes, count: int, k: int) -> np.ndarray:
+    """The first count k-bit fields of little-endian data as uint64
+    elements: the stream's segments (see :mod:`streamfp.stream`)."""
+    _check_k(k)
+    words = np.zeros(len(data) // 8 + 2, "<u8")
+    words.view(np.uint8)[:len(data)] = np.frombuffer(data, np.uint8)
+    # Field i starts at bit ik: bit `shift` of word w, with its top bits
+    # in word w + 1.
+    w = np.arange(0, count * k, k)
+    shift = np.empty(count, np.uint64)
+    np.bitwise_and(w, 63, out=shift, casting="unsafe")
+    w >>= 6
+    segments = words.take(w)
+    segments >>= shift
+    w += 1
+    high = words.take(w)
+    high <<= 1
+    shift ^= 63  # 63 - shift: two steps, as a shift by 64 is undefined
+    high <<= shift
+    segments |= high
+    segments &= _U64_ALL >> (64 - k)
+    return segments
+
+
 def fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int) -> int:
     """v <- v·a + s over the uint64 segments, in order, by blocks of L."""
-    return _block_fold(v, segments, a, m_low, k, max(1, math.isqrt(segments.size >> 5)))
+    return _block_fold(v, segments, a, m_low, k, fold_block_length(segments.size))
 
 
 def _block_fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int,

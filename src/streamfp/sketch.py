@@ -10,11 +10,15 @@ a single random-point query accepts a nonmember with probability
 at most 1/4, with no false negatives.
 
 Storage is that pair set as a member_count x q table, values[j, a] =
-d_{y_j}(a), in the narrowest unsigned dtype that holds a field element
-(uint8, uint16 or uint32, by k alone), filled by one batched kernel call.
-A lookup compares one column; an exact false-positive count evaluates a
-batch of strings a block of points at a time and ORs row == d_x over the
-member rows.
+d_{y_j}(a), in the narrowest unsigned little-endian type that holds a
+field element (1, 2 or 4 bytes, by k alone).  A :class:`SketchSet` keeps
+the table as that value buffer: the array one batched kernel call filled
+for a built sketch, and the file's own bytes, used in place, for a loaded
+one.  A lookup reads the member_count values of one column straight from
+the buffer, with no numpy, so loading a sketch and querying it never
+import it.  The numpy view ``values`` is made on first access, for an
+exact false-positive count, which evaluates a batch of strings a block of
+points at a time and ORs row == d_x over the member rows.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -34,23 +38,24 @@ value is below 2^k, and raises ValueError on the first that fails.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from ._atomic import write_atomic
 from ._version import __version__
 from .field import ENUMERATION_DEGREE_CAP, FieldCtx, make_field, select_field_size
 from .gf2poly import Gf2Poly
-from . import kernels
 from .seeds import derive_seed, derived_rng
 from .stream import coefficients, fingerprint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DensityFn",
@@ -251,27 +256,40 @@ def make_language(kind: str, *, seed: int | None = None, max_ones: int | None = 
 
 @dataclass(frozen=True)
 class SketchSet:
-    """All pairs (a, d_y(a)) for members y: values[j, a] = d_{y_j}(a)."""
+    """All pairs (a, d_y(a)) for members y, as the little-endian buffer of
+    the member_count x q table values[j, a] = d_{y_j}(a)."""
 
     n: int
     ctx: FieldCtx
-    values: np.ndarray  # member_count x q, dtype _value_dtype(k)
+    member_count: int
+    table: object = field(repr=False)  # flat bytes, _item_bytes(k) per value
     source_seed: int | None = None
     rule_sized: bool = True
 
     @property
-    def member_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def size(self) -> int:
         """Stored entries: member_count x q, the count the entry budget bounds."""
-        return int(self.values.size)
+        return self.member_count * self.ctx.q
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The table as a member_count x q numpy view."""
+        import numpy as np
+
+        values = np.frombuffer(self.table, _value_dtype(self.ctx.k), self.size)
+        return values.reshape(self.member_count, self.ctx.q)
+
+
+def _item_bytes(k: int) -> int:
+    """Bytes of the narrowest unsigned type holding a GF(2^k) element."""
+    return 1 if k <= 8 else 2 if k <= 16 else 4
 
 
 def _value_dtype(k: int) -> np.dtype:
-    """The narrowest little-endian unsigned dtype holding a GF(2^k) element."""
-    return np.min_scalar_type((1 << k) - 1).newbyteorder("<")
+    """The value type of a GF(2^k) table, little-endian."""
+    import numpy as np
+
+    return np.dtype(f"<u{_item_bytes(k)}")
 
 
 def _resolve_budget(entry_budget: int | None) -> int:
@@ -340,24 +358,35 @@ def build_sketch(
             f"build would create {projected} entries, over the budget of {budget}; "
             f"raise --entry-budget or {ENTRY_BUDGET_ENV} to proceed"
         )
+    import numpy as np
+    from . import kernels
+
     values = np.empty((len(members), q), _value_dtype(ctx.k))
     kernels.eval_points(np.arange(q, dtype=np.uint64), _coeff_rows(ctx, n, members),
                         ctx.m_low, ctx.k, out=values)
-    return SketchSet(n=n, ctx=ctx, values=values, source_seed=source_seed,
+    return SketchSet(n=n, ctx=ctx, member_count=len(members),
+                     table=values.reshape(-1).view(np.uint8), source_seed=source_seed,
                      rule_sized=rule_sized)
 
 
 def contains(sketch: SketchSet, fp) -> bool:
-    """Whether the pair (a, v) of this fingerprint is in the sketch."""
+    """Whether the pair (a, v) of this fingerprint is in the sketch: one
+    little-endian value of column a per member, read from the buffer."""
     if fp.n != sketch.n:
         raise ValueError(f"length mismatch: fingerprint n={fp.n}, sketch n={sketch.n}")
     if fp.ctx != sketch.ctx:
         raise ValueError("fingerprint context does not match the sketch's field")
-    return bool((sketch.values[:, fp.a] == fp.v).any())
+    width = _item_bytes(sketch.ctx.k)
+    table = memoryview(sketch.table)
+    want = fp.v.to_bytes(width, "little")
+    return any(table[i:i + width] == want
+               for i in range(fp.a * width, len(table), sketch.ctx.q * width))
 
 
 def _coeff_rows(ctx: FieldCtx, n: int, strings: list[str]) -> np.ndarray:
     """The coefficients of each d_x, one row per length-n string."""
+    import numpy as np
+
     rows = [coefficients(ctx, x) for x in strings]
     return np.array(rows, np.uint64).reshape(len(rows), -(-n // ctx.k))
 
@@ -368,6 +397,9 @@ def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
     or a list of strings (a list of counts): all are evaluated together, a
     block of points at a time, and a block ORs row == d_x over the member
     rows."""
+    import numpy as np
+    from . import kernels
+
     xs = [x] if isinstance(x, str) else list(x)
     for y in xs:
         if len(y) != sketch.n:
@@ -456,6 +488,8 @@ def fp_rate_experiment(
     if mode == "exhaustive-a":
         denom, counts = fctx.q, exact_fp_count(sketch, nonmembers + members)
     else:
+        import numpy as np
+
         def count(x: str, index: int) -> int:
             rng = derived_rng(seed, "query-points", index)
             pts = np.array([fctx.random_elem(rng) for _ in range(a_samples)], np.uint64)
@@ -519,10 +553,9 @@ def save_sketch(sketch: SketchSet, path: str) -> None:
     }, sort_keys=True, separators=(",", ":")).encode()
     header += b" " * (-(_SPSK_PREFIX.size + len(header)) % _SPSK_ALIGN)
     head = _SPSK_PREFIX.pack(_SPSK_MAGIC, _SPSK_VERSION, len(header)) + header
-    values = np.ascontiguousarray(sketch.values, _value_dtype(sketch.ctx.k))
     digest = hashlib.sha256(head)
-    digest.update(values)
-    write_atomic(path, head, values, digest.digest())
+    digest.update(sketch.table)
+    write_atomic(path, head, sketch.table, digest.digest())
 
 
 def load_sketch(path: str) -> SketchSet:
@@ -556,14 +589,19 @@ def load_sketch(path: str) -> SketchSet:
     ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
     if start % _SPSK_ALIGN:
         raise ValueError(f"corrupt sketch file: value region not {_SPSK_ALIGN}-byte aligned")
-    dtype, count = _value_dtype(k), members * ctx.q
-    expected = start + count * dtype.itemsize + _DIGEST_BYTES
-    if len(blob) != expected:
-        raise ValueError(f"corrupt sketch file: {len(blob)} bytes, expected {expected}")
-    if hashlib.sha256(memoryview(blob)[:-_DIGEST_BYTES]).digest() != blob[-_DIGEST_BYTES:]:
+    width = _item_bytes(k)
+    end = start + members * ctx.q * width
+    if len(blob) != end + _DIGEST_BYTES:
+        raise ValueError(
+            f"corrupt sketch file: {len(blob)} bytes, expected {end + _DIGEST_BYTES}")
+    if hashlib.sha256(memoryview(blob)[:end]).digest() != blob[end:]:
         raise ValueError("corrupt sketch file: digest mismatch")
-    values = np.frombuffer(blob, dtype, count, start).reshape(members, ctx.q)
-    if values.size and int(values.max()) >> k:
-        raise ValueError(f"corrupt sketch file: a value is not below 2^{k}")
-    return SketchSet(n=header["n"], ctx=ctx, values=values, source_seed=header["seed"],
+    # A value is below 2^k when byte i of it, little-endian, is below
+    # 2^(k - 8i): take that byte of every value and delete the allowed ones.
+    for i in range(k // 8, width):
+        allowed = bytes(range(1 << max(0, k - 8 * i)))
+        if blob[start + i:end:width].translate(None, allowed):
+            raise ValueError(f"corrupt sketch file: a value is not below 2^{k}")
+    return SketchSet(n=header["n"], ctx=ctx, member_count=members,
+                     table=memoryview(blob)[start:end], source_seed=header["seed"],
                      rule_sized=header["rule_sized"])

@@ -19,23 +19,31 @@ polynomials agree on at most r-1 of the q points.
 The multiplication by a runs on split tables (see :mod:`streamfp.field`):
 ceil(k/8) tables of 256 elements each, built from a alone.  Each product
 is then ceil(k/8) lookups and XORs, for every k.  feed() takes '0'/'1'
-text, feed_bytes() raw bytes (most significant bit first); both go
-through the same packer and fold, and any chunking is allowed.  The
-packer turns each call's whole segments into uint64 limbs in bulk.  For
-k <= 64 the fold is :func:`streamfp.kernels.fold`, which runs Horner down
-blocks of the call's segments in parallel and joins the block values
-with the tables of a power of a; the algebra, and so the result, is the
-one-step-per-segment fold's.  Wider fields keep that scalar fold,
-:func:`streamfp.field.horner_fold`, on Python ints.
+text, feed_bytes() raw bytes (most significant bit first); any chunking
+is allowed, and each call folds the whole segments it completes.  The
+packer turns the call's bits into one Python int whose bit p is the p-th
+bit read, so its k-bit fields are the segments.  One rule, made from the
+call's segment count R and k, picks how the fields are cut and folded.
+When k > 64 or R < 128, they are cut into Python ints and
+:func:`streamfp.field.horner_fold` folds them on the stream's split
+tables.  Otherwise :func:`streamfp.kernels.cut_segments` cuts them into
+uint64 words in numpy, and :func:`streamfp.kernels.fold` runs Horner down
+blocks of them in parallel and joins the block values with the tables of
+a power of a.  Below 128 segments that block fold has
+block length 1 and is ``horner_fold`` itself, so the rule sits where
+numpy stops paying for its start-up; short streams, like a sketch
+query's, never import numpy.  Either way the algebra, and so the
+result, is the one-step-per-segment fold's.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
-state: modulus (k+1 bits), point a (k), accumulator v (k), the partial
-segment buffer (at most k), and three counters of |n| bits each (n, the
-read cursor, completed segments).  That totals at most 4k + 1 + 3|n|
-bits, within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
+state: modulus (k+1 bits), point a (k), accumulator v (k), a k-bit
+register for the partial segment (which never holds more between calls),
+and three counters of |n| bits each (n, the read cursor, completed
+segments).  That is 4k + 1 + 3|n| bits for every chunking of the input,
+within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
 tables (ceil(k/8) * 256 elements of k bits) are derived from a alone and
 are constant in n, so they are a cache of a, not state that grows with
-the input.  The numpy buffers of one feed call, the block fold's B block
+the input.  The buffers of one feed call, the block fold's B block
 values among them, scale with that call's chunk, never with n, and are
 gone when the call returns.  The counters model the one-pass verifier:
 conversions and field_ops count one conversion and two operations per
@@ -54,12 +62,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
 from .field import (
     ENUMERATION_DEGREE_CAP,
+    WORD_DEGREE_CAP,
     FieldCtx,
+    fold_block_length,
     horner_fold,
     make_field,
     select_field_size,
@@ -137,40 +144,50 @@ class Fingerprint:
         )
 
 
-def _segment_limbs(bits: np.ndarray, count: int, k: int) -> np.ndarray:
-    """Little-endian uint64 limbs, a row of ceil(k/64) per segment, of the
-    first count k-bit segments of a 0/1 uint8 array: bit i of a segment is
-    its u^i coefficient, so a short final segment zero-extends high."""
-    words = np.zeros(count * k // 64 + 2, "<u8")
-    words.view(np.uint8)[:-(-bits.size // 8)] = np.packbits(bits, bitorder="little")
-    limbs = np.empty((count, -(-k // 64)), "<u8")
-    shift = np.empty(count, np.uint64)
-    high = np.empty(count, np.uint64)
-    for j in range(limbs.shape[1]):
-        # Limb j of each segment starts at bit 64j + ik: bit `shift` of
-        # word w, with its top bits in word w + 1.
-        w = np.arange(64 * j, 64 * j + count * k, k)
-        np.bitwise_and(w, 63, out=shift, casting="unsafe")
-        w >>= 6
-        limb = limbs[:, j]
-        np.take(words, w, out=limb)
-        limb >>= shift
-        w += 1
-        np.take(words, w, out=high)
-        high <<= 1
-        shift ^= 63  # 63 - shift: two steps, as a shift by 64 is undefined
-        high <<= shift
-        limb |= high
-        limb &= (1 << min(64, k - 64 * j)) - 1
-    return limbs
+# Entry b is byte b with its bits in reverse order: it puts the first-read
+# bit of a raw byte at the least significant place, where the packer wants it.
+_BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
-def _limb_ints(limbs: np.ndarray) -> list[int]:
-    """The segments of _segment_limbs as Python ints, for k > 64."""
-    ints = limbs[:, -1].tolist()
-    for j in range(limbs.shape[1] - 2, -1, -1):
-        ints = [(hi << 64) | lo for hi, lo in zip(ints, limbs[:, j].tolist())]
-    return ints
+def _segment_bytes(head: str, chunk, nbits: int, count: int,
+                   k: int) -> tuple[bytes, str]:
+    """The first count k-bit segments of head ('0'/'1' text) followed by
+    chunk ('0'/'1' text, or the first nbits bits of raw bytes, most
+    significant bit first), and the bits after them as text.
+
+    The segments come as the little-endian bytes of one int whose bit
+    ik + j is bit j of segment i, its u^j coefficient, so a short final
+    segment zero-extends high; they are zero-padded to whole k-byte groups
+    of eight segments, for :func:`_cut_segments` or
+    :func:`streamfp.kernels.cut_segments` to take apart."""
+    if isinstance(chunk, str):
+        bits = int((head + chunk)[::-1] or "0", 2)
+    else:
+        bits = int.from_bytes(bytes(chunk).translate(_BIT_REVERSED), "little")
+        if nbits < 8 * len(chunk):
+            bits &= (1 << nbits) - 1
+        if head:
+            bits = bits << len(head) | int(head[::-1], 2)
+    total = len(head) + nbits
+    used = min(count * k, total)
+    rest = ""
+    if total > used:
+        rest = format(bits >> used, f"0{total - used}b")[::-1]
+        bits &= (1 << used) - 1
+    return bits.to_bytes(-(-count // 8) * k, "little"), rest
+
+
+def _cut_segments(data: bytes, count: int, k: int) -> list[int]:
+    """The first count k-bit fields of little-endian data as ints, for any
+    k: eight at a time from each k-byte group, a shift and a mask each."""
+    mask = (1 << k) - 1
+    shifts = range(0, 8 * k, k)
+    segments = []
+    for i in range(0, len(data), k):
+        group = int.from_bytes(data[i:i + k], "little")
+        segments += [group >> s & mask for s in shifts]
+    del segments[count:]
+    return segments
 
 
 class StreamState:
@@ -185,70 +202,55 @@ class StreamState:
         self.a = ctx.random_elem(rng)
         self.v = 1
         self.seed = seed
-        self.profile = ResourceProfile(random_bits=ctx.k)
-        # k <= 64 folds through kernels.fold, which caches its own tables.
-        if ctx.k > kernels.WORD_DEGREE_CAP:
-            self._tables = split_tables(self.a, ctx.m_bits, ctx.k)
-        self._pending = np.empty(0, np.uint8)  # bits of the partial segment
-        self._done_segments = 0
+        self.profile = ResourceProfile(
+            random_bits=ctx.k, peak_state_bits=4 * ctx.k + 1 + 3 * n.bit_length())
+        self._tables = split_tables(self.a, ctx.m_bits, ctx.k)
+        self._pending = ""  # bits of the partial segment
         self._finished = False
-        self._note_state()
-
-    def _note_state(self) -> None:
-        k = self.ctx.k
-        live = (k + 1) + k + k + self._pending.size + 3 * self.n.bit_length()
-        if live > self.profile.peak_state_bits:
-            self.profile.peak_state_bits = live
 
     def feed(self, bits: str) -> None:
         """Consume the next chunk of the input, any chunking allowed."""
         if self._finished:
             raise ValueError("stream already finished")
-        try:
-            arr = np.frombuffer(bits.encode("ascii"), np.uint8) - np.uint8(ord("0"))
-        except UnicodeEncodeError:
-            arr = None
-        if arr is None or (arr.size and arr.max() > 1):
+        if bits.strip("01"):
             raise ValueError("input must consist of '0' and '1' only")
-        self._absorb(arr)
+        self._absorb(bits, len(bits))
 
     def feed_bytes(self, data: bytes, nbits: int | None = None) -> None:
         """Consume the first nbits bits of raw bytes (all of them by default),
         most significant bit of each byte first; any chunking allowed."""
         if self._finished:
             raise ValueError("stream already finished")
-        raw = np.frombuffer(data, np.uint8)
         if nbits is None:
-            nbits = 8 * raw.size
-        elif not 0 <= nbits <= 8 * raw.size:
-            raise ValueError(f"nbits={nbits} outside 0..{8 * raw.size} for {raw.size} bytes")
-        self._absorb(np.unpackbits(raw, count=nbits))
+            nbits = 8 * len(data)
+        elif not 0 <= nbits <= 8 * len(data):
+            raise ValueError(f"nbits={nbits} outside 0..{8 * len(data)} for {len(data)} bytes")
+        self._absorb(data, nbits)
 
-    def _absorb(self, bits: np.ndarray) -> None:
-        if self.profile.bits_read + bits.size > self.n:
+    def _absorb(self, chunk, nbits: int) -> None:
+        """Fold the segments that the pending bits and the chunk ('0'/'1'
+        text, or raw bytes holding nbits bits) complete."""
+        if self.profile.bits_read + nbits > self.n:
             raise ValueError(
-                f"overfed: {self.profile.bits_read + bits.size} bits for n={self.n}"
+                f"overfed: {self.profile.bits_read + nbits} bits for n={self.n}"
             )
-        self.profile.bits_read += bits.size
-        buf = np.concatenate((self._pending, bits)) if self._pending.size else bits
+        self.profile.bits_read += nbits
         k = self.ctx.k
-        count = min(buf.size // k, max(0, self.n // k - self._done_segments))
-        if self.profile.bits_read == self.n and buf.size > count * k:
+        count, rest = divmod(len(self._pending) + nbits, k)
+        if self.profile.bits_read == self.n and rest:
             count += 1  # all n bits are in: the rest is the short final segment
-        limbs = _segment_limbs(buf[:count * k], count, k)
-        rest = buf[count * k:]
-        if k <= kernels.WORD_DEGREE_CAP:
-            self.v = kernels.fold(self.v, limbs[:, 0], self.a, self.ctx.m_low, k)
+        data, self._pending = _segment_bytes(self._pending, chunk, nbits, count, k)
+        if k > WORD_DEGREE_CAP or fold_block_length(count) == 1:
+            self.v = horner_fold(self.v, _cut_segments(data, count, k), self._tables)
         else:
-            self.v = horner_fold(self.v, _limb_ints(limbs), self._tables)
+            from . import kernels
+
+            segments = kernels.cut_segments(data, count, k)
+            self.v = kernels.fold(self.v, segments, self.a, self.ctx.m_low, k)
+        # Between calls the pending text is always shorter than one
+        # segment, so it fits the state's segment register.
         self.profile.conversions += count
         self.profile.field_ops += 2 * count
-        self._done_segments += count
-        # Between calls the retained buffer is always shorter than one
-        # segment, which keeps the live state within the documented bound;
-        # the copy lets the caller's chunk go.
-        self._pending = rest.copy()
-        self._note_state()
 
     def finish(self) -> Fingerprint:
         """Close the stream; requires exactly n bits to have been fed."""
@@ -259,8 +261,7 @@ class StreamState:
                 f"finish before end of stream: {self.profile.bits_read} of {self.n} bits"
             )
         self._finished = True
-        assert self._done_segments == self.r and self._pending.size == 0
-        assert self.profile.conversions == self.r
+        assert self.profile.conversions == self.r and not self._pending
         assert self.profile.field_ops <= 2 * self.r
         return Fingerprint(n=self.n, a=self.a, v=self.v, ctx=self.ctx, seed=self.seed)
 
@@ -430,5 +431,6 @@ def decode_fingerprint(bits: str, ctx: FieldCtx) -> Fingerprint:
 
 def bits_from_bytes(data: bytes) -> str:
     """Bit string of raw bytes, most significant bit of each byte first."""
-    bits = np.unpackbits(np.frombuffer(data, np.uint8)) + np.uint8(ord("0"))
-    return bits.tobytes().decode("ascii")
+    if not data:
+        return ""
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")

@@ -386,6 +386,44 @@ def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, c
     assert fragment in proc.stderr
 
 
+# A value with a bit at or above k, for every item size: 2-byte items at
+# k = 9 and 15, 4-byte items at k = 17 and 23, and a nonzero top byte at
+# k = 24.  The digest is valid, so only the range check can fail.
+@pytest.mark.parametrize("k, byte, bits", [
+    (9, 1, 0x02), (15, 1, 0x80), (17, 2, 0x02), (23, 2, 0x80), (24, 3, 0x01),
+])
+def test_sketch_query_value_range_check_per_item_size(tmp_path, k, byte, bits):
+    from streamfp.gf2poly import find_irreducible
+
+    width = 2 if k <= 16 else 4
+    header = {"k": k, "member_count": 1, "n": 4, "rule_sized": False, "seed": 3,
+              "t_hex": find_irreducible(k).to_hex()}
+    values = bytearray(width << k)
+    values[-width + byte] = bits  # the last value of the table
+    path = tmp_path / "bad.spsk"
+    path.write_bytes(_spsk(header, bytes(values)))
+    del values
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamfp.cli", "sketch", "query", "--sketch", os.fspath(path),
+         "--bits", "1011", "--seed", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_PRECONDITION, proc.stderr
+    assert proc.stdout == ""
+    assert f"a value is not below 2^{k}" in proc.stderr
+
+
+def test_sketch_query_on_empty_language_rejects(tmp_path, capsys):
+    path = os.fspath(tmp_path / "empty.spsk")
+    summary = run_json(capsys, "sketch", "build", "--language", "empty", "--n", "8",
+                       "--seed", "3", "--output", path)
+    assert summary["member_count"] == 0
+    code, out, _ = run_cli(capsys, "sketch", "query", "--sketch", path,
+                           "--bits", "01011010", "--seed", "4")
+    assert code == EXIT_REJECT
+    assert json.loads(out)["accepted"] is False
+
+
 def test_sketch_build_budget_exit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sketch", "build", "--language", "seeded-random",
                            "--n", "40", "--seed", "1", "--entry-budget", "1000",

@@ -1,0 +1,110 @@
+"""Start-up footprint: the commands that run no batch kernel load no
+numpy, the kernel names still resolve through the package, and a CLI
+process keeps OpenBLAS single-threaded unless the user says otherwise."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from streamfp.cli import EXIT_OK, EXIT_REJECT, main
+
+# Runs cli.main on its arguments, then fails if numpy was imported.
+_NO_NUMPY_CHILD = """
+import sys
+from streamfp import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+if "numpy" in sys.modules:
+    sys.exit("numpy was imported")
+sys.exit(code)
+"""
+
+
+def _child(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+
+
+@pytest.fixture(scope="module")
+def low_weight_sketch(tmp_path_factory) -> str:
+    path = os.fspath(tmp_path_factory.mktemp("sketch") / "lw.spsk")
+    assert main(["sketch", "build", "--language", "low-weight", "--max-ones", "1",
+                 "--n", "6", "--seed", "3", "--output", path]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], EXIT_OK),
+    (["sketch", "query", "--bits", "000100", "--seed", "11"], EXIT_OK),
+    (["sketch", "query", "--bits", "110110", "--seed", "11"], EXIT_REJECT),
+    (["fingerprint", "--bits", "10" * 50, "--seed", "3"], EXIT_OK),
+    (["tally", "--padding-stable", "--n", "5"], EXIT_OK),
+    (["irreducible", "--k", "12"], EXIT_OK),
+], ids=["version", "query-accept", "query-reject", "fingerprint-100-bits", "tally",
+        "irreducible"])
+def test_light_commands_import_no_numpy(low_weight_sketch, argv, code):
+    if argv[:2] == ["sketch", "query"]:
+        argv = argv + ["--sketch", low_weight_sketch]
+    proc = _child(_NO_NUMPY_CHILD, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert "numpy was imported" not in proc.stderr
+
+
+def test_package_import_is_numpy_free_and_kernels_resolve_lazily():
+    proc = _child(
+        "import sys, streamfp\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from streamfp import kernels\n"
+        "assert streamfp.eval_points is kernels.eval_points\n"
+        "assert streamfp.fold_segments is kernels.fold_segments\n"
+        "assert streamfp.mulmod is kernels.mulmod\n"
+        "assert streamfp.WORD_DEGREE_CAP == kernels.WORD_DEGREE_CAP == 64\n"
+        "assert 'numpy' in sys.modules\n"
+        "try:\n"
+        "    streamfp.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('no AttributeError')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# Starts the CLI through one of its process entries, then prints the
+# OPENBLAS_NUM_THREADS it left in the environment.
+_ENTRIES = {
+    "-m": "import runpy; runpy.run_module('streamfp.cli', run_name='__main__')",
+    "script": "from streamfp.cli import console; console()",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_cli_process_defaults_openblas_to_one_thread(entry, preset, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, sys\n"
+            "sys.argv = ['streamfp', '--version']\n"
+            "try:\n"
+            f"    {_ENTRIES[entry]}\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    proc = _child(code, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == seen
+
+
+def test_importing_the_cli_leaves_openblas_alone():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = _child("import os, streamfp.cli\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n", env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"

@@ -15,6 +15,7 @@ from streamfp.field import make_field
 from streamfp.stream import (
     SPACE_CONSTANT,
     Fingerprint,
+    ResourceProfile,
     begin,
     bits_from_bytes,
     coefficients,
@@ -93,23 +94,28 @@ def test_chunking_invariance():
     assert whole.v == per_char.v == ragged.v
 
 
-def test_chunking_invariant_profile_counts():
-    ctx = make_field(3)
-    x = "110100101100110"  # n=15, r=5
-    for chunks in (None, [1] * 15, [2, 5, 8]):
-        state = begin(len(x), ctx, FixedRng(4))
-        if chunks is None:
-            state.feed(x)
-        else:
-            pos = 0
-            for c in chunks:
-                state.feed(x[pos:pos + c])
-                pos += c
-        fp = state.finish()
-        assert state.profile.conversions == 5
-        assert state.profile.field_ops <= 10
-        assert state.profile.bits_read == 15
-        assert fp.v == run_stream(x, ctx, 4).v
+@pytest.mark.parametrize("k, x", [
+    (3, "110100101100110"),  # n=15, r=5
+    # r=301: a one-shot feed folds in numpy, small chunks in Python.
+    (8, "".join(random.Random(8).choice("01") for _ in range(8 * 300 + 5))),
+], ids=["k3-r5", "k8-r301"])
+def test_chunking_invariant_profile_counts(k, x):
+    ctx = make_field(k)
+    n, r = len(x), -(-len(x) // k)
+    whole = begin(n, ctx, FixedRng(4))
+    whole.feed(x)
+    want = whole.finish().v
+    for chunks in ([1] * n, [2, 5, 8] + [n], [k * 129, 0, 3, k * 128 - 3] + [n]):
+        state = begin(n, ctx, FixedRng(4))
+        pos = 0
+        for c in chunks:
+            state.feed(x[pos:pos + c])
+            pos += c
+        assert state.finish().v == want
+        assert state.profile.conversions == r
+        assert state.profile.field_ops <= 2 * r
+        assert state.profile.bits_read == n
+        assert state.profile == whole.profile
 
 
 def test_overfeed_rejected():
@@ -404,6 +410,49 @@ def test_feed_bytes_bit_chunks_match_direct_eval(k, size, ones, cuts, a, seed):
         piece = np.frombuffer(x[lo:hi].encode(), np.uint8) - np.uint8(ord("0"))
         state.feed_bytes(np.packbits(piece).tobytes(), hi - lo)
     assert state.finish().v == direct_eval(ctx, x, a)
+
+
+def _packed(piece: str) -> bytes:
+    """piece as raw bytes, padded with 1 bits that feed_bytes must ignore."""
+    pad = -len(piece) % 8
+    return int(piece + "1" * pad, 2).to_bytes((len(piece) + pad) // 8, "big") if piece else b""
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 14, 63, 64, 65, 100])
+@pytest.mark.parametrize("feeder", ["feed", "feed_bytes", "alternate"])
+def test_packer_selection_boundary_matches_direct_eval(k, feeder):
+    # Calls of 127, 128 and 129 whole segments sit on both sides of the
+    # packer selection (numpy from 128 segments at k <= 64), in one stream
+    # with empty calls, 1- and 3-bit calls and a short final segment.
+    ctx = make_field(k)
+    sizes = [0, 127 * k, 128 * k, 1, 129 * k - 1, 0, 3, 128 * k - 3, 127 * k, 0,
+             k // 2 or 1]
+    n = sum(sizes)
+    rng = random.Random(4400 + k)
+    x = "".join(rng.choice("01") for _ in range(n))
+    a = rng.getrandbits(k)
+    state = begin(n, ctx, FixedRng(a))
+    done, pos = [], 0
+    for i, size in enumerate(sizes):
+        piece = x[pos:pos + size]
+        before = state.profile.conversions
+        if feeder == "feed" or (feeder == "alternate" and i % 2):
+            state.feed(piece)
+        elif piece or i % 2 == 0:
+            state.feed_bytes(_packed(piece), len(piece))
+        else:
+            state.feed_bytes(b"\xff", 0)
+        done.append(state.profile.conversions - before)
+        pos += size
+    fp = state.finish()
+    if k > 3:
+        assert done == [0, 127, 128, 0, 129, 0, 0, 128, 127, 0, 1]
+    assert fp.v == direct_eval(ctx, x, a)
+    assert fp.v == run_stream(x, ctx, a).v
+    r = -(-n // k)
+    assert state.profile == ResourceProfile(
+        conversions=r, field_ops=2 * r, random_bits=k, bits_read=n,
+        peak_state_bits=4 * k + 1 + 3 * n.bit_length())
 
 
 def test_negative_seed_is_refused():
