@@ -7,9 +7,11 @@ of u^i inside its k-bit segment.  See the module docstrings for the
 conventions each layer adds on top of that.
 
 Importing the package loads no numpy: the batch kernels
-(:mod:`streamfp.kernels`) load it on first use, and the kernel names
-exported here resolve lazily.
+(:mod:`streamfp.kernels`) load it on first use, and the kernel and
+tally names exported here resolve lazily.
 """
+
+import importlib
 
 from ._version import __version__
 from .field import (
@@ -65,22 +67,6 @@ from .stream import (
     encode_tuple,
     fingerprint,
     split_segments,
-)
-from .tally import (
-    DEFAULT_CAP_BITS,
-    GrowthFn,
-    OutOfRangeError,
-    TallyCheck,
-    as_tally,
-    construct_lengths,
-    is_padding_stable_at,
-    iter_exp,
-    iter_log,
-    pad,
-    pad_preserves_validity,
-    tally_from_json,
-    tally_to_json,
-    validate_tally,
 )
 
 __all__ = [
@@ -151,12 +137,15 @@ __all__ = [
     "validate_tally",
 ]
 
-_KERNEL_NAMES = ("eval_points", "fold_segments", "mulmod")
+_LAZY = dict.fromkeys(("eval_points", "fold_segments", "mulmod"), "kernels")
+_LAZY.update(dict.fromkeys((
+    "DEFAULT_CAP_BITS", "GrowthFn", "OutOfRangeError", "TallyCheck", "as_tally",
+    "construct_lengths", "is_padding_stable_at", "iter_exp", "iter_log", "pad",
+    "pad_preserves_validity", "tally_from_json", "tally_to_json", "validate_tally",
+), "tally"))
 
 
 def __getattr__(name: str):
-    if name in _KERNEL_NAMES:
-        from . import kernels
-
-        return getattr(kernels, name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,12 +19,10 @@ import sys
 from ._atomic import write_atomic
 from ._version import __version__
 from . import sketch as sketch_mod
-from . import tally as tally_mod
 from .field import make_field
 from .gf2poly import IRREDUCIBLE_DEGREE_CAP, find_irreducible
 from .seeds import derive_seed
 from .stream import Fingerprint, begin_seeded, encode_fingerprint
-from .tally import GrowthFn, OutOfRangeError
 
 __all__ = ["main"]
 
@@ -170,7 +168,9 @@ def _ctx_override(args):
     return make_field(args.k)
 
 
-def _growth_from_arg(text: str | None, flag: str) -> GrowthFn:
+def _growth_from_arg(text: str | None, flag: str):
+    from .tally import GrowthFn
+
     if text is None:
         raise ValueError(f"--validate and --construct need {flag}")
     return GrowthFn.from_json(json.loads(text))
@@ -302,17 +302,19 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_tally(args) -> int:
+    from . import tally as tally_mod
+
     modes = [m for m in ("padding_stable", "validate", "construct") if getattr(args, m)]
     if len(modes) != 1:
         raise ValueError(
             "choose exactly one of --padding-stable, --validate, --construct"
         )
     mode = modes[0]
-    cap = args.cap_bits
+    cap = tally_mod.DEFAULT_CAP_BITS if args.cap_bits is None else args.cap_bits
     if mode == "padding_stable":
         if args.n is None:
             raise ValueError("--padding-stable needs --n")
-        g = GrowthFn(args.family, args.k, {"scale": args.scale})
+        g = tally_mod.GrowthFn(args.family, args.k, {"scale": args.scale})
         result = {
             "kind": "tally-padding-stable",
             "tool": {"name": "streamfp", "version": __version__},
@@ -473,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", default=None, help='JSON {"family", "depth", "params"}')
     p.add_argument("--gap", default=None, help='JSON {"family", "depth", "params"}')
     p.add_argument("--count", type=int, default=3)
-    p.add_argument("--cap-bits", type=int, default=tally_mod.DEFAULT_CAP_BITS)
+    p.add_argument("--cap-bits", type=int, default=None)  # None: tally.DEFAULT_CAP_BITS
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_tally)
 
@@ -494,7 +496,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"streamfp: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OutOfRangeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # tally's OutOfRangeError too
         print(f"streamfp: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

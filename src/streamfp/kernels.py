@@ -18,13 +18,14 @@ a time: one power row advances P <- exp[log[P] + log[a]] once per
 exponent, shared by the batch, and each row adds its term c·a^e as
 ``exp[log[c] + log[P]]``, one gather per row, coefficient and point
 (Horner needs two per step).  The value is a^r XOR the terms.  A block
-holds about 32768 / rows points, so one rows x block uint32 working
-array takes about 128 KiB.  ``log[0]`` is a sentinel past every sum of
-two real logs, and the gather clips it into the zero tail of ``exp``, so
-a zero coefficient or a = 0 gives a zero product.  The tables hold 3q
-uint32 entries (12 bytes per element), are built on a field's first call
-and cached, and cover k in 1..``ENUMERATION_DEGREE_CAP``, the fields a
-sketch sweeps.
+holds about 32768 / rows points (``block_points``): a 128 KiB uint32
+index array, read by ``take`` through an intp copy (intp index buffers
+measured no faster).  ``compare_shape`` adds the chunk of member rows an
+exact count compares per step, in a bool buffer of at most 256 KiB.
+``log[0]`` is a sentinel past every log sum, clipped into the zero tail
+of ``exp``, so a zero coefficient or a = 0 gives a zero product.  ``log``
+holds q uint32 entries and ``exp`` 2q of the value table's type (1, 2 or
+4 bytes), cached per field for k in 1..``ENUMERATION_DEGREE_CAP``.
 
 ``cut_segments`` cuts a stream call's packed bits into its k-bit
 segments, one uint64 each, with two gathers per segment.
@@ -133,7 +134,7 @@ def _log_tables(k: int, m_low: int) -> tuple[np.ndarray, np.ndarray]:
     q = 1 << k
     modulus = m_low | q
     g = _primitive_element(modulus, k)
-    exp = np.zeros(2 * q, np.uint32)
+    exp = np.zeros(2 * q, np.min_scalar_type(q - 1))
     exp[0] = 1
     m, gm = 1, g
     while m < q - 1:  # exp[m:2m] = exp[:m] * g^m
@@ -159,6 +160,13 @@ def block_points(rows: int) -> int:
     return max(1, (1 << 15) // max(1, rows))
 
 
+def compare_shape(rows: int, members: int) -> tuple[int, int]:
+    """(block_points(rows), member rows per chunk) to compare rows values
+    with members table rows: a chunk x rows x block bool takes <= 256 KiB."""
+    step = block_points(rows)
+    return step, max(1, min(members, (1 << 18) // (max(1, rows) * step)))
+
+
 def eval_points(points, coeffs, m_low: int, k: int, out=None) -> np.ndarray:
     """a^r + c_0·a^{r-1} + … + c_{r-1} at every point a, for the one
     polynomial of a 1-D coeffs (a 1-D result) or for each row of a 2-D
@@ -178,20 +186,20 @@ def eval_points(points, coeffs, m_low: int, k: int, out=None) -> np.ndarray:
     step = block_points(rows)
     for s in range(0, points.size, step):
         log_a = log[points[s:s + step]]
-        power = np.ones(log_a.size, np.uint32)  # a^0, then a^e
-        log_p = np.zeros_like(power)
-        acc = np.empty((rows, log_a.size), np.uint32)
+        power = np.ones(log_a.size, exp.dtype)  # a^0, then a^e
+        log_p = np.zeros(log_a.size, np.uint32)
+        acc = np.empty((rows, log_a.size), exp.dtype)
         acc[:] = batch[:, -1:] if r else 0  # c_{r-1}·a^0
-        idx = np.empty_like(acc)
+        idx = np.empty(acc.shape, np.uint32)
+        term = np.empty_like(acc)
         for e in range(1, r + 1):
             np.add(log_p, log_a, out=log_p)
             np.take(exp, log_p, out=power, mode="clip")
             if e < r:  # add c_{r-1-e}·a^e, one gather per row and point
                 np.take(log, power, out=log_p)
                 np.add(log_c[:, r - 1 - e, None], log_p, out=idx)
-                # take reads idx through an intp copy, so it may overwrite idx
-                np.take(exp, idx, out=idx, mode="clip")
-                acc ^= idx
+                np.take(exp, idx, out=term, mode="clip")
+                acc ^= term
         acc ^= power
         res[:, s:s + log_a.size] = acc
     return out

@@ -16,9 +16,9 @@ the table as that value buffer: the array one batched kernel call filled
 for a built sketch, and the file's own bytes, used in place, for a loaded
 one.  A lookup reads the member_count values of one column straight from
 the buffer, with no numpy, so loading a sketch and querying it never
-import it.  The numpy view ``values`` is made on first access, for an
-exact false-positive count, which evaluates a batch of strings a block of
-points at a time and ORs row == d_x over the member rows.
+import it.  The numpy view ``values`` serves the exact false-positive
+count: strings are evaluated a block of points at a time and compared
+with chunks of member rows, and a member control with its own row alone.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -395,8 +395,8 @@ def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
     """|{a : (a, d_x(a)) is stored}| over every field point, or over the
     given uint64 points (repeats counted).  x is one string (an int back)
     or a list of strings (a list of counts): all are evaluated together, a
-    block of points at a time, and a block ORs row == d_x over the member
-    rows."""
+    block of points at a time, and each block is compared with the member
+    rows a chunk of rows per numpy step (``kernels.compare_shape``)."""
     import numpy as np
     from . import kernels
 
@@ -404,21 +404,51 @@ def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
     for y in xs:
         if len(y) != sketch.n:
             raise ValueError(f"length mismatch: |x|={len(y)}, sketch n={sketch.n}")
+    points = None if points is None else np.asarray(points, np.uint64)
+    step, chunk = kernels.compare_shape(len(xs), sketch.member_count)
+    counts = np.zeros(len(xs), np.int64)
+    for cols, vals in _blocks(sketch, xs, points, step):
+        hit = np.zeros(vals.shape, bool)
+        same = np.empty((chunk,) + vals.shape, bool)
+        for j in range(0, len(cols), chunk):
+            np.equal(cols[j:j + chunk, None], vals, out=same[:len(cols) - j])
+            hit |= same[:len(cols) - j].any(axis=0)
+        counts += np.count_nonzero(hit, axis=1)
+        del hit, same  # before the next block is evaluated
+    return int(counts[0]) if isinstance(x, str) else counts.tolist()
+
+
+def _member_counts(sketch: SketchSet, members: list[str]) -> list[int]:
+    """exact_fp_count(sketch, members) for the members the sketch was built
+    from, in order: q if d_y equals its own row at every point, else exact."""
+    import numpy as np
+    from . import kernels
+
+    if len(members) != sketch.member_count:  # not the build's enumeration
+        return exact_fp_count(sketch, members)
+    same = np.ones(len(members), bool)
+    for cols, vals in _blocks(sketch, members, None, kernels.block_points(len(members))):
+        same &= (vals == cols).all(axis=1)
+    redo = [y for y, ok in zip(members, same) if not ok]
+    fallback = iter(exact_fp_count(sketch, redo) if redo else [])
+    return [sketch.ctx.q if ok else next(fallback) for ok in same]
+
+
+def _blocks(sketch: SketchSet, xs: list[str], points: np.ndarray | None, step: int):
+    """(table columns, d_x values in a reused buffer) per step points; all q if None."""
+    import numpy as np
+    from . import kernels
+
     ctx, table = sketch.ctx, sketch.values
     coeffs = _coeff_rows(ctx, sketch.n, xs)
-    every = points is None
-    points = np.arange(ctx.q, dtype=np.uint64) if every else np.asarray(points, np.uint64)
-    counts = np.zeros(len(xs), np.int64)
-    step = kernels.block_points(len(xs))
-    for s in range(0, points.size, step):
-        block = points[s:s + step]
-        vals = np.empty((len(xs), block.size), table.dtype)
-        kernels.eval_points(block, coeffs, ctx.m_low, ctx.k, out=vals)
-        hit = np.zeros(vals.shape, bool)
-        for row in table[:, s:s + step] if every else table[:, block]:
-            hit |= row == vals
-        counts += np.count_nonzero(hit, axis=1)
-    return int(counts[0]) if isinstance(x, str) else counts.tolist()
+    size = ctx.q if points is None else points.size
+    vals = np.empty((len(xs), min(step, size)), table.dtype)
+    for s in range(0, size, step):
+        block = (np.arange(s, min(s + step, size), dtype=np.uint64) if points is None
+                 else points[s:s + step])
+        out = vals[:, :block.size]
+        kernels.eval_points(block, coeffs, ctx.m_low, ctx.k, out=out)
+        yield (table[:, s:s + step] if points is None else table[:, block]), out
 
 
 def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:
@@ -486,7 +516,8 @@ def fp_rate_experiment(
     r = -(-n // fctx.k)
 
     if mode == "exhaustive-a":
-        denom, counts = fctx.q, exact_fp_count(sketch, nonmembers + members)
+        denom = fctx.q
+        counts = exact_fp_count(sketch, nonmembers) + _member_counts(sketch, members)
     else:
         import numpy as np
 

@@ -1,6 +1,7 @@
 """Start-up footprint: the commands that run no batch kernel load no
-numpy, the kernel names still resolve through the package, and a CLI
-process keeps OpenBLAS single-threaded unless the user says otherwise."""
+numpy, only the tally command loads the tally code, the kernel and tally
+names still resolve through the package, and a CLI process keeps
+OpenBLAS single-threaded unless the user says otherwise."""
 
 from __future__ import annotations
 
@@ -12,16 +13,19 @@ import pytest
 
 from streamfp.cli import EXIT_OK, EXIT_REJECT, main
 
-# Runs cli.main on its arguments, then fails if numpy was imported.
-_NO_NUMPY_CHILD = """
+# Runs cli.main on the arguments after the first, then fails if any of
+# the modules named in the first (comma-separated) was imported.
+_UNLOADED_CHILD = """
 import sys
 from streamfp import cli
+banned, argv = sys.argv[1].split(","), sys.argv[2:]
 try:
-    code = cli.main(sys.argv[1:])
+    code = cli.main(argv)
 except SystemExit as exc:
     code = exc.code
-if "numpy" in sys.modules:
-    sys.exit("numpy was imported")
+for name in banned:
+    if name in sys.modules:
+        sys.exit(name + " was imported")
 sys.exit(code)
 """
 
@@ -51,14 +55,32 @@ def low_weight_sketch(tmp_path_factory) -> str:
 def test_light_commands_import_no_numpy(low_weight_sketch, argv, code):
     if argv[:2] == ["sketch", "query"]:
         argv = argv + ["--sketch", low_weight_sketch]
-    proc = _child(_NO_NUMPY_CHILD, *argv)
+    proc = _child(_UNLOADED_CHILD, "numpy", *argv)
     assert proc.returncode == code, proc.stderr
     assert "numpy was imported" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sketch", "query", "--bits", "000100", "--seed", "11"],
+    ["fingerprint", "--bits", "10" * 50, "--seed", "3"],
+    ["sketch", "fp-rate", "--n", "8", "--trials", "4", "--seed", "5"],
+], ids=["query", "fingerprint", "fp-rate"])
+def test_non_tally_commands_import_no_tally(low_weight_sketch, argv):
+    if argv[:2] == ["sketch", "query"]:
+        argv = argv + ["--sketch", low_weight_sketch]
+    proc = _child(_UNLOADED_CHILD, "streamfp.tally", *argv)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "streamfp.tally was imported" not in proc.stderr
 
 
 def test_package_import_is_numpy_free_and_kernels_resolve_lazily():
     proc = _child(
         "import sys, streamfp\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert 'streamfp.tally' not in sys.modules\n"
+        "from streamfp import tally\n"
+        "assert streamfp.GrowthFn is tally.GrowthFn\n"
+        "assert streamfp.OutOfRangeError is tally.OutOfRangeError\n"
         "assert 'numpy' not in sys.modules\n"
         "from streamfp import kernels\n"
         "assert streamfp.eval_points is kernels.eval_points\n"

@@ -4,12 +4,14 @@ the acceptance-rate experiment driver."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
 import numpy as np
 import pytest
 
+from streamfp import kernels
 from streamfp.field import make_field
 from streamfp.sketch import (
     ACCEPT_BOUND,
@@ -23,6 +25,7 @@ from streamfp.sketch import (
     load_sketch,
     make_language,
     query_membership,
+    _member_counts,
     save_sketch,
 )
 from streamfp.stream import Fingerprint, direct_eval, fingerprint
@@ -30,11 +33,10 @@ from streamfp.stream import Fingerprint, direct_eval, fingerprint
 GF4 = make_field(2)
 
 
-def pair_language(a: str, b: str) -> SparseLanguageSpec:
-    members = (a, b)
+def listed_language(*members: str) -> SparseLanguageSpec:
     return SparseLanguageSpec(
-        name="pair",
-        density=DensityFn("constant", 2),
+        name="listed",
+        density=DensityFn("constant", len(members)),
         enumerator=lambda n: [m for m in members if len(m) == n],
         membership=lambda x: x in members,
     )
@@ -122,7 +124,7 @@ def test_singleton_sketch_size_gf4():
 
 def test_pair_sketch_size_gf4():
     # 4 + 4: the members agree at a=1, and each row keeps its own value there.
-    sk = build_sketch(pair_language("0000", "1111"), 4, ctx=GF4)
+    sk = build_sketch(listed_language("0000", "1111"), 4, ctx=GF4)
     assert sk.size == 8
     assert sk.values[0, 1] == sk.values[1, 1]
 
@@ -148,7 +150,7 @@ def test_sketch_matches_direct_set_construction():
 
 
 @pytest.mark.parametrize("spec, n, ctx", [
-    (pair_language("0000", "1111"), 4, GF4),             # the members agree at a = 1
+    (listed_language("0000", "1111"), 4, GF4),             # the members agree at a = 1
     (make_language("low-weight", max_ones=2), 9, None),  # many agreements, zero segments
     (make_language("seeded-random", seed=5), 12, None),
 ])
@@ -232,7 +234,7 @@ def test_counts_and_lookups_match_direct_eval_at_dtype_boundaries(tmp_path, k, n
     assert any(u == v for u, v in zip(*(rows[y] for y in members))) == (k == 1 or n > k)
     rng = random.Random(k)
     points = [0, 0, 1, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(60)]
-    for spec, stored in ((pair_language(*members), members), (make_language("empty"), ())):
+    for spec, stored in ((listed_language(*members), members), (make_language("empty"), ())):
         built = build_sketch(spec, n, ctx=ctx)
         save_sketch(built, path)
         sk = load_sketch(path)  # the table as a query reads it, in place from the file
@@ -294,6 +296,44 @@ def test_soundness_pairwise_bound_exhaustive():
         c = exact_fp_count(sk, x)
         assert c <= cap
         assert c / sk.ctx.q <= ACCEPT_BOUND
+
+
+def _strings(rng: random.Random, n: int, count: int) -> list[str]:
+    """count distinct length-n strings in a seeded order (all 2^n if fewer)."""
+    bits = range(1 << n) if count >= 1 << n else rng.sample(range(1 << n), count)
+    return [format(b, f"0{n}b") for b in bits]
+
+
+# The member counts sit around the compare chunk C: none, one, one chunk
+# short of full, exactly one chunk, and one chunk plus a single row.
+@pytest.mark.parametrize("k, n, members, batch, given", [
+    *[(4, 9, m, 40, False) for m in ("0", "1", "C-1", "C", "C+1")],
+    (10, 23, "C+1", 40, False),  # 40 x 1024 cells: blocks of 819 and 205 points
+    (10, 23, "C", 40, True),     # given points with repeats, across a block edge
+    (5, 4, "C-1", 16, False),    # n <= k: r = 1, every string of length 4
+    (1, 3, "C-1", 8, True),      # k = 1: two points, every string of length 3
+], ids=[f"k4-members-{m}" for m in ("0", "1", "C-1", "C", "C+1")]
+    + ["k10-two-blocks", "k10-given-points", "r1", "k1"])
+def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given):
+    rng = random.Random(k * 100 + n)
+    ctx = make_field(k)
+    chunk = kernels.compare_shape(batch, 1 << 20)[1]
+    count = {"0": 0, "1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1}[members]
+    stored = _strings(rng, n, count)
+    assert len(stored) == count
+    xs = _strings(rng, n, batch)
+    points = list(range(ctx.q))
+    if given:
+        points = [0, 0, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(900)] + [0]
+    sk = build_sketch(listed_language(*stored), n, ctx=ctx)
+    assert sk.member_count == count
+    # The referee: x is accepted at a exactly when some member's polynomial
+    # takes x's value there, each evaluated on its own by direct_eval.
+    at = sorted(set(points))
+    rows = {y: dict(zip(at, (direct_eval(ctx, y, a) for a in at))) for y in {*stored, *xs}}
+    want = [sum(any(rows[y][a] == rows[x][a] for y in stored) for a in points) for x in xs]
+    got = exact_fp_count(sk, xs, np.array(points, np.uint64) if given else None)
+    assert got == want
 
 
 # ------------------------------------------------------------------ budgets
@@ -408,6 +448,26 @@ def test_fp_rate_deterministic_and_bounded():
     assert r1["pairwise_agreement_bound"] <= r1["coarse_agreement_bound"]
     assert r1["member_fractions"] == [1.0] * r1["member_count"]
     assert len(r1["nonmember_fractions"]) == 20
+
+
+def test_member_control_recounts_a_member_whose_row_differs():
+    spec = make_language("seeded-random", seed=7)
+    n = 12
+    sk = build_sketch(spec, n)
+    members, q = spec.enumerator(n), sk.ctx.q
+    assert _member_counts(sk, members) == [q] * len(members)
+    # Replace one stored value of member 3 with one no row holds at that
+    # point: member 3 then matches the table everywhere else.
+    j, a = 3, 5
+    values = sk.values.copy()
+    values[j, a] = next(v for v in range(q) if v not in values[:, a])
+    bad = dataclasses.replace(sk, table=values.reshape(-1).view(np.uint8))
+    counts = _member_counts(bad, members)
+    assert counts[j] == exact_fp_count(bad, members[j]) == q - 1
+    assert counts[:j] + counts[j + 1:] == [q] * (len(members) - 1)
+    # A different order or count of members is counted in full, still exactly.
+    assert _member_counts(bad, members[::-1]) == counts[::-1]
+    assert _member_counts(bad, members[:-1]) == counts[:-1]
 
 
 def test_fp_rate_override_skips_bound_check():
