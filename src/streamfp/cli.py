@@ -44,6 +44,11 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _report(kind: str, **fields) -> dict:
+    """A command's JSON report: its kind, the tool, and its own fields."""
+    return {"kind": kind, "tool": {"name": "streamfp", "version": __version__}, **fields}
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -185,8 +190,7 @@ def _cmd_fingerprint(args) -> int:
     density = sketch_mod.DensityFn.parse(args.f)
 
     def start(n):
-        f_of_n = density.eval(n) if ctx is None else None
-        return begin_seeded(n, seed, f_of_n, ctx)
+        return begin_seeded(n, seed, ctx=ctx or make_field(density.field_size(n)))
 
     fp = _stream_input(args, start)
     record = fp.to_json_dict()
@@ -209,20 +213,19 @@ def _cmd_sketch_build(args) -> int:
         source_seed=seed,
     )
     sketch_mod.save_sketch(sk, args.output)
-    summary = {
-        "kind": "sketch-build",
-        "tool": {"name": "streamfp", "version": __version__},
-        "seed": seed,
-        "n": sk.n,
-        "k": sk.ctx.k,
-        "q": sk.ctx.q,
-        "t_hex": sk.ctx.modulus.to_hex(),
-        "rule_sized": sk.rule_sized,
-        "language": spec.describe(),
-        "member_count": sk.member_count,
-        "entry_count": sk.size,
-        "output": args.output,
-    }
+    summary = _report(
+        "sketch-build",
+        seed=seed,
+        n=sk.n,
+        k=sk.ctx.k,
+        q=sk.ctx.q,
+        t_hex=sk.ctx.modulus.to_hex(),
+        rule_sized=sk.rule_sized,
+        language=spec.describe(),
+        member_count=sk.member_count,
+        entry_count=sk.size,
+        output=args.output,
+    )
     sys.stdout.write(_dump_json(summary))
     return EXIT_OK
 
@@ -238,16 +241,15 @@ def _cmd_sketch_query(args) -> int:
 
     # The same draw and test as sketch.query_membership, on streamed input.
     accepted = sketch_mod.contains(sk, _stream_input(args, start))
-    result = {
-        "kind": "sketch-query",
-        "tool": {"name": "streamfp", "version": __version__},
-        "seed": seed,
-        "n": sk.n,
-        "k": sk.ctx.k,
-        "t_hex": sk.ctx.modulus.to_hex(),
-        "rule_sized": sk.rule_sized,
-        "accepted": accepted,
-    }
+    result = _report(
+        "sketch-query",
+        seed=seed,
+        n=sk.n,
+        k=sk.ctx.k,
+        t_hex=sk.ctx.modulus.to_hex(),
+        rule_sized=sk.rule_sized,
+        accepted=accepted,
+    )
     sys.stdout.write(_dump_json(result))
     return EXIT_OK if accepted else EXIT_REJECT
 
@@ -304,56 +306,47 @@ def _cmd_bench(args) -> int:
 def _cmd_tally(args) -> int:
     from . import tally as tally_mod
 
-    modes = [m for m in ("padding_stable", "validate", "construct") if getattr(args, m)]
-    if len(modes) != 1:
-        raise ValueError(
-            "choose exactly one of --padding-stable, --validate, --construct"
-        )
-    mode = modes[0]
     cap = tally_mod.DEFAULT_CAP_BITS if args.cap_bits is None else args.cap_bits
-    if mode == "padding_stable":
+    if args.mode == "padding-stable":
         if args.n is None:
             raise ValueError("--padding-stable needs --n")
         g = tally_mod.GrowthFn(args.family, args.k, {"scale": args.scale})
-        result = {
-            "kind": "tally-padding-stable",
-            "tool": {"name": "streamfp", "version": __version__},
-            "gap": g.describe(),
-            "n": args.n,
-            "cap_bits": cap,
-            "stable": tally_mod.is_padding_stable_at(g, args.n, cap),
-        }
-    elif mode == "validate":
+        result = _report(
+            "tally-padding-stable",
+            gap=g.describe(),
+            n=args.n,
+            cap_bits=cap,
+            stable=tally_mod.is_padding_stable_at(g, args.n, cap),
+        )
+    elif args.mode == "validate":
         if not args.lengths:
             raise ValueError("--validate needs --lengths")
         lengths = tally_mod.as_tally(int(x) for x in args.lengths.split(","))
         d = _growth_from_arg(args.density, "--density")
         g = _growth_from_arg(args.gap, "--gap")
         check = tally_mod.validate_tally(lengths, d, g, cap)
-        result = {
-            "kind": "tally-validate",
-            "tool": {"name": "streamfp", "version": __version__},
-            "lengths": tally_mod.tally_to_json(lengths),
-            "density": d.describe(),
-            "gap": g.describe(),
-            "cap_bits": cap,
-            "ok": check.ok,
-            "violation": check.violation,
-            "witness": list(check.witness) if check.witness else None,
-        }
+        result = _report(
+            "tally-validate",
+            lengths=tally_mod.tally_to_json(lengths),
+            density=d.describe(),
+            gap=g.describe(),
+            cap_bits=cap,
+            ok=check.ok,
+            violation=check.violation,
+            witness=list(check.witness) if check.witness else None,
+        )
     else:
         d = _growth_from_arg(args.density, "--density")
         g = _growth_from_arg(args.gap, "--gap")
         lengths = tally_mod.construct_lengths(d, g, args.count, cap)
-        result = {
-            "kind": "tally-construct",
-            "tool": {"name": "streamfp", "version": __version__},
-            "density": d.describe(),
-            "gap": g.describe(),
-            "count": args.count,
-            "cap_bits": cap,
-            "lengths": [str(x) for x in lengths],
-        }
+        result = _report(
+            "tally-construct",
+            density=d.describe(),
+            gap=g.describe(),
+            count=args.count,
+            cap_bits=cap,
+            lengths=[str(x) for x in lengths],
+        )
     _write_output(_dump_json(result), args.output)
     return EXIT_OK
 
@@ -394,6 +387,12 @@ def _add_language_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON {kind, params} describing the language")
 
 
+def _add_budget_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--entry-budget", type=int, default=sketch_mod.DEFAULT_ENTRY_BUDGET,
+                   help="most stored entries (members x 2^k) a sketch build may "
+                        "make (default: %(default)s)")
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit EXIT_PRECONDITION; argparse's own code, 2, is EXIT_IO."""
 
@@ -429,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, default=None, help="field override (skips sizing rule)")
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--entry-budget", type=int, default=None)
+    _add_budget_flag(b)
     b.add_argument("--output", required=True, help="sketch file (.spsk)")
     b.set_defaults(func=_cmd_sketch_build)
 
@@ -448,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="points per query in sampled-a mode")
     fr.add_argument("--k", type=int, default=None, help="field override (skips sizing rule)")
     fr.add_argument("--seed", type=int, default=None)
-    fr.add_argument("--entry-budget", type=int, default=None)
+    _add_budget_flag(fr)
     fr.add_argument("--report-format", choices=("json", "csv"), default="json")
     fr.add_argument("--output", default=None)
     fr.set_defaults(func=_cmd_sketch_fp_rate)
@@ -462,9 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("tally", help="tally-set density/gap checks")
-    p.add_argument("--padding-stable", action="store_true", dest="padding_stable")
-    p.add_argument("--validate", action="store_true")
-    p.add_argument("--construct", action="store_true")
+    modes = p.add_mutually_exclusive_group(required=True)
+    for mode in ("padding-stable", "validate", "construct"):
+        modes.add_argument(f"--{mode}", action="store_const", dest="mode", const=mode)
     p.add_argument("--family", choices=("iter-exp", "iter-log", "polynomial", "identity"),
                    default="iter-exp", help="gap family for --padding-stable")
     p.add_argument("--k", type=int, default=1, help="iteration depth for --padding-stable")

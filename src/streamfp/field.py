@@ -34,6 +34,7 @@ __all__ = [
     "split_tables",
     "horner_fold",
     "fold_block_length",
+    "item_bytes",
     "ENUMERATION_DEGREE_CAP",
     "WORD_DEGREE_CAP",
 ]
@@ -59,6 +60,12 @@ def select_field_size(n: int, f_of_n: int) -> int:
     if f_of_n < 1:
         raise ValueError("f(n) must be >= 1")
     return (8 * f_of_n * n).bit_length()
+
+
+def item_bytes(k: int) -> int:
+    """Bytes of the narrowest unsigned type holding a GF(2^k) element: the
+    value type of a sketch table and of the antilog table it is built on."""
+    return 1 if k <= 8 else 2 if k <= 16 else 4
 
 
 @dataclass(frozen=True)

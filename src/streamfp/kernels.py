@@ -24,8 +24,9 @@ measured no faster).  ``compare_shape`` adds the chunk of member rows an
 exact count compares per step, in a bool buffer of at most 256 KiB.
 ``log[0]`` is a sentinel past every log sum, clipped into the zero tail
 of ``exp``, so a zero coefficient or a = 0 gives a zero product.  ``log``
-holds q uint32 entries and ``exp`` 2q of the value table's type (1, 2 or
-4 bytes), cached per field for k in 1..``ENUMERATION_DEGREE_CAP``.
+holds q uint32 entries and ``exp`` 2q of the value table's type
+(``value_dtype``: 1, 2 or 4 bytes), cached per field for k in
+1..``ENUMERATION_DEGREE_CAP``.
 
 ``cut_segments`` cuts a stream call's packed bits into its k-bit
 segments, one uint64 each, with two gathers per segment.
@@ -60,6 +61,7 @@ from .field import (
     WORD_DEGREE_CAP,
     fold_block_length,
     horner_fold,
+    item_bytes,
     split_tables,
 )
 from .gf2poly import _powmod, _prime_divisors
@@ -67,6 +69,7 @@ from .gf2poly import _powmod, _prime_divisors
 __all__ = [
     "WORD_DEGREE_CAP",
     "mulmod",
+    "value_dtype",
     "block_points",
     "eval_points",
     "cut_segments",
@@ -87,7 +90,9 @@ def _check_k(k: int) -> None:
         raise ValueError(f"word kernels cover k in 1..{WORD_DEGREE_CAP}, got {k}")
 
 
-def _mulmod(x: np.ndarray, y: np.ndarray, m_low: int, k: int) -> np.ndarray:
+def mulmod(x, y, m_low: int, k: int) -> np.ndarray:
+    """Elementwise x·y in GF(2^k); x and y broadcast against each other."""
+    _check_k(k)
     x, y = np.broadcast_arrays(np.asarray(x, np.uint64), np.asarray(y, np.uint64))
     x = x.copy()
     y = y.copy()
@@ -106,12 +111,6 @@ def _mulmod(x: np.ndarray, y: np.ndarray, m_low: int, k: int) -> np.ndarray:
     return res
 
 
-def mulmod(x, y, m_low: int, k: int) -> np.ndarray:
-    """Elementwise x·y in GF(2^k); x and y broadcast against each other."""
-    _check_k(k)
-    return _mulmod(x, y, m_low, k)
-
-
 def _primitive_element(modulus: int, k: int) -> int:
     """Least g whose powers run through all q - 1 nonzero elements: g^(q-1)
     is 1 and g^((q-1)/p) is not, for each prime p | q - 1."""
@@ -125,6 +124,12 @@ def _primitive_element(modulus: int, k: int) -> int:
     raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {k}")
 
 
+def value_dtype(k: int) -> np.dtype:
+    """The little-endian value type of a GF(2^k) table (see
+    :func:`streamfp.field.item_bytes`)."""
+    return np.dtype(f"<u{item_bytes(k)}")
+
+
 # A process sweeps one field at a time, and at k = 24 a pair of tables
 # takes 192 MiB, so only the last few fields' tables are kept.
 @functools.lru_cache(maxsize=4)
@@ -134,7 +139,7 @@ def _log_tables(k: int, m_low: int) -> tuple[np.ndarray, np.ndarray]:
     q = 1 << k
     modulus = m_low | q
     g = _primitive_element(modulus, k)
-    exp = np.zeros(2 * q, np.min_scalar_type(q - 1))
+    exp = np.zeros(2 * q, value_dtype(k))
     exp[0] = 1
     m, gm = 1, g
     while m < q - 1:  # exp[m:2m] = exp[:m] * g^m

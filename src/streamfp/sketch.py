@@ -42,14 +42,14 @@ import functools
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ._atomic import write_atomic
 from ._version import __version__
-from .field import ENUMERATION_DEGREE_CAP, FieldCtx, make_field, select_field_size
+from .field import (ENUMERATION_DEGREE_CAP, FieldCtx, item_bytes, make_field,
+                    select_field_size)
 from .gf2poly import Gf2Poly
 from .seeds import derive_seed, derived_rng
 from .stream import coefficients, fingerprint
@@ -63,7 +63,6 @@ __all__ = [
     "make_language",
     "EntryBudgetError",
     "DEFAULT_ENTRY_BUDGET",
-    "ENTRY_BUDGET_ENV",
     "SketchSet",
     "build_sketch",
     "contains",
@@ -78,7 +77,6 @@ __all__ = [
 ACCEPT_BOUND = 0.25
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
-ENTRY_BUDGET_ENV = "STREAMFP_ENTRY_BUDGET"
 
 EXHAUSTIVE_QUERY_DEGREE_CAP = 20  # beyond this, per-input full-field sweeps get slow
 
@@ -127,6 +125,12 @@ class DensityFn:
         if self.kind == "binomial-sum":
             return sum(math.comb(n, i) for i in range(0, min(self.num, n) + 1))
         raise ValueError(f"unknown density family {self.kind!r}")
+
+    def field_size(self, n: int) -> int:
+        """k for length n by the sizing rule.  A density of 0 (an empty
+        language) sizes as f(n) = 1: the rule needs f(n) >= 1, and a sketch
+        of no members needs no larger field."""
+        return select_field_size(n, max(1, self.eval(n)))
 
     def describe(self) -> dict:
         if self.kind == "constant":
@@ -262,7 +266,7 @@ class SketchSet:
     n: int
     ctx: FieldCtx
     member_count: int
-    table: object = field(repr=False)  # flat bytes, _item_bytes(k) per value
+    table: object = field(repr=False)  # flat bytes, item_bytes(k) per value
     source_seed: int | None = None
     rule_sized: bool = True
 
@@ -275,38 +279,10 @@ class SketchSet:
     def values(self) -> np.ndarray:
         """The table as a member_count x q numpy view."""
         import numpy as np
+        from . import kernels
 
-        values = np.frombuffer(self.table, _value_dtype(self.ctx.k), self.size)
+        values = np.frombuffer(self.table, kernels.value_dtype(self.ctx.k), self.size)
         return values.reshape(self.member_count, self.ctx.q)
-
-
-def _item_bytes(k: int) -> int:
-    """Bytes of the narrowest unsigned type holding a GF(2^k) element."""
-    return 1 if k <= 8 else 2 if k <= 16 else 4
-
-
-def _value_dtype(k: int) -> np.dtype:
-    """The value type of a GF(2^k) table, little-endian."""
-    import numpy as np
-
-    return np.dtype(f"<u{_item_bytes(k)}")
-
-
-def _resolve_budget(entry_budget: int | None) -> int:
-    """The argument (--entry-budget), else the environment, else the default."""
-    name = "--entry-budget"
-    if entry_budget is None:
-        name = ENTRY_BUDGET_ENV
-        text = os.environ.get(ENTRY_BUDGET_ENV, "").strip()
-        if not text:
-            return DEFAULT_ENTRY_BUDGET
-        try:
-            entry_budget = int(text)
-        except ValueError:
-            raise ValueError(f"{ENTRY_BUDGET_ENV} must be an integer, got {text!r}") from None
-    if entry_budget < 0:
-        raise ValueError(f"{name} must be >= 0, got {entry_budget}")
-    return entry_budget
 
 
 def _validate_members(spec: SparseLanguageSpec, n: int) -> list[str]:
@@ -331,7 +307,7 @@ def build_sketch(
     n: int,
     *,
     ctx: FieldCtx | None = None,
-    entry_budget: int | None = None,
+    entry_budget: int = DEFAULT_ENTRY_BUDGET,
     source_seed: int | None = None,
 ) -> SketchSet:
     """Materialize the full pair set for length n over all q points.
@@ -339,29 +315,33 @@ def build_sketch(
     The context defaults to the sizing rule applied to the language's own
     density bound; passing ctx overrides the rule (and the sketch records
     that it is not rule-sized, so acceptance bounds are not promised).
+    A build of more than entry_budget stored entries (member_count x q,
+    1, 2 or 4 bytes each) raises EntryBudgetError before it evaluates
+    anything.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     members = _validate_members(spec, n)
     rule_sized = ctx is None
     if ctx is None:
-        ctx = make_field(select_field_size(n, max(1, spec.density.eval(n))))
+        ctx = make_field(spec.density.field_size(n))
     if ctx.k > ENUMERATION_DEGREE_CAP:
         raise ValueError(
             f"sketch building sweeps all q points and needs k <= {ENUMERATION_DEGREE_CAP}"
         )
     q = ctx.q
-    budget = _resolve_budget(entry_budget)
+    if entry_budget < 0:
+        raise ValueError(f"--entry-budget must be >= 0, got {entry_budget}")
     projected = q * len(members)
-    if projected > budget:
+    if projected > entry_budget:
         raise EntryBudgetError(
-            f"build would create {projected} entries, over the budget of {budget}; "
-            f"raise --entry-budget or {ENTRY_BUDGET_ENV} to proceed"
+            f"build would create {projected} entries, over the budget of "
+            f"{entry_budget}; raise --entry-budget to proceed"
         )
     import numpy as np
     from . import kernels
 
-    values = np.empty((len(members), q), _value_dtype(ctx.k))
+    values = np.empty((len(members), q), kernels.value_dtype(ctx.k))
     kernels.eval_points(np.arange(q, dtype=np.uint64), _coeff_rows(ctx, n, members),
                         ctx.m_low, ctx.k, out=values)
     return SketchSet(n=n, ctx=ctx, member_count=len(members),
@@ -376,7 +356,7 @@ def contains(sketch: SketchSet, fp) -> bool:
         raise ValueError(f"length mismatch: fingerprint n={fp.n}, sketch n={sketch.n}")
     if fp.ctx != sketch.ctx:
         raise ValueError("fingerprint context does not match the sketch's field")
-    width = _item_bytes(sketch.ctx.k)
+    width = item_bytes(sketch.ctx.k)
     table = memoryview(sketch.table)
     want = fp.v.to_bytes(width, "little")
     return any(table[i:i + width] == want
@@ -483,7 +463,7 @@ def fp_rate_experiment(
     *,
     ctx: FieldCtx | None = None,
     a_samples: int = 512,
-    entry_budget: int | None = None,
+    entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> dict:
     """Acceptance fractions of `trials` uniform nonmembers (plus member
     controls), either exhaustively over all q points or on sampled points.
@@ -498,10 +478,7 @@ def fp_rate_experiment(
         raise ValueError("trials must be >= 1")
     if mode == "sampled-a" and a_samples < 1:
         raise ValueError("sampled-a mode needs a_samples >= 1")
-    planned_k = (
-        ctx.k if ctx is not None
-        else select_field_size(n, max(1, spec.density.eval(n)))
-    )
+    planned_k = ctx.k if ctx is not None else spec.density.field_size(n)
     if mode == "exhaustive-a" and planned_k > EXHAUSTIVE_QUERY_DEGREE_CAP:
         raise ValueError(
             f"exhaustive mode sweeps q = 2^{planned_k} points per input; "
@@ -620,7 +597,7 @@ def load_sketch(path: str) -> SketchSet:
     ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
     if start % _SPSK_ALIGN:
         raise ValueError(f"corrupt sketch file: value region not {_SPSK_ALIGN}-byte aligned")
-    width = _item_bytes(k)
+    width = item_bytes(k)
     end = start + members * ctx.q * width
     if len(blob) != end + _DIGEST_BYTES:
         raise ValueError(

@@ -21,8 +21,10 @@ ceil(k/8) tables of 256 elements each, built from a alone.  Each product
 is then ceil(k/8) lookups and XORs, for every k.  feed() takes '0'/'1'
 text, feed_bytes() raw bytes (most significant bit first); any chunking
 is allowed, and each call folds the whole segments it completes.  The
+partial segment waits in an int register, first-read bit lowest; the
 packer turns the call's bits into one Python int whose bit p is the p-th
-bit read, so its k-bit fields are the segments.  One rule, made from the
+bit read, and joined above the register its k-bit fields are the
+segments, the bits past them the next register.  One rule, made from the
 call's segment count R and k, picks how the fields are cut and folded.
 When k > 64 or R < 128, they are cut into Python ints and
 :func:`streamfp.field.horner_fold` folds them on the stream's split
@@ -37,10 +39,11 @@ result, is the one-step-per-segment fold's.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), a k-bit
-register for the partial segment (which never holds more between calls),
-and three counters of |n| bits each (n, the read cursor, completed
-segments).  That is 4k + 1 + 3|n| bits for every chunking of the input,
-within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
+register for the partial segment (it holds fewer than k bits between
+calls, and their count is the read cursor less k times the completed
+segments), and three counters of |n| bits each (n, the read cursor,
+completed segments).  That is 4k + 1 + 3|n| bits for every chunking of
+the input, within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
 tables (ceil(k/8) * 256 elements of k bits) are derived from a alone and
 are constant in n, so they are a cache of a, not state that grows with
 the input.  The buffers of one feed call, the block fold's B block
@@ -149,32 +152,13 @@ class Fingerprint:
 _BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
-def _segment_bytes(head: str, chunk, nbits: int, count: int,
-                   k: int) -> tuple[bytes, str]:
-    """The first count k-bit segments of head ('0'/'1' text) followed by
-    chunk ('0'/'1' text, or the first nbits bits of raw bytes, most
-    significant bit first), and the bits after them as text.
-
-    The segments come as the little-endian bytes of one int whose bit
-    ik + j is bit j of segment i, its u^j coefficient, so a short final
-    segment zero-extends high; they are zero-padded to whole k-byte groups
-    of eight segments, for :func:`_cut_segments` or
-    :func:`streamfp.kernels.cut_segments` to take apart."""
+def _pack(chunk, nbits: int) -> int:
+    """The chunk ('0'/'1' text, or the first nbits bits of raw bytes, most
+    significant bit first) as one int whose bit p is the p-th bit read."""
     if isinstance(chunk, str):
-        bits = int((head + chunk)[::-1] or "0", 2)
-    else:
-        bits = int.from_bytes(bytes(chunk).translate(_BIT_REVERSED), "little")
-        if nbits < 8 * len(chunk):
-            bits &= (1 << nbits) - 1
-        if head:
-            bits = bits << len(head) | int(head[::-1], 2)
-    total = len(head) + nbits
-    used = min(count * k, total)
-    rest = ""
-    if total > used:
-        rest = format(bits >> used, f"0{total - used}b")[::-1]
-        bits &= (1 << used) - 1
-    return bits.to_bytes(-(-count // 8) * k, "little"), rest
+        return int(chunk[::-1] or "0", 2)
+    bits = int.from_bytes(bytes(chunk).translate(_BIT_REVERSED), "little")
+    return bits & ((1 << nbits) - 1) if nbits < 8 * len(chunk) else bits
 
 
 def _cut_segments(data: bytes, count: int, k: int) -> list[int]:
@@ -205,7 +189,10 @@ class StreamState:
         self.profile = ResourceProfile(
             random_bits=ctx.k, peak_state_bits=4 * ctx.k + 1 + 3 * n.bit_length())
         self._tables = split_tables(self.a, ctx.m_bits, ctx.k)
-        self._pending = ""  # bits of the partial segment
+        # The partial segment's register: its bits, the first read lowest,
+        # and how many there are (fewer than k between calls).
+        self._partial = 0
+        self._partial_bits = 0
         self._finished = False
 
     def feed(self, bits: str) -> None:
@@ -228,7 +215,7 @@ class StreamState:
         self._absorb(data, nbits)
 
     def _absorb(self, chunk, nbits: int) -> None:
-        """Fold the segments that the pending bits and the chunk ('0'/'1'
+        """Fold the segments that the partial segment and the chunk ('0'/'1'
         text, or raw bytes holding nbits bits) complete."""
         if self.profile.bits_read + nbits > self.n:
             raise ValueError(
@@ -236,10 +223,17 @@ class StreamState:
             )
         self.profile.bits_read += nbits
         k = self.ctx.k
-        count, rest = divmod(len(self._pending) + nbits, k)
+        total = self._partial_bits + nbits
+        count, rest = divmod(total, k)
         if self.profile.bits_read == self.n and rest:
             count += 1  # all n bits are in: the rest is the short final segment
-        data, self._pending = _segment_bytes(self._pending, chunk, nbits, count, k)
+        bits = _pack(chunk, nbits) << self._partial_bits | self._partial
+        used = min(count * k, total)
+        self._partial, self._partial_bits = bits >> used, total - used
+        # Bit ik + j is bit j of segment i, its u^j coefficient, so a short
+        # final segment zero-extends high; the bytes are zero-padded to whole
+        # k-byte groups of eight segments for the cutters.
+        data = (bits & ((1 << used) - 1)).to_bytes(-(-count // 8) * k, "little")
         if k > WORD_DEGREE_CAP or fold_block_length(count) == 1:
             self.v = horner_fold(self.v, _cut_segments(data, count, k), self._tables)
         else:
@@ -247,8 +241,6 @@ class StreamState:
 
             segments = kernels.cut_segments(data, count, k)
             self.v = kernels.fold(self.v, segments, self.a, self.ctx.m_low, k)
-        # Between calls the pending text is always shorter than one
-        # segment, so it fits the state's segment register.
         self.profile.conversions += count
         self.profile.field_ops += 2 * count
 
@@ -261,7 +253,7 @@ class StreamState:
                 f"finish before end of stream: {self.profile.bits_read} of {self.n} bits"
             )
         self._finished = True
-        assert self.profile.conversions == self.r and not self._pending
+        assert self.profile.conversions == self.r and not self._partial_bits
         assert self.profile.field_ops <= 2 * self.r
         return Fingerprint(n=self.n, a=self.a, v=self.v, ctx=self.ctx, seed=self.seed)
 

@@ -105,6 +105,38 @@ def test_fingerprint_density_families(capsys):
     assert r["k"] == 7  # (8*1*8).bit_length()
 
 
+def test_zero_density_sizes_fingerprint_and_sketch_alike(tmp_path, capsys):
+    # A density of 0 sizes as f = 1 everywhere, so --f constant:0 makes a
+    # fingerprint in the field of the empty language's sketch.
+    fp = run_json(capsys, "fingerprint", "--bits", "1011", "--f", "constant:0",
+                  "--seed", "1")
+    sk = run_json(capsys, "sketch", "build", "--language", "empty", "--n", "4",
+                  "--seed", "1", "--output", os.fspath(tmp_path / "empty.spsk"))
+    assert fp["k"] == sk["k"] == 6
+    assert fp["t_hex"] == sk["t_hex"] and fp["rule_sized"] is True
+
+
+# SHA-256 of the stdout of `fingerprint --format raw --seed 2` on 300 KB of
+# random.Random(300) bytes, pinned from the segment register kept as '0'/'1'
+# text: k = 1 folds single bits, 14 and 50 cross byte boundaries, 64 is the
+# word tier's edge and 65 and 100 are on the big-int tier.
+@pytest.mark.parametrize("k, digest", [
+    (1, "4f2e987b6da69cb7e983ef44f7769ddd4a79487b32f15442e209fd78f2eae24f"),
+    (14, "39f3dfbd8c7933ebf4d7ebe4138b8e4b7bc974ef10e0320fdc1e9568b7616b3f"),
+    (50, "9f07f8a6918e04737b03fd9dec1874482bb2ad15a2ed42e2db7d6edfd9624e02"),
+    (64, "14022e918eaac0d33f89edd8595afb482b5084eea50321b2451ec552a95c7f2d"),
+    (65, "e92a3b0d05b2684ba45236e47fb8fc79265693ded09fca97bfb8a4eb93bcaa8b"),
+    (100, "80ae1383b43881c7f48fcc38c825567b9bd09df3562880f364cec453aac3e45b"),
+])
+def test_raw_fingerprint_stdout_is_pinned(tmp_path, capsys, k, digest):
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(300).randbytes(300_000))
+    code, out, _ = run_cli(capsys, "fingerprint", "--format", "raw", "--input",
+                           os.fspath(src), "--k", str(k), "--seed", "2")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fingerprint_file_and_output(tmp_path, capsys):
     src = tmp_path / "input.txt"
     src.write_text("10 11\n")
@@ -432,18 +464,6 @@ def test_sketch_build_budget_exit(tmp_path, capsys):
     assert "budget" in err
 
 
-def test_sketch_build_budget_env():
-    env = dict(os.environ)
-    env["STREAMFP_ENTRY_BUDGET"] = "1000"
-    proc = subprocess.run(
-        [sys.executable, "-m", "streamfp.cli", "sketch", "build", "--language",
-         "seeded-random", "--n", "40", "--seed", "1", "--output", "/tmp/unused.spsk"],
-        env=env,
-        capture_output=True,
-    )
-    assert proc.returncode == EXIT_BUDGET
-
-
 @pytest.mark.parametrize("command", [["sketch", "build", "--output"],
                                      ["sketch", "fp-rate", "--trials", "1", "--output"]])
 def test_negative_entry_budget_exits_3_naming_the_flag(tmp_path, capsys, command):
@@ -451,17 +471,6 @@ def test_negative_entry_budget_exits_3_naming_the_flag(tmp_path, capsys, command
                            "empty", "--n", "4", "--seed", "1", "--entry-budget", "-1")
     assert code == EXIT_PRECONDITION
     assert "--entry-budget must be >= 0" in err
-
-
-@pytest.mark.parametrize("value, fragment", [("abc", "must be an integer"),
-                                             ("-5", "must be >= 0")])
-def test_bad_entry_budget_env_exits_3_naming_the_variable(tmp_path, monkeypatch, capsys,
-                                                           value, fragment):
-    monkeypatch.setenv("STREAMFP_ENTRY_BUDGET", value)
-    code, _, err = run_cli(capsys, "sketch", "build", "--language", "empty", "--n", "4",
-                           "--seed", "1", "--output", os.fspath(tmp_path / "out.spsk"))
-    assert code == EXIT_PRECONDITION
-    assert f"STREAMFP_ENTRY_BUDGET {fragment}" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -651,10 +660,16 @@ def test_tally_integral_growth_params_accepted(capsys, gap):
 
 
 def test_tally_exactly_one_mode(capsys):
-    code, _, _ = run_cli(capsys, "tally", "--validate", "--construct")
-    assert code == EXIT_PRECONDITION
-    code, _, _ = run_cli(capsys, "tally")
-    assert code == EXIT_PRECONDITION
+    # The mode flags are one required, mutually exclusive group: a usage error.
+    for modes, message in (
+        (["--validate", "--construct"], "not allowed with argument"),
+        ([], "one of the arguments --padding-stable --validate --construct is required"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["tally", *modes])
+        assert exc.value.code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "usage: streamfp tally" in err and message in err
 
 
 # -------------------------------------------------------------------- bench

@@ -338,21 +338,23 @@ def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given)
 
 # ------------------------------------------------------------------ budgets
 
-def test_entry_budget_flag(monkeypatch):
-    monkeypatch.delenv("STREAMFP_ENTRY_BUDGET", raising=False)
+def test_entry_budget_flag():
     spec = make_language("seeded-random", seed=1)
     with pytest.raises(EntryBudgetError):
         build_sketch(spec, 16, entry_budget=100)
     build_sketch(spec, 16, entry_budget=10 ** 6)  # plenty
 
 
-def test_entry_budget_env_and_precedence(monkeypatch):
+def test_default_entry_budget_refuses_before_evaluating(monkeypatch):
+    # n = 400 sizes k = 21: 400 x 2^21 = 8.4e8 entries, over the default 10^8.
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a refused build evaluated a polynomial")
+
+    monkeypatch.setattr(kernels, "eval_points", no_evaluation)
     spec = make_language("seeded-random", seed=1)
-    monkeypatch.setenv("STREAMFP_ENTRY_BUDGET", "100")
-    with pytest.raises(EntryBudgetError):
-        build_sketch(spec, 16)
-    # An explicit argument wins over the environment.
-    build_sketch(spec, 16, entry_budget=10 ** 6)
+    with pytest.raises(EntryBudgetError,
+                       match="838860800 entries, over the budget of 100000000;"):
+        build_sketch(spec, 400)
 
 
 # ------------------------------------------------------------------- files

@@ -17,6 +17,7 @@ from streamfp.stream import (
     Fingerprint,
     ResourceProfile,
     begin,
+    begin_seeded,
     bits_from_bytes,
     coefficients,
     count_agreements,
@@ -453,6 +454,32 @@ def test_packer_selection_boundary_matches_direct_eval(k, feeder):
     assert state.profile == ResourceProfile(
         conversions=r, field_ops=2 * r, random_bits=k, bits_read=n,
         peak_state_bits=4 * k + 1 + 3 * n.bit_length())
+
+
+@given(
+    k=st.sampled_from([1, 7, 8, 9, 64, 65]),
+    x=st.text("01", min_size=1, max_size=400),
+    calls=st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)),
+                   max_size=10),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_register_holds_under_k_bits_after_every_call(k, x, calls, seed):
+    # Any mix of feed and feed_bytes calls; the last call takes the rest.
+    n = len(x)
+    ctx = make_field(k)
+    state = begin_seeded(n, seed, ctx=ctx)
+    pos = 0
+    for as_bytes, size in calls + [(len(calls) % 2 == 1, n)]:
+        piece = x[pos:pos + size]
+        if as_bytes:
+            state.feed_bytes(_packed(piece), len(piece))
+        else:
+            state.feed(piece)
+        pos += len(piece)
+        assert state._partial_bits == (pos % k if pos < n else 0) < k
+        assert state._partial >> state._partial_bits == 0
+    assert state.finish() == fingerprint(n, x, seed, ctx=ctx)
 
 
 def test_negative_seed_is_refused():
