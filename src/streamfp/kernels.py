@@ -12,21 +12,21 @@ differential tests enforce that.
 
 ``eval_points`` evaluates a batch of polynomials, one per row, on
 log/antilog tables of the multiplicative group (Plank, Greenan & Miller,
-FAST 2013), where a product is one gather ``exp[log[x] + log[y]]``.  The
-powers of a are the same for every row, so it works a block of points at
-a time: one power row advances P <- exp[log[P] + log[a]] once per
-exponent, shared by the batch, and each row adds its term c·a^e as
-``exp[log[c] + log[P]]``, one gather per row, coefficient and point
-(Horner needs two per step).  The value is a^r XOR the terms.  A block
-holds about 32768 / rows points (``block_points``): a 128 KiB uint32
-index array, read by ``take`` through an intp copy (intp index buffers
-measured no faster).  ``compare_shape`` adds the chunk of member rows an
-exact count compares per step, in a bool buffer of at most 256 KiB.
-``log[0]`` is a sentinel past every log sum, clipped into the zero tail
-of ``exp``, so a zero coefficient or a = 0 gives a zero product.  ``log``
-holds q uint32 entries and ``exp`` 2q of the value table's type
-(``value_dtype``: 1, 2 or 4 bytes), cached per field for k in
-1..``ENUMERATION_DEGREE_CAP``.
+FAST 2013), where a product is ``exp[log[x] + log[y]]``.  A whole-field
+sweep (points ``range(q)``) runs in log order: at a = g^j, for the
+tables' primitive g, a term c·a^e is ``exp[log c + e·j]``, a strided
+slice of ``exp`` over a run of (q - 1) // r consecutive j, XOR-ed into
+the row; one ``take`` by ``log`` then puts the row in natural order.
+Given points, and rows with short runs (``log_order``), go in blocks of
+about 32768 / rows points (``block_points``): a power row
+P <- exp[log[P] + log[a]] shared by the batch, and one gather
+``exp[log[c] + log[P]]`` per row, coefficient and point (Horner needs
+two per step).  ``compare_shape`` adds the chunk of member rows an exact
+count compares per step, in a bool buffer of at most 256 KiB.  ``log[0]``
+is a sentinel past every log sum, clipped into the zero tail of ``exp``,
+so a zero coefficient or a = 0 gives a zero product.  ``log`` holds q
+uint32 entries and ``exp`` 2q of the value table's type (``value_dtype``:
+1, 2 or 4 bytes), cached per field for k in 1..``ENUMERATION_DEGREE_CAP``.
 
 ``cut_segments`` cuts a stream call's packed bits into its k-bit
 segments, one uint64 each, with two gathers per segment.
@@ -172,6 +172,12 @@ def compare_shape(rows: int, members: int) -> tuple[int, int]:
     return step, max(1, min(members, (1 << 18) // (max(1, rows) * step)))
 
 
+def log_order(k: int, r: int) -> bool:
+    """Whether a whole-field sweep of r coefficients per row runs in log order:
+    a run costs r + 1 numpy calls, which beat the gathers from 512 points."""
+    return r > 0 and ((1 << k) - 1) // r >= 512
+
+
 def eval_points(points, coeffs, m_low: int, k: int, out=None) -> np.ndarray:
     """a^r + c_0·a^{r-1} + … + c_{r-1} at every point a, for the one
     polynomial of a 1-D coeffs (a 1-D result) or for each row of a 2-D
@@ -181,8 +187,12 @@ def eval_points(points, coeffs, m_low: int, k: int, out=None) -> np.ndarray:
             f"eval_points covers k in 1..{ENUMERATION_DEGREE_CAP}, got {k}"
         )
     log, exp = _log_tables(k, m_low)
-    points = np.asarray(points, np.uint64)
     coeffs = np.asarray(coeffs, np.uint64)
+    if isinstance(points, range) and points == range(1 << k) and log_order(k, coeffs.shape[-1]):
+        out = np.empty(coeffs.shape[:-1] + (1 << k,), np.uint64) if out is None else out
+        _eval_field(np.atleast_2d(coeffs), log, exp, np.atleast_2d(out))
+        return out
+    points = np.asarray(points, np.uint64)
     if out is None:
         out = np.empty(coeffs.shape[:-1] + points.shape, np.uint64)
     batch, res = np.atleast_2d(coeffs), np.atleast_2d(out)  # 1-D: one-row views
@@ -208,6 +218,25 @@ def eval_points(points, coeffs, m_low: int, k: int, out=None) -> np.ndarray:
         acc ^= power
         res[:, s:s + log_a.size] = acc
     return out
+
+
+def _eval_field(batch, log, exp, res) -> None:
+    """eval_points(range(q), batch) into res for r >= 1, in log order."""
+    r = batch.shape[1]
+    order = log.size - 1  # of g
+    width = max(1, order // r)  # every slice index stays below 2 (q - 1)
+    acc = np.empty(order, res.dtype)
+    res[:, 0] = batch[:, -1]  # a = 0
+    for row, coeffs, logs in zip(res, batch, log[batch].tolist()):
+        terms = [(r - 1 - i, c) for i, c in enumerate(logs[:-1]) if c != 2 * order]
+        for s in range(0, order, width):
+            run = acc[s:s + width]  # the values at g^j, j = s, s + 1, ...
+            run[:] = exp[r * s % order:][:r * run.size:r]  # a^r = exp[r j]
+            for e, c in terms:  # c·a^e = exp[log c + e j]
+                run ^= exp[(c + e * s) % order:][:e * run.size:e]
+        acc ^= coeffs[-1]
+        for s in range(1, order + 1, 1 << 16):  # row[a] = acc[log a]; 512 KiB intp indices
+            np.take(acc, log[s:s + (1 << 16)], out=row[s:s + (1 << 16)], mode="clip")
 
 
 # A stream needs the tables of its point a and of a^L, and its chunks

@@ -17,8 +17,8 @@ for a built sketch, and the file's own bytes, used in place, for a loaded
 one.  A lookup reads the member_count values of one column straight from
 the buffer, with no numpy, so loading a sketch and querying it never
 import it.  The numpy view ``values`` serves the exact false-positive
-count: strings are evaluated a block of points at a time and compared
-with chunks of member rows, and a member control with its own row alone.
+count: each string's values are compared with chunks of member rows a
+block of points at a time, and a member control with its own row alone.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -342,8 +342,7 @@ def build_sketch(
     from . import kernels
 
     values = np.empty((len(members), q), kernels.value_dtype(ctx.k))
-    kernels.eval_points(np.arange(q, dtype=np.uint64), _coeff_rows(ctx, n, members),
-                        ctx.m_low, ctx.k, out=values)
+    kernels.eval_points(range(q), _coeff_rows(ctx, n, members), ctx.m_low, ctx.k, out=values)
     return SketchSet(n=n, ctx=ctx, member_count=len(members),
                      table=values.reshape(-1).view(np.uint8), source_seed=source_seed,
                      rule_sized=rule_sized)
@@ -374,9 +373,9 @@ def _coeff_rows(ctx: FieldCtx, n: int, strings: list[str]) -> np.ndarray:
 def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
     """|{a : (a, d_x(a)) is stored}| over every field point, or over the
     given uint64 points (repeats counted).  x is one string (an int back)
-    or a list of strings (a list of counts): all are evaluated together, a
-    block of points at a time, and each block is compared with the member
-    rows a chunk of rows per numpy step (``kernels.compare_shape``)."""
+    or a list of strings (a list of counts).  Each block of values from
+    ``_blocks`` is compared with the member rows a chunk of rows per numpy
+    step (``kernels.compare_shape``)."""
     import numpy as np
     from . import kernels
 
@@ -384,17 +383,16 @@ def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
     for y in xs:
         if len(y) != sketch.n:
             raise ValueError(f"length mismatch: |x|={len(y)}, sketch n={sketch.n}")
-    points = None if points is None else np.asarray(points, np.uint64)
-    step, chunk = kernels.compare_shape(len(xs), sketch.member_count)
     counts = np.zeros(len(xs), np.int64)
-    for cols, vals in _blocks(sketch, xs, points, step):
+    for rows, cols, vals in _blocks(sketch, xs, points):
+        chunk = kernels.compare_shape(len(vals), sketch.member_count)[1]
         hit = np.zeros(vals.shape, bool)
         same = np.empty((chunk,) + vals.shape, bool)
         for j in range(0, len(cols), chunk):
             np.equal(cols[j:j + chunk, None], vals, out=same[:len(cols) - j])
             hit |= same[:len(cols) - j].any(axis=0)
-        counts += np.count_nonzero(hit, axis=1)
-        del hit, same  # before the next block is evaluated
+        counts[rows] += np.count_nonzero(hit, axis=1)
+        del hit, same  # before the next block is compared
     return int(counts[0]) if isinstance(x, str) else counts.tolist()
 
 
@@ -402,33 +400,45 @@ def _member_counts(sketch: SketchSet, members: list[str]) -> list[int]:
     """exact_fp_count(sketch, members) for the members the sketch was built
     from, in order: q if d_y equals its own row at every point, else exact."""
     import numpy as np
-    from . import kernels
 
     if len(members) != sketch.member_count:  # not the build's enumeration
         return exact_fp_count(sketch, members)
     same = np.ones(len(members), bool)
-    for cols, vals in _blocks(sketch, members, None, kernels.block_points(len(members))):
-        same &= (vals == cols).all(axis=1)
+    for rows, cols, vals in _blocks(sketch, members, None):
+        same[rows] &= (vals == cols[rows]).all(axis=1)
     redo = [y for y, ok in zip(members, same) if not ok]
     fallback = iter(exact_fp_count(sketch, redo) if redo else [])
     return [sketch.ctx.q if ok else next(fallback) for ok in same]
 
 
-def _blocks(sketch: SketchSet, xs: list[str], points: np.ndarray | None, step: int):
-    """(table columns, d_x values in a reused buffer) per step points; all q if None."""
+def _blocks(sketch: SketchSet, xs: list[str], points: np.ndarray | None):
+    """(slice of xs, table columns, their d_x values in a reused buffer) per
+    block of points: given points a block at a time for all of xs, or the
+    field swept in log order per group of rows (1/16 of the table's bytes,
+    at least 128 KiB: the compare reads the whole table once per group)."""
     import numpy as np
     from . import kernels
 
     ctx, table = sketch.ctx, sketch.values
     coeffs = _coeff_rows(ctx, sketch.n, xs)
-    size = ctx.q if points is None else points.size
-    vals = np.empty((len(xs), min(step, size)), table.dtype)
-    for s in range(0, size, step):
-        block = (np.arange(s, min(s + step, size), dtype=np.uint64) if points is None
-                 else points[s:s + step])
+    if points is None and kernels.log_order(ctx.k, coeffs.shape[1]):
+        group = max(1, max(1 << 17, table.nbytes >> 4) // (ctx.q * table.itemsize))
+        vals = np.empty((min(group, len(xs)), ctx.q), table.dtype)
+        for i in range(0, len(xs), group):
+            out = vals[:len(xs) - i]
+            kernels.eval_points(range(ctx.q), coeffs[i:i + group], ctx.m_low, ctx.k, out=out)
+            step = kernels.block_points(len(out))
+            for s in range(0, ctx.q, step):
+                yield slice(i, i + group), table[:, s:s + step], out[:, s:s + step]
+        return
+    points = np.asarray(range(ctx.q) if points is None else points, np.uint64)
+    step = kernels.block_points(len(xs))
+    vals = np.empty((len(xs), min(step, points.size)), table.dtype)
+    for s in range(0, points.size, step):
+        block = points[s:s + step]
         out = vals[:, :block.size]
         kernels.eval_points(block, coeffs, ctx.m_low, ctx.k, out=out)
-        yield (table[:, s:s + step] if points is None else table[:, block]), out
+        yield slice(None), table[:, block], out
 
 
 def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:

@@ -538,6 +538,17 @@ def test_fp_rate_stdout_is_pinned(capsys, extra, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_fp_rate_n64_stdout_is_pinned(capsys):
+    # The benchmark's field size (k = 16): non-members counted in row
+    # groups over the whole field, members against their own rows.
+    # Pinned from the point-block gather sweep.
+    code, out, _ = run_cli(capsys, "sketch", "fp-rate", "--n", "64", "--trials", "50",
+                           "--seed", "5")
+    assert code == EXIT_OK
+    digest = "818ef9136ea61a33962b2fa0932b6abbbfc185b0f6e80c56a9e03e888e2fd1a3"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fp_rate_exit_code_mapping():
     assert _fp_rate_exit({"bound_checked": True, "bound_satisfied": True}) == EXIT_OK
     assert _fp_rate_exit({"bound_checked": False, "bound_satisfied": None}) == EXIT_OK

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from streamfp import kernels
 from streamfp.field import ENUMERATION_DEGREE_CAP, horner_fold, make_field, split_tables
 from streamfp.gf2poly import Gf2Poly
-from streamfp.stream import direct_eval
+from streamfp.stream import coefficients, direct_eval
 
 DIFF_KS = (1, 2, 3, 5, 8, 16, 24, 32, 47, 63, 64)
 
@@ -184,6 +184,103 @@ def test_eval_points_writes_into_out(k, dtype):
     out = np.empty((5, pts.size), dtype)
     assert kernels.eval_points(pts, coeffs, ctx.m_low, k, out=out) is out
     assert (out == kernels.eval_points(pts, coeffs, ctx.m_low, k)).all()
+
+
+# ------------------------------------------------- whole-field sweeps
+
+def _sweep_strings(rng, k: int, r: int) -> list[str]:
+    """Strings of r segments: three random, one all zero and one whose
+    even segments are zero (zero coefficients, the log sentinel)."""
+    rows = [[rng.getrandbits(k) for _ in range(r)] for _ in range(3)]
+    rows.append([0] * r)
+    rows.append([rng.getrandbits(k) if i % 2 else 0 for i in range(r)])
+    return [_segment_bits(row, k) for row in rows]
+
+
+def _sweep_rows(ctx, strings, r: int) -> np.ndarray:
+    return np.array([coefficients(ctx, x) if x else [] for x in strings],
+                    np.uint64).reshape(len(strings), r)
+
+
+def _log_order_sweep(ctx, rows, dtype=np.uint64) -> np.ndarray:
+    """The log-order sweep itself (r >= 1), whichever path eval_points
+    dispatches to."""
+    res = np.empty((len(rows), ctx.q), dtype)
+    log, exp = kernels._log_tables(ctx.k, ctx.m_low)
+    kernels._eval_field(rows, log, exp, res)
+    return res
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_field_sweep_matches_gather_and_direct_eval_on_every_point(k):
+    rng = random.Random(k + 300)
+    ctx = make_field(k)
+    q = ctx.q
+    # r >= q - 2 puts a run's stride at or past q - 1, so every run is
+    # one point; only small fields keep those sweeps short.
+    degrees = {0, 1, 2, 5} | ({q - 2, q - 1, q, 2 * q + 1} if k <= 6 else set())
+    for r in sorted(d for d in degrees if d >= 0):
+        strings = _sweep_strings(rng, k, r)
+        rows = _sweep_rows(ctx, strings, r)
+        got = kernels.eval_points(range(q), rows, ctx.m_low, k)
+        gather = kernels.eval_points(np.arange(q, dtype=np.uint64), rows, ctx.m_low, k)
+        assert (got == gather).all(), (k, r)
+        if r:  # the sweep's own rows have r >= 1; r = 0 gathers
+            assert (_log_order_sweep(ctx, rows) == gather).all(), (k, r)
+        for x, values in zip(strings, got.tolist()):
+            assert values == [direct_eval(ctx, x, a) if x else 1 for a in range(q)], (k, r)
+
+
+@pytest.mark.parametrize("k, r", [(16, 4), (16, 63), (18, 8)])
+def test_field_sweep_matches_gather_on_random_rows(k, r):
+    rng = random.Random(k * r)
+    ctx = make_field(k)
+    strings = _sweep_strings(rng, k, r)
+    rows = _sweep_rows(ctx, strings, r)
+    assert kernels.log_order(k, r)
+    out = np.empty((len(rows), ctx.q), kernels.value_dtype(k))  # uint32 at k = 18
+    kernels.eval_points(range(ctx.q), rows, ctx.m_low, k, out=out)
+    gather = kernels.eval_points(np.arange(ctx.q, dtype=np.uint64), rows, ctx.m_low, k)
+    assert (out == gather).all()
+    for a in [0, 1, ctx.q - 1] + [rng.getrandbits(k) for _ in range(40)]:
+        assert out[:, a].tolist() == [direct_eval(ctx, x, a) for x in strings], a
+
+
+@pytest.mark.parametrize("k, dtype", [(8, np.uint8), (12, np.uint16), (16, np.uint16),
+                                      (12, np.uint32), (18, np.uint32), (12, None)])
+def test_field_sweep_writes_into_out(k, dtype):
+    rng = random.Random(k + 400)
+    ctx = make_field(k)
+    rows = _sweep_rows(ctx, _sweep_strings(rng, k, 3), 3)
+    gather = kernels.eval_points(np.arange(ctx.q, dtype=np.uint64), rows, ctx.m_low, k)
+    out = None if dtype is None else np.empty((len(rows), ctx.q), dtype)
+    got = kernels.eval_points(range(ctx.q), rows, ctx.m_low, k, out=out)
+    assert got is out or (out is None and got.dtype == np.uint64)
+    assert (got == gather).all()
+    assert (_log_order_sweep(ctx, rows, dtype or np.uint64) == gather).all()
+    one = kernels.eval_points(range(ctx.q), rows[0], ctx.m_low, k)  # 1-D: one row
+    assert one.shape == (ctx.q,) and (one == gather[0]).all()
+
+
+def test_field_sweep_dispatch(monkeypatch):
+    ctx = make_field(12)
+    q = ctx.q
+    swept = []
+    sweep = kernels._eval_field
+    monkeypatch.setattr(kernels, "_eval_field", lambda *args: swept.append(1) or sweep(*args))
+    rng = random.Random(12)
+    for r, runs_in_log_order in ((3, True), (9, False)):  # runs of 1365 and 455 points
+        assert kernels.log_order(12, r) == runs_in_log_order
+        rows = _sweep_rows(ctx, _sweep_strings(rng, 12, r), r)
+        # Only exactly range(q) is a whole-field sweep; other points gather.
+        for points, whole in ((range(q), True), (range(0, q, 1), True), (range(1, q), False),
+                              (range(q - 1), False), (np.arange(q, dtype=np.uint64), False),
+                              (list(range(q)), False)):
+            swept.clear()
+            got = kernels.eval_points(points, rows, ctx.m_low, 12)
+            assert bool(swept) == (whole and runs_in_log_order), (r, points)
+            pts = np.asarray(points, np.uint64)
+            assert (got == kernels.eval_points(pts, rows, ctx.m_low, 12)).all(), (r, points)
 
 
 def test_fold_segments_is_horner():

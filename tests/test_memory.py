@@ -102,6 +102,28 @@ def test_build_peak_bytes_per_projected_entry():
     assert peak <= BUILD_BYTES_PER_ENTRY * projected, peak / projected
 
 
+@pytest.mark.parametrize("r", [16, 64])
+def test_field_sweep_peak_does_not_grow_with_r(r):
+    # The log-order sweep slices the antilog table itself: beyond its
+    # output it holds one row of q values and one take index, whatever
+    # the degree.  An (r + 1) x q extended table (8.1 MiB at r = 64)
+    # would break the bound.
+    ctx = make_field(16)
+    q = ctx.q
+    assert kernels.log_order(16, r)
+    rng = random.Random(r)
+    rows = np.array([[rng.getrandbits(16) for _ in range(r)] for _ in range(4)], np.uint64)
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
+    tracemalloc.start()
+    try:
+        out = kernels.eval_points(range(q), rows, ctx.m_low, ctx.k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, q)
+    assert peak <= out.nbytes + 2 * 8 * q + (64 << 10), (peak - out.nbytes) / (8 * q)
+
+
 def test_exact_fp_count_peak_is_below_the_table():
     # Counting a batch works a block of points at a time, so its working
     # arrays stay below the sketch table however many inputs it counts.

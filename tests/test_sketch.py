@@ -5,6 +5,7 @@ the acceptance-rate experiment driver."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import random
 
@@ -312,8 +313,9 @@ def _strings(rng: random.Random, n: int, count: int) -> list[str]:
     (10, 23, "C", 40, True),     # given points with repeats, across a block edge
     (5, 4, "C-1", 16, False),    # n <= k: r = 1, every string of length 4
     (1, 3, "C-1", 8, True),      # k = 1: two points, every string of length 3
+    (11, 22, "C+1", 40, False),  # log order: row groups of 32 and 8, 1024-point blocks
 ], ids=[f"k4-members-{m}" for m in ("0", "1", "C-1", "C", "C+1")]
-    + ["k10-two-blocks", "k10-given-points", "r1", "k1"])
+    + ["k10-two-blocks", "k10-given-points", "r1", "k1", "k11-row-groups"])
 def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given):
     rng = random.Random(k * 100 + n)
     ctx = make_field(k)
@@ -358,6 +360,18 @@ def test_default_entry_budget_refuses_before_evaluating(monkeypatch):
 
 
 # ------------------------------------------------------------------- files
+
+def test_saved_n64_sketch_bytes_are_pinned(tmp_path):
+    # k = 16 and r = 4: each member's row is swept in log order as five
+    # runs of points.  SHA-256 pinned from the point-block gather sweep.
+    sk = build_sketch(make_language("seeded-random", seed=64), 64, source_seed=64)
+    assert (sk.ctx.k, sk.member_count) == (16, 64)
+    path = os.fspath(tmp_path / "n64.spsk")
+    save_sketch(sk, path)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == "b4b96bb3688f13da37e7b8f8daf96b564ae3abacf373beaad1929abaa84057fc"
+
 
 def test_save_load_round_trip(tmp_path):
     spec = make_language("seeded-random", seed=77)
