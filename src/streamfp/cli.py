@@ -12,6 +12,7 @@ outputs are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -66,23 +67,20 @@ def _stream_input(args, start) -> Fingerprint:
     """Fingerprint --bits / --input / stdin (per --format) in one pass.
 
     start(n) opens the stream once the input length n is known; the input
-    is then fed in fixed chunks and never held whole.
+    is then fed in fixed chunks and never held whole.  --bits is read as
+    the text of a bits file.
     """
     sources = [s for s in (args.bits, args.input) if s is not None]
     if len(sources) != 1:
         raise ValueError("provide exactly one of --bits or --input")
     if args.bits is not None:
-        if args.n is not None and args.n != len(args.bits):
-            raise ValueError(f"--n {args.n} does not match the {len(args.bits)} input bits")
-        state = start(_checked_length(len(args.bits)))
-        state.feed(args.bits)
-        return state.finish()
+        return _stream_file(args.n, "bits", io.BytesIO(os.fsencode(args.bits)), start)
     if args.input == "-":
         if args.n is None:
             raise ValueError("streaming from stdin requires --n")
-        return _stream_file(args, sys.stdin.buffer, start)
+        return _stream_file(args.n, args.format, sys.stdin.buffer, start)
     with open(args.input, "rb") as fh:
-        return _stream_file(args, fh, start)
+        return _stream_file(args.n, args.format, fh, start)
 
 
 def _checked_length(n: int) -> int:
@@ -97,9 +95,8 @@ def _text_chunks(fh, size: int):
         yield b"".join(chunk.split()).decode("latin-1")
 
 
-def _stream_file(args, fh, start) -> Fingerprint:
-    n = args.n
-    if args.format == "raw":
+def _stream_file(n: int | None, fmt: str, fh, start) -> Fingerprint:
+    if fmt == "raw":
         # Raw bytes pad to a multiple of 8; --n selects the leading prefix.
         if n is None:
             n = 8 * os.fstat(fh.fileno()).st_size
@@ -131,40 +128,11 @@ def _stream_file(args, fh, start) -> Fingerprint:
 
 
 def _language_from_args(args, seed: int) -> sketch_mod.SparseLanguageSpec:
-    if args.language_file:
-        with open(args.language_file) as fh:
-            desc = json.load(fh)
-        params = desc.get("params", {}) if isinstance(desc, dict) else None
-        if not isinstance(params, dict) or not isinstance(desc.get("kind"), str):
-            raise ValueError(f"{args.language_file}: expected a JSON object "
-                             '{"kind": ..., "params": {...}}')
-        for name, typ in (("seed", int), ("max_ones", int), ("member", str)):
-            if params.get(name) is not None and not isinstance(params[name], typ):
-                raise ValueError(f"{args.language_file}: params.{name} must be "
-                                 f"a JSON {'string' if typ is str else 'integer'}")
-        return sketch_mod.make_language(
-            desc["kind"],
-            seed=params.get("seed"),
-            max_ones=params.get("max_ones"),
-            member=params.get("member"),
-        )
-    kind = args.language
-    if kind == "seeded-random":
-        lang_seed = args.language_seed
-        if lang_seed is None:
-            lang_seed = derive_seed(seed, "language")
-        return sketch_mod.make_language(kind, seed=lang_seed)
-    if kind == "low-weight":
-        if args.max_ones is None:
-            raise ValueError("low-weight language needs --max-ones")
-        return sketch_mod.make_language(kind, max_ones=args.max_ones)
-    if kind == "singleton":
-        if not args.member:
-            raise ValueError("singleton language needs --member")
-        return sketch_mod.make_language(kind, member=args.member)
-    if kind == "empty":
-        return sketch_mod.make_language(kind)
-    raise ValueError(f"unknown language {kind!r}")
+    lang_seed = args.language_seed
+    if lang_seed is None:
+        lang_seed = derive_seed(seed, "language")
+    return sketch_mod.make_language(args.language, seed=lang_seed,
+                                    max_ones=args.max_ones, member=args.member)
 
 
 def _ctx_override(args):
@@ -179,6 +147,10 @@ def _growth_from_arg(text: str | None, flag: str):
     if text is None:
         raise ValueError(f"--validate and --construct need {flag}")
     return GrowthFn.from_json(json.loads(text))
+
+
+# The gap --padding-stable checks unless --gap names another: exp(2n).
+_PADDING_STABLE_GAP = '{"family": "iter-exp", "params": {"scale": 2}}'
 
 
 # ------------------------------------------------------------- commands
@@ -310,7 +282,7 @@ def _cmd_tally(args) -> int:
     if args.mode == "padding-stable":
         if args.n is None:
             raise ValueError("--padding-stable needs --n")
-        g = tally_mod.GrowthFn(args.family, args.k, {"scale": args.scale})
+        g = _growth_from_arg(_PADDING_STABLE_GAP if args.gap is None else args.gap, "--gap")
         result = _report(
             "tally-padding-stable",
             gap=g.describe(),
@@ -374,17 +346,12 @@ def _add_input_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
 
 
 def _add_language_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--language",
-        choices=("seeded-random", "low-weight", "singleton", "empty"),
-        default="seeded-random",
-    )
+    p.add_argument("--language", default="seeded-random",
+                   help="seeded-random (default), low-weight, singleton or empty")
     p.add_argument("--language-seed", type=int, default=None,
                    help="seed of a seeded-random language (default: derived from --seed)")
     p.add_argument("--max-ones", type=int, default=None, help="low-weight bound")
     p.add_argument("--member", default=None, help="singleton member bit string")
-    p.add_argument("--language-file", default=None,
-                   help="JSON {kind, params} describing the language")
 
 
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
@@ -464,15 +431,12 @@ def _build_parser() -> argparse.ArgumentParser:
     modes = p.add_mutually_exclusive_group(required=True)
     for mode in ("padding-stable", "validate", "construct"):
         modes.add_argument(f"--{mode}", action="store_const", dest="mode", const=mode)
-    p.add_argument("--family", choices=("iter-exp", "iter-log", "polynomial", "identity"),
-                   default="iter-exp", help="gap family for --padding-stable")
-    p.add_argument("--k", type=int, default=1, help="iteration depth for --padding-stable")
-    p.add_argument("--scale", type=int, default=2,
-                   help="inner scale: the checked gap is family(scale*n)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--lengths", default=None, help="comma-separated member lengths")
     p.add_argument("--density", default=None, help='JSON {"family", "depth", "params"}')
-    p.add_argument("--gap", default=None, help='JSON {"family", "depth", "params"}')
+    p.add_argument("--gap", default=None,
+                   help='JSON {"family", "depth", "params"} (--padding-stable default: '
+                        f'{_PADDING_STABLE_GAP})')
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--cap-bits", type=int, default=None)  # None: tally.DEFAULT_CAP_BITS
     p.add_argument("--output", default=None)
@@ -497,6 +461,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, ZeroDivisionError) as exc:  # tally's OutOfRangeError too
         print(f"streamfp: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:  # an input size, such as bench --mib, too large to hold
+        print(f"streamfp: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -30,18 +30,19 @@ uint32 entries and ``exp`` 2q of the value table's type (``value_dtype``:
 
 ``cut_segments`` cuts a stream call's packed bits into its k-bit
 segments, one uint64 each, with two gathers per segment.
-``fold`` is the stream's Horner fold v <- v*a + s by the k-th order
-Horner rule (Knuth, TAOCP vol. 2, 4.6.4; Estrin 1960).  The incoming v
-is one more leading coefficient, folded from 0; the coefficients are
+``fold_segments`` is the stream's Horner fold v <- v*a + s by the k-th
+order Horner rule (Knuth, TAOCP vol. 2, 4.6.4; Estrin 1960).  The
+incoming v (1 unless the caller passes the stream's) is one more
+leading coefficient, folded from 0; the coefficients are
 zero-padded at the front to B blocks of L, and Horner runs down all B
 blocks at once: L numpy steps, each ceil(k/8) gathers from the uint64
 split tables of a, one per byte of the block values.  The B block values
 are then folded by :func:`streamfp.field.horner_fold` with the split
 tables of a^L, the same algebra as composing chunks.  L is
 :func:`streamfp.field.fold_block_length`, about sqrt(R/32) for R
-segments; below 128 segments it is 1 and ``fold`` is ``horner_fold``
-itself, which is why the stream calls this module only from 128
-segments on.
+segments.  Below 128 segments it is 1, a Horner step per segment with
+nothing shared, so the stream folds those calls in Python and calls
+this module only from 128 segments on.
 
 Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
 64: per step the low bit of one operand gates an XOR of the other into the
@@ -73,7 +74,6 @@ __all__ = [
     "block_points",
     "eval_points",
     "cut_segments",
-    "fold",
     "fold_segments",
 ]
 
@@ -275,17 +275,10 @@ def cut_segments(data: bytes, count: int, k: int) -> np.ndarray:
     return segments
 
 
-def fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int) -> int:
-    """v <- v·a + s over the uint64 segments, in order, by blocks of L."""
-    return _block_fold(v, segments, a, m_low, k, fold_block_length(segments.size))
-
-
 def _block_fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int,
                 length: int) -> int:
-    """fold with blocks of the given length; length 1 is horner_fold."""
-    tables, words = _point_tables(a, m_low, k)
-    if length == 1:
-        return horner_fold(v, segments.tolist(), tables)
+    """fold_segments with blocks of the given length."""
+    words = _point_tables(a, m_low, k)[1]
     r = segments.size
     blocks = -(-(r + 1) // length)
     pad = blocks * length - r - 1
@@ -308,7 +301,8 @@ def _block_fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int,
     return horner_fold(0, acc.tolist(), _point_tables(a_pow, m_low, k)[0])
 
 
-def fold_segments(segments, a: int, m_low: int, k: int) -> int:
-    """Fold v ← v·a + s over the segments, starting from v = 1."""
+def fold_segments(segments, a: int, m_low: int, k: int, v: int = 1) -> int:
+    """Fold v ← v·a + s over the segments, in order, by blocks of L."""
     _check_k(k)
-    return fold(1, np.asarray(segments, np.uint64).ravel(), a, m_low, k)
+    segments = np.asarray(segments, np.uint64).ravel()
+    return _block_fold(v, segments, a, m_low, k, fold_block_length(segments.size))

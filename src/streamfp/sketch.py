@@ -143,8 +143,10 @@ class DensityFn:
 
     @classmethod
     def parse(cls, text: str) -> "DensityFn":
-        name, _, arg = text.partition(":")
+        name, sep, arg = text.partition(":")
         if name == "linear":
+            if sep:
+                raise ValueError(f"linear density takes no argument, got {text!r}")
             return cls("linear")
         if name == "constant":
             c = int(arg)
@@ -229,7 +231,7 @@ def make_language(kind: str, *, seed: int | None = None, max_ones: int | None = 
 
     if kind == "low-weight":
         if max_ones is None or max_ones < 0:
-            raise ValueError("low-weight language needs max_ones >= 0")
+            raise ValueError("low-weight language needs max_ones >= 0 (--max-ones)")
         c = max_ones
         return SparseLanguageSpec(
             "low-weight",
@@ -241,7 +243,7 @@ def make_language(kind: str, *, seed: int | None = None, max_ones: int | None = 
 
     if kind == "singleton":
         if not member or member.strip("01"):
-            raise ValueError("singleton language needs a nonempty bit string member")
+            raise ValueError("singleton language needs a nonempty bit string member (--member)")
         return SparseLanguageSpec(
             "singleton",
             DensityFn("constant", 1),

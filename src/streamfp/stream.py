@@ -29,10 +29,10 @@ call's segment count R and k, picks how the fields are cut and folded.
 When k > 64 or R < 128, they are cut into Python ints and
 :func:`streamfp.field.horner_fold` folds them on the stream's split
 tables.  Otherwise :func:`streamfp.kernels.cut_segments` cuts them into
-uint64 words in numpy, and :func:`streamfp.kernels.fold` runs Horner down
-blocks of them in parallel and joins the block values with the tables of
-a power of a.  Below 128 segments that block fold has
-block length 1 and is ``horner_fold`` itself, so the rule sits where
+uint64 words in numpy, and :func:`streamfp.kernels.fold_segments` runs
+Horner down blocks of them in parallel and joins the block values with
+the tables of a power of a.  Below 128 segments that block fold has
+block length 1, one Horner step per segment, so the rule sits where
 numpy stops paying for its start-up; short streams, like a sketch
 query's, never import numpy.  Either way the algebra, and so the
 result, is the one-step-per-segment fold's.
@@ -240,7 +240,7 @@ class StreamState:
             from . import kernels
 
             segments = kernels.cut_segments(data, count, k)
-            self.v = kernels.fold(self.v, segments, self.a, self.ctx.m_low, k)
+            self.v = kernels.fold_segments(segments, self.a, self.ctx.m_low, k, self.v)
         self.profile.conversions += count
         self.profile.field_ops += 2 * count
 

@@ -3,14 +3,17 @@ formats, and the exit-code contract."""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import random
+import re
 import stat
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +322,26 @@ def test_bits_file_count_mismatch(tmp_path, capsys):
     assert code == EXIT_PRECONDITION and "does not match the 5 input bits" in err
 
 
+def test_bits_flag_reads_like_a_bits_file(tmp_path, capsys):
+    # --bits goes through the bits-file reader: whitespace is skipped, --n
+    # is checked against the bits it holds, and --format does not apply.
+    text = "1011 0010\n1\t1 "
+    src = tmp_path / "input.txt"
+    src.write_text(text)
+    want = run_json(capsys, "fingerprint", "--input", os.fspath(src), "--seed", "7")
+    assert want["n"] == 10
+    for argv in (("--bits", text), ("--bits", "1011001011"), ("--bits", text, "--n", "10"),
+                 ("--bits", text, "--format", "raw")):
+        assert run_json(capsys, "fingerprint", *argv, "--seed", "7") == want, argv
+    for argv, fragment in ((("--bits", text, "--n", "11"), "does not match the 10 input bits"),
+                           (("--bits", text, "--n", "9"), "does not match the input"),
+                           (("--bits", " \n"), "at least one bit"),
+                           (("--bits", "10\u00e91"), "'0' and '1'")):
+        code, out, err = run_cli(capsys, "fingerprint", *argv, "--seed", "7")
+        assert code == EXIT_PRECONDITION and out == "", argv
+        assert err.startswith("streamfp: ") and fragment in err, argv
+
+
 # ------------------------------------------------------------------- sketch
 
 def test_sketch_build_query_cycle(tmp_path, capsys):
@@ -555,15 +578,6 @@ def test_fp_rate_exit_code_mapping():
     assert _fp_rate_exit({"bound_checked": True, "bound_satisfied": False}) == EXIT_BOUND
 
 
-def test_fp_rate_language_file(tmp_path, capsys):
-    desc = tmp_path / "lang.json"
-    desc.write_text(json.dumps({"kind": "low-weight", "params": {"max_ones": 1}}))
-    r = run_json(capsys, "sketch", "fp-rate", "--language-file", os.fspath(desc),
-                 "--n", "6", "--trials", "3", "--seed", "8")
-    assert r["language"]["name"] == "low-weight"
-    assert r["member_count"] == 7
-
-
 @pytest.mark.parametrize("a_samples", ["0", "-1"])
 def test_fp_rate_sampled_mode_refuses_a_samples_below_one(capsys, a_samples):
     code, out, err = run_cli(capsys, "sketch", "fp-rate", "--language", "seeded-random",
@@ -573,31 +587,55 @@ def test_fp_rate_sampled_mode_refuses_a_samples_below_one(capsys, a_samples):
     assert "a_samples >= 1" in err
 
 
-@pytest.mark.parametrize("desc", [
-    "{}",
-    "[]",
-    '{"kind": "low-weight", "params": [1]}',
-    '{"kind": "low-weight", "params": {"max_ones": "1"}}',
-    '{"kind": "singleton", "params": {"member": 101}}',
+@pytest.mark.parametrize("extra, fragment", [
+    (("--language", "low-weight"), "low-weight language needs max_ones >= 0 (--max-ones)"),
+    (("--language", "low-weight", "--max-ones", "-1"), "low-weight language needs max_ones"),
+    (("--language", "singleton"), "needs a nonempty bit string member (--member)"),
+    (("--language", "singleton", "--member", "10x1"), "singleton language needs a nonempty"),
+    (("--language", "cubic"), "unknown language kind 'cubic'"),
 ])
-def test_language_file_bad_shape_exits_3(tmp_path, capsys, desc):
-    path = tmp_path / "lang.json"
-    path.write_text(desc)
-    code, out, err = run_cli(capsys, "sketch", "fp-rate", "--language-file", os.fspath(path),
-                             "--n", "6", "--trials", "1", "--seed", "8")
+@pytest.mark.parametrize("command", [
+    ["sketch", "build", "--n", "6", "--output", "lang.spsk"],
+    ["sketch", "fp-rate", "--n", "6", "--trials", "1"],
+])
+def test_bad_language_parameters_exit_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                      command, extra, fragment):
+    # make_language owns every per-kind check, the kind's name included.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--seed", "8", *extra)
     assert code == EXIT_PRECONDITION and out == ""
-    assert "lang.json" in err
+    assert err.startswith("streamfp: ") and err.count("\n") == 1
+    assert fragment in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_bad_language_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sketch", "fp-rate", "--n", "6", "--trials", "1", "--language-seed", "x"])
+    assert exc.value.code == EXIT_PRECONDITION
+    out = capsys.readouterr()
+    assert out.out == "" and "--language-seed: invalid int value" in out.err
 
 
 # -------------------------------------------------------------------- tally
 
 def test_tally_padding_stable_cli(capsys):
-    r = run_json(capsys, "tally", "--padding-stable", "--family", "iter-exp",
-                 "--k", "1", "--n", "2")
+    gap = json.dumps({"family": "iter-exp", "depth": 1, "params": {"scale": 2}})
+    r = run_json(capsys, "tally", "--padding-stable", "--gap", gap, "--n", "2")
     assert r["stable"] is True
-    r = run_json(capsys, "tally", "--padding-stable", "--family", "iter-exp",
-                 "--k", "1", "--n", "1")
+    r = run_json(capsys, "tally", "--padding-stable", "--gap", gap, "--n", "1")
     assert r["stable"] is False
+
+
+def test_tally_padding_stable_default_gap(capsys):
+    # Without --gap the check is exp(2n), the doubled tower at depth 1.
+    for n in ("1", "2", "5"):
+        _, default, _ = run_cli(capsys, "tally", "--padding-stable", "--n", n)
+        _, given, _ = run_cli(capsys, "tally", "--padding-stable", "--n", n, "--gap",
+                              json.dumps({"family": "iter-exp", "params": {"scale": 2}}))
+        assert default == given
+        assert json.loads(default)["gap"] == {"family": "iter-exp", "depth": 1,
+                                              "params": {"scale": 2}}
 
 
 def test_tally_padding_stable_needs_n(capsys):
@@ -606,8 +644,8 @@ def test_tally_padding_stable_needs_n(capsys):
 
 
 def test_tally_out_of_range_exit(capsys):
-    code, _, err = run_cli(capsys, "tally", "--padding-stable", "--family",
-                           "iter-exp", "--k", "3", "--n", "2")
+    gap = json.dumps({"family": "iter-exp", "depth": 3, "params": {"scale": 2}})
+    code, _, err = run_cli(capsys, "tally", "--padding-stable", "--gap", gap, "--n", "2")
     assert code == EXIT_PRECONDITION
     assert "cap" in err
 
@@ -720,6 +758,21 @@ def test_bench_bad_k_list_exits_3_naming_the_flag(capsys, ks):
     assert "--k must be a comma-separated list of integers" in err
 
 
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 781. GiB"), MemoryError()])
+def test_bench_out_of_memory_exits_3(capsys, monkeypatch, error):
+    # The allocation is stood in for: on an overcommitting host a real one
+    # of this size could succeed and then exhaust the machine.
+    from streamfp import bench
+
+    def refuse(seed, k, count):
+        raise error
+
+    monkeypatch.setattr(bench, "_random_words", refuse)
+    code, out, err = run_cli(capsys, "bench", "--k", "8", "--mib", "100000", "--seed", "5")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err == f"streamfp: {str(error) or 'out of memory'}\n"
+
+
 # ------------------------------------------------------------------ version
 
 def test_version_flag(capsys):
@@ -739,3 +792,40 @@ def test_usage_errors_exit_3(capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_PRECONDITION
     assert "usage: streamfp" in capsys.readouterr().err
+
+
+# Each kind of input has one flag: a language is --language and its
+# parameters, a --padding-stable gap is --gap.
+@pytest.mark.parametrize("argv", [
+    ["sketch", "fp-rate", "--n", "6", "--trials", "1", "--language-file", "lang.json"],
+    ["sketch", "build", "--n", "6", "--output", "x.spsk", "--language-file", "lang.json"],
+    ["tally", "--padding-stable", "--n", "5", "--family", "iter-exp"],
+    ["tally", "--padding-stable", "--n", "5", "--k", "1"],
+    ["tally", "--padding-stable", "--n", "5", "--scale", "2"],
+])
+def test_removed_input_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PRECONDITION
+    out = capsys.readouterr()
+    assert out.out == "" and f"unrecognized arguments: {argv[-2]}" in out.err
+    assert os.listdir(tmp_path) == []
+
+
+def _option_strings(parser):
+    """Every option string of parser and of its subparsers, recursively."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+
+
+def test_readme_documents_only_flags_the_cli_has():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("\n## CLI\n")
+    end = readme.index("\n## ", readme.index("\n## Conventions\n") + 1)
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme[start:end]))
+    assert {"--bits", "--gap", "--output"} <= documented
+    assert documented - set(_option_strings(cli._build_parser())) == set()

@@ -331,7 +331,9 @@ def test_block_fold_matches_horner_fold_and_direct_eval(k, r, length, a, seed):
         want = direct_eval(ctx, _segment_bits(segs, k), a)
         assert kernels._block_fold(1, arr, a, ctx.m_low, k, length) == want
     # The public entry picks L from R alone and must give the same value.
-    assert kernels.fold(v, arr, a, ctx.m_low, k) == got
+    assert kernels.fold_segments(arr, a, ctx.m_low, k, v) == got
+    if r:
+        assert kernels.fold_segments(arr, a, ctx.m_low, k) == want
 
 
 def test_degree_guard():

@@ -89,8 +89,19 @@ def test_density_fn_parse():
     assert DensityFn.parse("constant:4").eval(100) == 4
     assert DensityFn.parse("linear").eval(100) == 100
     assert DensityFn.parse("power:3/2").eval(16) == 64
-    with pytest.raises(ValueError):
-        DensityFn.parse("cubic-ish")
+    for text in ("cubic-ish", "linear:5", "linear:", "constant:", "constant:-1", "power:",
+                 "power:3/0"):
+        with pytest.raises(ValueError):
+            DensityFn.parse(text)
+
+
+def test_fingerprint_density_with_a_stray_argument_exits_3(capsys):
+    from streamfp.cli import EXIT_PRECONDITION, main
+
+    assert main(["fingerprint", "--bits", "1011", "--seed", "7", "--f", "linear:5"]) \
+        == EXIT_PRECONDITION
+    out = capsys.readouterr()
+    assert out.out == "" and "linear" in out.err
 
 
 def test_density_violation_reported_with_n():
