@@ -192,8 +192,11 @@ def horner_fold(v: int, segments, tables: list[list[int]]) -> int:
 def fold_block_length(r: int) -> int:
     """Block length L of the block fold of r segments (see
     :mod:`streamfp.kernels`): about sqrt(r/32), which balances its numpy
-    steps against the scalar outer fold.  Below 128 segments it is 1, and
-    the fold is :func:`horner_fold` itself."""
+    steps against the scalar outer fold.  The lane fold of
+    :mod:`streamfp.stream` runs 8L lanes, so about sqrt(r/2) steps, for
+    the same balance of big-int steps against the join of its lanes.
+    Below 128 segments L is 1, and a stream folds by :func:`horner_fold`
+    itself."""
     return max(1, math.isqrt(r >> 5))
 
 

@@ -3,12 +3,14 @@
 With ``bench``, this is the one module that imports numpy at module
 level.  The others import numpy, or this module, inside the functions
 that run batch work: a sketch build or sweep, and a stream call of 128
-or more segments at k <= 64.  Short streams, sketch lookups and the
-other commands run on Python ints and never load numpy.  Elements are
-uint64 bit patterns, so ``mulmod``, ``cut_segments`` and the fold cover
-extension degrees 1..``WORD_DEGREE_CAP`` (the word tier); wider fields
-stay on the big-int tier.  Both tiers must agree bit for bit; the
-differential tests enforce that.
+or more segments in a stream of at least 2^23 bits at k <= 64.  Shorter
+streams, streams past k = 64 (both fold in lanes on Python ints, see
+:mod:`streamfp.stream`), sketch lookups and the other commands never
+load numpy.  Elements are uint64 bit patterns, so ``mulmod``,
+``cut_segments`` and the fold cover extension degrees
+1..``WORD_DEGREE_CAP`` (the word tier); wider fields stay on the big-int
+tier.  Both tiers must agree bit for bit; the differential tests enforce
+that.
 
 ``eval_points`` evaluates a batch of polynomials, one per row, on
 log/antilog tables of the multiplicative group (Plank, Greenan & Miller,
@@ -42,7 +44,9 @@ tables of a^L, the same algebra as composing chunks.  L is
 :func:`streamfp.field.fold_block_length`, about sqrt(R/32) for R
 segments.  Below 128 segments it is 1, a Horner step per segment with
 nothing shared, so the stream folds those calls in Python and calls
-this module only from 128 segments on.
+this module only from 128 segments on, and only in streams of 2^23 bits
+or more: below that the lane fold, at about half this fold's speed per
+bit, costs less than loading numpy.
 
 Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
 64: per step the low bit of one operand gates an XOR of the other into the

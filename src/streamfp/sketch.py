@@ -144,18 +144,26 @@ class DensityFn:
     @classmethod
     def parse(cls, text: str) -> "DensityFn":
         name, sep, arg = text.partition(":")
+
+        def integer(part: str, form: str) -> int:
+            try:
+                return int(part)
+            except ValueError:
+                raise ValueError(f"--f {form} needs integers, got {text!r}") from None
+
         if name == "linear":
             if sep:
                 raise ValueError(f"linear density takes no argument, got {text!r}")
             return cls("linear")
         if name == "constant":
-            c = int(arg)
+            c = integer(arg, "constant:C")
             if c < 0:
                 raise ValueError("constant density must be >= 0")
             return cls("constant", c)
         if name == "power":
             num, _, den = arg.partition("/")
-            num_i, den_i = int(num), int(den) if den else 1
+            num_i = integer(num, "power:P/Q")
+            den_i = integer(den, "power:P/Q") if den else 1
             if num_i < 0 or den_i < 1:
                 raise ValueError("power density needs a nonnegative rational exponent")
             return cls("power", num_i, den_i)

@@ -25,17 +25,33 @@ partial segment waits in an int register, first-read bit lowest; the
 packer turns the call's bits into one Python int whose bit p is the p-th
 bit read, and joined above the register its k-bit fields are the
 segments, the bits past them the next register.  One rule, made from the
-call's segment count R and k, picks how the fields are cut and folded.
-When k > 64 or R < 128, they are cut into Python ints and
-:func:`streamfp.field.horner_fold` folds them on the stream's split
-tables.  Otherwise :func:`streamfp.kernels.cut_segments` cuts them into
-uint64 words in numpy, and :func:`streamfp.kernels.fold_segments` runs
-Horner down blocks of them in parallel and joins the block values with
-the tables of a power of a.  Below 128 segments that block fold has
-block length 1, one Horner step per segment, so the rule sits where
-numpy stops paying for its start-up; short streams, like a sketch
-query's, never import numpy.  Either way the algebra, and so the
-result, is the one-step-per-segment fold's.
+call's segment count R, k and the stream's length n, picks the fold:
+
+- R < 128: the fields are cut into Python ints and
+  :func:`streamfp.field.horner_fold` folds them on the stream's split
+  tables, one step per segment.
+- k <= 64 and n >= 2^23 bits (1 MiB of raw input):
+  :func:`streamfp.kernels.cut_segments` cuts them into uint64 words and
+  :func:`streamfp.kernels.fold_segments` runs Horner down blocks of them
+  in numpy, joining the block values with the tables of a power of a.
+- otherwise, the lane fold (``_lane_fold``): Horner by A = a^B down B
+  lanes at once, with B = 8 * fold_block_length(R).  One Python int holds
+  the B lanes in 2k-bit slots, even lanes in its low half and odd lanes
+  in its high half, so the B fields of a step enter through two masks; a
+  step multiplies every lane by A, one shift-XOR per nonzero w-bit digit
+  of A from a table of the lanes times each digit (w = 1 is one per set
+  bit), and folds each slot's high half back in shift-XOR rounds on the
+  sparse modulus tail (two for every modulus find_irreducible gives).
+  This is SIMD within a register (Fisher & Dietz, LCPC 1998): the big-int
+  shifts and XORs run in C.  The lane values are then joined by
+  horner_fold on the tables of a.
+
+So numpy loads only for streams of 2^23 bits or more at k <= 64, where
+its block fold is about twice the lane fold's speed per bit and its
+start-up is paid back; shorter streams, like a sketch query's, and every
+stream past k = 64 run on Python ints.  The rule reads n, not the call,
+so the long calls of one stream share a fold.  Every way the algebra,
+and so the result, is the one-step-per-segment fold's.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), a k-bit
@@ -47,10 +63,10 @@ the input, within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
 tables (ceil(k/8) * 256 elements of k bits) are derived from a alone and
 are constant in n, so they are a cache of a, not state that grows with
 the input.  The buffers of one feed call, the block fold's B block
-values among them, scale with that call's chunk, never with n, and are
-gone when the call returns.  The counters model the one-pass verifier:
-conversions and field_ops count one conversion and two operations per
-segment, not the block fold's own schedule.
+values and the lane fold's B lanes among them, scale with that call's
+chunk, never with n, and are gone when the call returns.  The counters
+model the one-pass verifier: conversions and field_ops count one
+conversion and two operations per segment, not a fold's own schedule.
 
 Tuple coding (for shipping a fingerprint as one bit string): each data
 bit b is sent as "1b" and parts are separated by "00", so
@@ -62,6 +78,7 @@ b_{k-1}..b_0 order.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -75,7 +92,7 @@ from .field import (
     select_field_size,
     split_tables,
 )
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, _powmod
 
 __all__ = [
     "ResourceProfile",
@@ -174,6 +191,62 @@ def _cut_segments(data: bytes, count: int, k: int) -> list[int]:
     return segments
 
 
+# A stream's calls share its point and, all but the last, one lane count.
+@functools.lru_cache(maxsize=8)
+def _lane_plan(a: int, modulus: int, k: int, lanes: int):
+    """How _lane_fold multiplies by A = a^lanes: a table of the lanes times
+    every w-bit digit (2^w - 2 operations), then one shift-XOR per nonzero
+    w-bit digit of A, for the w in 1..4 with the fewest operations.  Also
+    the set bits of the modulus tail, and the even-field, odd-field and
+    high-half masks of the lane layout."""
+    power = _powmod(a, lanes, modulus)
+    plans = {}
+    for w in range(1, 5):
+        digits = [(i, power >> i & ((1 << w) - 1)) for i in range(0, k, w)]
+        digits = [(i, d) for i, d in digits if d]
+        plans[(1 << w) - 2 + 2 * len(digits)] = 1 << w, digits
+    slots = ((1 << 2 * k * lanes) - 1) // ((1 << 2 * k) - 1)  # bit 2kp, each p
+    low = slots * ((1 << k) - 1)
+    even = low & ((1 << k * lanes) - 1)
+    return (*plans[min(plans)], [j for j in range(k) if modulus >> j & 1],
+            even, even << k, low << k)
+
+
+def _lane_fold(v: int, segments: int, count: int, ctx: FieldCtx, a: int,
+               tables: list[list[int]]) -> int:
+    """horner_fold(v, the count k-bit fields of segments, tables of a) in B
+    lanes (see the module docstring).  The coefficients v, s_1, ... are
+    zero-padded at the front to whole steps of B, and lane t runs Horner
+    by A = a^B down coefficients t, t + B, ..., so the result is the sum
+    of lane_t a^(B-1-t): Horner on a over the lane values."""
+    k = ctx.k
+    lanes = 8 * fold_block_length(count)
+    step = lanes * k // 8  # bytes
+    steps = -(-(count + 1) // lanes)
+    data = ((segments << k | v) << (steps * lanes - count - 1) * k).to_bytes(
+        steps * step, "little")
+    size, digits, tail, even, odd, high = _lane_plan(a, ctx.m_bits, k, lanes)
+    acc = 0
+    for s in range(0, len(data), step):
+        fields = int.from_bytes(data[s:s + step], "little")
+        times = [0, acc]  # times[d] = the lanes times the digit d
+        for d in range(2, size):
+            times.append(times[d >> 1] << 1 if d % 2 == 0 else times[d - 1] ^ acc)
+        prod = 0
+        for i, d in digits:
+            prod ^= times[d] << i
+        while hi := prod & high:  # two rounds for every find_irreducible tail
+            prod ^= hi
+            hi >>= k
+            for j in tail:
+                prod ^= hi << j
+        acc = prod ^ (fields & even) ^ (fields & odd) << (lanes - 1) * k
+    slots = _cut_segments(acc.to_bytes(2 * step, "little"), lanes, 2 * k)
+    values = [0] * lanes  # slot p holds lane 2p, slot lanes/2 + p lane 2p + 1
+    values[::2], values[1::2] = slots[:lanes // 2], slots[lanes // 2:]
+    return horner_fold(0, values, tables)
+
+
 class StreamState:
     """In-flight fingerprint computation; create with begin()."""
 
@@ -233,14 +306,18 @@ class StreamState:
         # Bit ik + j is bit j of segment i, its u^j coefficient, so a short
         # final segment zero-extends high; the bytes are zero-padded to whole
         # k-byte groups of eight segments for the cutters.
-        data = (bits & ((1 << used) - 1)).to_bytes(-(-count // 8) * k, "little")
-        if k > WORD_DEGREE_CAP or fold_block_length(count) == 1:
+        segments = bits & ((1 << used) - 1)
+        if fold_block_length(count) == 1:
+            data = segments.to_bytes(-(-count // 8) * k, "little")
             self.v = horner_fold(self.v, _cut_segments(data, count, k), self._tables)
-        else:
+        elif k <= WORD_DEGREE_CAP and self.n >= 1 << 23:  # numpy pays from 1 MiB
             from . import kernels
 
-            segments = kernels.cut_segments(data, count, k)
-            self.v = kernels.fold_segments(segments, self.a, self.ctx.m_low, k, self.v)
+            data = segments.to_bytes(-(-count // 8) * k, "little")
+            words = kernels.cut_segments(data, count, k)
+            self.v = kernels.fold_segments(words, self.a, self.ctx.m_low, k, self.v)
+        else:
+            self.v = _lane_fold(self.v, segments, count, self.ctx, self.a, self._tables)
         self.profile.conversions += count
         self.profile.field_ops += 2 * count
 
@@ -271,14 +348,18 @@ def begin_seeded(
 ) -> StreamState:
     """Start a stream as fingerprint() does: the point is drawn from
     random.Random(seed), and the field comes from select_field_size(n,
-    f_of_n) unless an explicit ctx overrides the sizing.  The seed must be
-    >= 0: random.Random uses only |seed|, so -s would replay s's point."""
+    max(1, f_of_n)) unless an explicit ctx overrides the sizing: a density
+    of 0 sizes as 1, as DensityFn.field_size and so the CLI's --f do.  The
+    seed must be >= 0: random.Random uses only |seed|, so -s would replay
+    s's point."""
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if ctx is None:
         if f_of_n is None:
             raise ValueError("either f_of_n or ctx is required")
-        ctx = make_field(select_field_size(n, f_of_n))
+        if f_of_n < 0:
+            raise ValueError("f(n) must be >= 0")
+        ctx = make_field(select_field_size(n, max(1, f_of_n)))
     return begin(n, ctx, random.Random(seed), seed=seed)
 
 

@@ -65,12 +65,17 @@ def inputs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_fingerprint_rss_is_flat_in_n(inputs, source):
+# Both inputs of a case share a fold: numpy at the default k (50 and 58),
+# as the stream has 2^23 bits or more, and the lane fold at k = 66.
+@pytest.mark.parametrize("source, k", [("file", None), ("stdin", None), ("file", 66)],
+                         ids=["file", "stdin", "file-k66"])
+def test_fingerprint_rss_is_flat_in_n(inputs, source, k):
     bound = peak_rss_mib("--version") + HEADROOM_MIB
     rss = {}
     for mib, path in inputs.items():
         args = ("fingerprint", "--format", "raw", "--seed", "1")
+        if k is not None:
+            args += ("--k", str(k))
         if source == "file":
             rss[mib] = peak_rss_mib(*args, "--input", path)
         else:

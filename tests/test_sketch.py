@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +95,12 @@ def test_density_fn_parse():
                  "power:3/0"):
         with pytest.raises(ValueError):
             DensityFn.parse(text)
+    # A non-integer argument is named with the flag and the family's form,
+    # not by int()'s own message.
+    for text, form in (("constant:", "--f constant:C"), ("power:x/2", "--f power:P/Q"),
+                       ("power:3/x", "--f power:P/Q")):
+        with pytest.raises(ValueError, match=f"^{re.escape(form)} needs integers"):
+            DensityFn.parse(text)
 
 
 def test_fingerprint_density_with_a_stray_argument_exits_3(capsys):
@@ -102,6 +110,24 @@ def test_fingerprint_density_with_a_stray_argument_exits_3(capsys):
         == EXIT_PRECONDITION
     out = capsys.readouterr()
     assert out.out == "" and "linear" in out.err
+
+
+@pytest.mark.parametrize("density, f_of_n", [("constant:0", 0), ("constant:1", 1),
+                                            ("linear", 4)])
+def test_library_and_cli_size_a_density_alike(capsys, density, f_of_n):
+    # A density of 0 sizes as 1 in both: the CLI through DensityFn.field_size,
+    # the library through begin_seeded.
+    from streamfp.cli import EXIT_OK, main
+    from streamfp.stream import fingerprint
+
+    assert main(["fingerprint", "--bits", "1011", "--seed", "1", "--f", density]) == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    fp = fingerprint(4, "1011", seed=1, f_of_n=f_of_n)
+    assert (record["k"], record["a_hex"], record["v_hex"]) == \
+        (fp.k, fp.ctx.elem_hex(fp.a), fp.ctx.elem_hex(fp.v))
+    assert fp.k == DensityFn.parse(density).field_size(4)
+    with pytest.raises(ValueError, match="f\\(n\\) must be >= 0"):
+        fingerprint(4, "1011", seed=1, f_of_n=-1)
 
 
 def test_density_violation_reported_with_n():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfp.field import make_field
+from streamfp.field import FieldCtx, fold_block_length, horner_fold, make_field, split_tables
+from streamfp.gf2poly import Gf2Poly, find_irreducible
 from streamfp.stream import (
     SPACE_CONSTANT,
     Fingerprint,
@@ -28,6 +29,8 @@ from streamfp.stream import (
     encode_tuple,
     fingerprint,
     split_segments,
+    _lane_fold,
+    _lane_plan,
 )
 
 from conftest import FixedRng
@@ -423,7 +426,7 @@ def _packed(piece: str) -> bytes:
 @pytest.mark.parametrize("feeder", ["feed", "feed_bytes", "alternate"])
 def test_packer_selection_boundary_matches_direct_eval(k, feeder):
     # Calls of 127, 128 and 129 whole segments sit on both sides of the
-    # packer selection (numpy from 128 segments at k <= 64), in one stream
+    # packer selection (the lane fold from 128 segments), in one stream
     # with empty calls, 1- and 3-bit calls and a short final segment.
     ctx = make_field(k)
     sizes = [0, 127 * k, 128 * k, 1, 129 * k - 1, 0, 3, 128 * k - 3, 127 * k, 0,
@@ -507,3 +510,97 @@ def test_feed_rejects_non_ascii():
     state = begin(4, GF4, FixedRng(1))
     with pytest.raises(ValueError, match="'0' and '1'"):
         state.feed("10\u00e91")
+
+
+# ------------------------------------------------------------ lane fold
+
+LANE_DEGREES = [1, 2, 7, 8, 9, 14, 16, 50, 63, 64, 65, 66, 100, 127, 128, 129]
+
+
+def _lane_counts() -> list[int]:
+    """Segment counts from 128 on where v and the segments fill whole steps
+    of B lanes, or miss by one either way."""
+    counts = []
+    for count in range(128, 700):
+        lanes = 8 * fold_block_length(count)
+        if (count + 1) % lanes in (0, 1, lanes - 1):
+            counts.append(count)
+    return counts[::4] + [1000, 4096]
+
+
+def _as_int(segments: list[int], k: int) -> int:
+    return sum(s << i * k for i, s in enumerate(segments))
+
+
+@pytest.mark.parametrize("k", LANE_DEGREES)
+def test_lane_fold_matches_horner_fold_and_direct_eval(k):
+    ctx = make_field(k)
+    rng = random.Random(9100 + k)
+    counts = _lane_counts()
+    assert len({8 * fold_block_length(c) for c in counts}) >= 4
+    for a in (0, 1, rng.getrandbits(k)):
+        tables = split_tables(a, ctx.m_bits, k)
+        for count in counts:
+            segments = [rng.getrandbits(k) for _ in range(count)]
+            v = rng.randrange(2, 1 << k) if k > 1 else 0
+            assert _lane_fold(v, _as_int(segments, k), count, ctx, a, tables) == \
+                horner_fold(v, segments, tables), (k, a, count)
+        # A stream's own calls, k not dividing n: one call, then chunks of
+        # 128 to 300 segments through feed and feed_bytes in turn.
+        n = 700 * k + rng.randrange(1, k) if k > 1 else 701
+        x = "".join(rng.choice("01") for _ in range(n))
+        want = direct_eval(ctx, x, a)
+        assert run_stream(x, ctx, a).v == want, (k, a)
+        state = begin(n, ctx, FixedRng(a))
+        pos = calls = 0
+        while pos < n:
+            piece = x[pos:pos + rng.randrange(128 * k, 300 * k)]
+            if calls % 2:
+                state.feed(piece)
+            else:
+                state.feed_bytes(_packed(piece), len(piece))
+            pos += len(piece)
+            calls += 1
+        assert calls >= 3 and state.finish().v == want, (k, a)
+
+
+def test_lane_plan_digits_spell_the_power_at_every_width():
+    # The multiplier a^B is taken in digits of 1 to 4 bits, whichever width
+    # costs the fewest operations; every width occurs, and the digits
+    # always add up to a^B.
+    sizes = set()
+    for k in LANE_DEGREES:
+        ctx = make_field(k)
+        rng = random.Random(9300 + k)
+        for a in (0, 1, rng.getrandbits(k), rng.getrandbits(k)):
+            for lanes in (16, 24, 256):
+                size, digits = _lane_plan(a, ctx.m_bits, k, lanes)[:2]
+                sizes.add(size)
+                assert all(0 < d < size for _, d in digits)
+                power = 0
+                for i, d in digits:
+                    power ^= d << i
+                assert power == ctx.pow(a, lanes), (k, a, lanes)
+    assert sizes == {2, 4, 8, 16}
+
+
+def test_lane_fold_reduces_in_two_rounds_for_the_library_moduli():
+    # A lane product has degree <= 2k - 2, so its high half h has degree
+    # <= k - 2; folding h with a tail of degree d leaves an overflow of
+    # degree <= d - 2, and folding that leaves degree <= 2d - 2, below k
+    # when 2d <= k + 1.  Every modulus find_irreducible returns keeps to it.
+    for k in range(1, 161):
+        tail = find_irreducible(k).bits ^ (1 << k)
+        assert 2 * (tail.bit_length() - 1) <= k + 1, k
+
+
+def test_lane_fold_reduces_any_tail():
+    # An irreducible modulus with a dense tail of degree k - 1 needs more
+    # than two rounds; the fold keeps reducing until every high half is 0.
+    ctx = FieldCtx(16, Gf2Poly(0x1FFED))
+    rng = random.Random(16)
+    a = rng.getrandbits(16)
+    tables = split_tables(a, ctx.m_bits, 16)
+    segments = [rng.getrandbits(16) for _ in range(500)]
+    assert _lane_fold(5, _as_int(segments, 16), 500, ctx, a, tables) == \
+        horner_fold(5, segments, tables)
