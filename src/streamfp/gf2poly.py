@@ -11,9 +11,11 @@ they are the general tier.  The word-sized kernels in
 :mod:`streamfp.kernels` mirror them for degrees up to 64 and are checked
 against them bit for bit.
 
-Exponents (e.g. 2^k inside the irreducibility test) are ordinary Python
-ints as well, which never overflow; square-and-multiply touches one bit
-of the exponent at a time.
+Exponents are ordinary Python ints as well, which never overflow;
+square-and-multiply touches one bit of the exponent at a time.  The one
+irreducibility test is Ben-Or's (FOCS 1981): it squares u step by step
+and takes a gcd with the candidate after each square, so a reducible
+candidate fails at the degree of its smallest factor.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ __all__ = [
     "factor_smallest",
 ]
 
-# Largest extension degree find_irreducible will search.  Degrees up to a
-# few hundred answer interactively; the scan near the cap takes seconds
-# because candidate counts and reduction costs both grow with the degree.
+# Largest extension degree find_irreducible will search.  The search at
+# the cap takes about a second (see the README's `irreducible` section).
 IRREDUCIBLE_DEGREE_CAP = 1024
 
 
@@ -197,34 +198,24 @@ def _prime_divisors(k: int) -> list[int]:
 
 
 def _is_irreducible_int(m: int) -> bool:
-    # Degree-k m is irreducible iff u^(2^k) == u (mod m) and, for every
-    # prime divisor d of k, gcd(u^(2^(k/d)) + u, m) = 1.  The squaring
-    # chain below passes each checkpoint k/d on its way up to k.
-    k = _degree(m)
-    checkpoints = {k // d for d in _prime_divisors(k)}
-    x = _mod(2, m)
-    for i in range(1, k + 1):
+    # Ben-Or's test: degree-k m is irreducible iff gcd(u^(2^i) + u, m) = 1
+    # for every i = 1 .. k/2, as u^(2^i) + u is the product of the
+    # irreducibles whose degree divides i.  A reducible m has a factor of
+    # degree at most k/2, so most candidates fail within a few squarings.
+    x = u = _mod(2, m)
+    for _ in range(_degree(m) // 2):
         x = _mod(_clmul(x, x), m)
-        if i in checkpoints and _gcd(x ^ _mod(2, m), m) != 1:
+        if _gcd(x ^ u, m) != 1:
             return False
-    return x == _mod(2, m)
+    return True
 
 
 def is_irreducible(p: Gf2Poly) -> bool:
-    """Deterministic irreducibility test for polynomials of degree >= 1."""
+    """Ben-Or's deterministic irreducibility test, for degree >= 1: at most
+    deg(p) // 2 squarings mod p, each followed by a gcd."""
     if p.degree < 1:
         raise ValueError("irreducibility is defined for degree >= 1 only")
     return _is_irreducible_int(p.bits)
-
-
-def _has_small_factor(bits: int, dmax: int) -> bool:
-    # Trial division by every polynomial of degree 1..dmax with constant
-    # term 1 (divisors with constant term 0 are multiples of u, which
-    # cannot divide a candidate whose own constant term is 1).
-    for cand in range(3, 1 << (dmax + 1), 2):
-        if _mod(bits, cand) == 0:
-            return True
-    return False
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,7 +225,9 @@ def find_irreducible(k: int) -> Gf2Poly:
 
     Candidates are enumerated by increasing integer value of the
     coefficient pattern; for k >= 2 patterns with constant term 0 are
-    divisible by u and skipped.  Deterministic: repeated calls, and calls
+    divisible by u and skipped.  Each candidate goes through
+    :func:`is_irreducible`'s test, which turns a typical reducible one
+    down within a few squarings.  Deterministic: repeated calls, and calls
     in different processes, return the same polynomial.
     """
     if not 1 <= k <= IRREDUCIBLE_DEGREE_CAP:
@@ -243,10 +236,7 @@ def find_irreducible(k: int) -> Gf2Poly:
         )
     if k == 1:
         return U
-    prefilter = min(8, k // 2) if k >= 32 else 0
     for bits in range((1 << k) | 1, 1 << (k + 1), 2):
-        if prefilter and _has_small_factor(bits, prefilter):
-            continue
         if _is_irreducible_int(bits):
             return Gf2Poly(bits)
     raise AssertionError("unreachable: every degree has an irreducible")

@@ -423,15 +423,16 @@ def _member_counts(sketch: SketchSet, members: list[str]) -> list[int]:
 
 def _blocks(sketch: SketchSet, xs: list[str], points: np.ndarray | None):
     """(slice of xs, table columns, their d_x values in a reused buffer) per
-    block of points: given points a block at a time for all of xs, or the
-    field swept in log order per group of rows (1/16 of the table's bytes,
-    at least 128 KiB: the compare reads the whole table once per group)."""
+    block of points: the field swept by ``eval_points(range(q), ...)`` per
+    group of rows (1/16 of the table's bytes, at least 128 KiB: the compare
+    reads the whole table once per group), or given points a block at a
+    time for all of xs."""
     import numpy as np
     from . import kernels
 
     ctx, table = sketch.ctx, sketch.values
     coeffs = _coeff_rows(ctx, sketch.n, xs)
-    if points is None and kernels.log_order(ctx.k, coeffs.shape[1]):
+    if points is None:
         group = max(1, max(1 << 17, table.nbytes >> 4) // (ctx.q * table.itemsize))
         vals = np.empty((min(group, len(xs)), ctx.q), table.dtype)
         for i in range(0, len(xs), group):
@@ -441,7 +442,7 @@ def _blocks(sketch: SketchSet, xs: list[str], points: np.ndarray | None):
             for s in range(0, ctx.q, step):
                 yield slice(i, i + group), table[:, s:s + step], out[:, s:s + step]
         return
-    points = np.asarray(range(ctx.q) if points is None else points, np.uint64)
+    points = np.asarray(points, np.uint64)
     step = kernels.block_points(len(xs))
     vals = np.empty((len(xs), min(step, points.size)), table.dtype)
     for s in range(0, points.size, step):

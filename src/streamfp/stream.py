@@ -272,7 +272,8 @@ class StreamState:
         """Consume the next chunk of the input, any chunking allowed."""
         if self._finished:
             raise ValueError("stream already finished")
-        if bits.strip("01"):
+        # Checked in C: a character with no latin-1 byte becomes '?'.
+        if bits.encode("latin-1", "replace").translate(None, b"01"):
             raise ValueError("input must consist of '0' and '1' only")
         self._absorb(bits, len(bits))
 

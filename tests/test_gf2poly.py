@@ -1,6 +1,6 @@
 """GF(2)[u] polynomial arithmetic: frozen hand-worked values, ring
-axioms on random samples, and the irreducibility machinery checked
-against an independent trial-division oracle."""
+axioms on random samples, and the irreducibility test checked against
+an independent trial-division oracle and against Rabin's test."""
 
 from __future__ import annotations
 
@@ -241,10 +241,39 @@ def test_factor_smallest_hand_examples():
         factor_smallest(ONE)
 
 
-def test_rabin_agrees_with_trial_division_to_degree_8():
-    for bits in range(2, 1 << 9):
+def test_is_irreducible_agrees_with_trial_division_to_degree_12():
+    for bits in range(2, 1 << 13):
         p = poly(bits)
         assert is_irreducible(p) == (factor_smallest(p) is None), repr(p)
+
+
+def _rabin(m: Gf2Poly) -> bool:
+    """Rabin's test, as a referee: degree-k m is irreducible iff
+    u^(2^k) = u (mod m) and gcd(u^(2^(k/d)) + u, m) = 1 for each prime d
+    dividing k."""
+    k = m.degree
+    primes = [d for d in range(2, k + 1) if k % d == 0
+              and all(d % e for e in range(2, d))]
+    return powmod(U, 1 << k, m) == U % m and all(
+        gcd(powmod(U, 1 << (k // d), m) + U, m) == ONE for d in primes
+    )
+
+
+def test_is_irreducible_agrees_with_rabin_at_degrees_20_to_160():
+    # Random patterns are mostly reducible with a small factor, so
+    # products of two irreducibles (no factor below the smaller degree;
+    # two of degree k/2 pass every squaring but the last) and the
+    # irreducibles themselves are checked as well.
+    rng = random.Random(20261018)
+    degrees = [rng.randrange(20, 161) for _ in range(200)]
+    cases = [poly(rng.getrandbits(k) | (1 << k) | 1) for k in degrees]
+    for k in degrees[:40]:
+        for j in (k // 2, rng.randrange(1, k)):
+            cases.append(find_irreducible(j) * find_irreducible(k - j))
+    cases += [find_irreducible(k) for k in set(degrees)]
+    assert any(_rabin(p) for p in cases[:200])
+    for p in cases:
+        assert is_irreducible(p) == _rabin(p), p.to_hex()
 
 
 def test_irreducible_counts_match_necklace_numbers_to_degree_8():
@@ -275,6 +304,25 @@ def test_find_irreducible_is_minimal_in_enumeration_order():
                 f"degree {k}: skipped irreducible {poly(bits)!r}"
             )
         assert factor_smallest(got) is None
+
+
+def test_find_irreducible_pinned_moduli():
+    # Every fingerprint and sketch file names its modulus, so a change to
+    # the search must find the same first irreducible at every degree.
+    pinned = {
+        31: "0x80000009",
+        32: "0x10000008d",
+        33: "0x20000004b",
+        50: "0x400000000001d",
+        58: "0x400000000000063",
+        62: "0x4000000000000069",
+        64: "0x1000000000000001b",
+        65: "0x2000000000000001b",
+        100: "0x10000000000000000000000065",
+        128: "0x100000000000000000000000000000087",
+        256: format((1 << 256) | 0x425, "#x"),
+    }
+    assert {k: find_irreducible(k).to_hex() for k in pinned} == pinned
 
 
 def test_find_irreducible_deterministic():

@@ -147,9 +147,18 @@ def test_feed_after_finish_rejected():
 
 
 def test_feed_rejects_non_bits():
+    # Besides a stray digit: forms that int(..., 2) accepts, namely an
+    # underscore, surrounding space, a sign and a non-ASCII digit (U+0661,
+    # Arabic-Indic one, which has no latin-1 byte).
     state = begin(4, GF4, FixedRng(1))
-    with pytest.raises(ValueError):
-        state.feed("102")
+    int_forms = ["1_0", " 1", "+1", "\u0661"]
+    assert [int(s, 2) for s in int_forms] == [2, 1, 1, 1]
+    for bad in ["102"] + int_forms:
+        with pytest.raises(ValueError, match="'0' and '1'"):
+            state.feed(bad)
+    assert state.profile.bits_read == 0
+    state.feed("1010")
+    assert state.finish().n == 4
 
 
 def test_begin_rejects_zero_length():
