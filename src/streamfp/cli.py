@@ -146,7 +146,10 @@ def _growth_from_arg(text: str | None, flag: str):
 
     if text is None:
         raise ValueError(f"--validate and --construct need {flag}")
-    return GrowthFn.from_json(json.loads(text))
+    try:
+        return GrowthFn.from_json(json.loads(text))
+    except RecursionError as exc:  # a JSONDecodeError is a ValueError already
+        raise ValueError(f"{flag} is nested too deeply to parse") from exc
 
 
 # The gap --padding-stable checks unless --gap names another: exp(2n).
@@ -356,8 +359,8 @@ def _add_language_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--entry-budget", type=int, default=sketch_mod.DEFAULT_ENTRY_BUDGET,
-                   help="most stored entries (members x 2^k) a sketch build may "
-                        "make (default: %(default)s)")
+                   help="most stored entries (members x 2^k) a sketch build or an "
+                        "exhaustive fp-rate may make (default: %(default)s)")
 
 
 class _Parser(argparse.ArgumentParser):

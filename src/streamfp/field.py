@@ -202,5 +202,8 @@ def fold_block_length(r: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def make_field(k: int) -> FieldCtx:
-    """GF(2^k) with the deterministic modulus from find_irreducible(k)."""
-    return FieldCtx(k, find_irreducible(k))
+    """GF(2^k) with the deterministic modulus from find_irreducible(k), which
+    the search proved irreducible: FieldCtx's own test is skipped."""
+    ctx, m = object.__new__(FieldCtx), find_irreducible(k)
+    ctx.__dict__.update(k=k, modulus=m, m_bits=m.bits, m_low=m.bits ^ (1 << k))
+    return ctx

@@ -17,8 +17,9 @@ for a built sketch, and the file's own bytes, used in place, for a loaded
 one.  A lookup reads the member_count values of one column straight from
 the buffer, with no numpy, so loading a sketch and querying it never
 import it.  The numpy view ``values`` serves the exact false-positive
-count: each string's values are compared with chunks of member rows a
-block of points at a time, and a member control with its own row alone.
+count, a block of points and a chunk of member rows at a time (a member
+control against its own row alone); the sampled count needs no table,
+as it evaluates a string and the members at the string's drawn points.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -295,7 +296,16 @@ class SketchSet:
         return values.reshape(self.member_count, self.ctx.q)
 
 
-def _validate_members(spec: SparseLanguageSpec, n: int) -> list[str]:
+def _resolve(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None, entry_budget: int):
+    """(validated members, field, rule_sized) of a build or an fp-rate run."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if entry_budget < 0:
+        raise ValueError(f"--entry-budget must be >= 0, got {entry_budget}")
+    k = ctx.k if ctx is not None else spec.density.field_size(n)
+    if k > ENUMERATION_DEGREE_CAP:
+        raise ValueError(f"sketch builds and sampled-a mode evaluate on log tables, "
+                         f"which need k <= {ENUMERATION_DEGREE_CAP}; got k = {k}")
     members = spec.enumerator(n)
     for y in members:
         if len(y) != n or y.strip("01"):
@@ -309,7 +319,7 @@ def _validate_members(spec: SparseLanguageSpec, n: int) -> list[str]:
         raise ValueError(
             f"density violation at n={n}: {len(members)} members exceed f(n)={bound}"
         )
-    return members
+    return members, ctx or make_field(k), ctx is None
 
 
 def build_sketch(
@@ -329,19 +339,13 @@ def build_sketch(
     1, 2 or 4 bytes each) raises EntryBudgetError before it evaluates
     anything.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    members = _validate_members(spec, n)
-    rule_sized = ctx is None
-    if ctx is None:
-        ctx = make_field(spec.density.field_size(n))
-    if ctx.k > ENUMERATION_DEGREE_CAP:
-        raise ValueError(
-            f"sketch building sweeps all q points and needs k <= {ENUMERATION_DEGREE_CAP}"
-        )
+    return _build(*_resolve(spec, n, ctx, entry_budget), n, entry_budget, source_seed)
+
+
+def _build(members: list[str], ctx: FieldCtx, rule_sized: bool, n: int,
+           entry_budget: int, source_seed: int | None) -> SketchSet:
+    """build_sketch on resolved inputs."""
     q = ctx.q
-    if entry_budget < 0:
-        raise ValueError(f"--entry-budget must be >= 0, got {entry_budget}")
     projected = q * len(members)
     if projected > entry_budget:
         raise EntryBudgetError(
@@ -380,12 +384,11 @@ def _coeff_rows(ctx: FieldCtx, n: int, strings: list[str]) -> np.ndarray:
     return np.array(rows, np.uint64).reshape(len(rows), -(-n // ctx.k))
 
 
-def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
-    """|{a : (a, d_x(a)) is stored}| over every field point, or over the
-    given uint64 points (repeats counted).  x is one string (an int back)
-    or a list of strings (a list of counts).  Each block of values from
-    ``_blocks`` is compared with the member rows a chunk of rows per numpy
-    step (``kernels.compare_shape``)."""
+def exact_fp_count(sketch: SketchSet, x):
+    """|{a : (a, d_x(a)) is stored}| over every field point.  x is one
+    string (an int back) or a list of strings (a list of counts).  Each
+    block of values from ``_blocks`` is compared with the member rows a
+    chunk of rows per numpy step (``kernels.compare_shape``)."""
     import numpy as np
     from . import kernels
 
@@ -394,7 +397,7 @@ def exact_fp_count(sketch: SketchSet, x, points: np.ndarray | None = None):
         if len(y) != sketch.n:
             raise ValueError(f"length mismatch: |x|={len(y)}, sketch n={sketch.n}")
     counts = np.zeros(len(xs), np.int64)
-    for rows, cols, vals in _blocks(sketch, xs, points):
+    for rows, cols, vals in _blocks(sketch, xs):
         chunk = kernels.compare_shape(len(vals), sketch.member_count)[1]
         hit = np.zeros(vals.shape, bool)
         same = np.empty((chunk,) + vals.shape, bool)
@@ -414,42 +417,47 @@ def _member_counts(sketch: SketchSet, members: list[str]) -> list[int]:
     if len(members) != sketch.member_count:  # not the build's enumeration
         return exact_fp_count(sketch, members)
     same = np.ones(len(members), bool)
-    for rows, cols, vals in _blocks(sketch, members, None):
+    for rows, cols, vals in _blocks(sketch, members):
         same[rows] &= (vals == cols[rows]).all(axis=1)
     redo = [y for y, ok in zip(members, same) if not ok]
     fallback = iter(exact_fp_count(sketch, redo) if redo else [])
     return [sketch.ctx.q if ok else next(fallback) for ok in same]
 
 
-def _blocks(sketch: SketchSet, xs: list[str], points: np.ndarray | None):
+def _blocks(sketch: SketchSet, xs: list[str]):
     """(slice of xs, table columns, their d_x values in a reused buffer) per
     block of points: the field swept by ``eval_points(range(q), ...)`` per
     group of rows (1/16 of the table's bytes, at least 128 KiB: the compare
-    reads the whole table once per group), or given points a block at a
-    time for all of xs."""
+    reads the whole table once per group)."""
     import numpy as np
     from . import kernels
 
     ctx, table = sketch.ctx, sketch.values
     coeffs = _coeff_rows(ctx, sketch.n, xs)
-    if points is None:
-        group = max(1, max(1 << 17, table.nbytes >> 4) // (ctx.q * table.itemsize))
-        vals = np.empty((min(group, len(xs)), ctx.q), table.dtype)
-        for i in range(0, len(xs), group):
-            out = vals[:len(xs) - i]
-            kernels.eval_points(range(ctx.q), coeffs[i:i + group], ctx.m_low, ctx.k, out=out)
-            step = kernels.block_points(len(out))
-            for s in range(0, ctx.q, step):
-                yield slice(i, i + group), table[:, s:s + step], out[:, s:s + step]
-        return
-    points = np.asarray(points, np.uint64)
-    step = kernels.block_points(len(xs))
-    vals = np.empty((len(xs), min(step, points.size)), table.dtype)
-    for s in range(0, points.size, step):
-        block = points[s:s + step]
-        out = vals[:, :block.size]
-        kernels.eval_points(block, coeffs, ctx.m_low, ctx.k, out=out)
-        yield slice(None), table[:, block], out
+    group = max(1, max(1 << 17, table.nbytes >> 4) // (ctx.q * table.itemsize))
+    vals = np.empty((min(group, len(xs)), ctx.q), table.dtype)
+    for i in range(0, len(xs), group):
+        out = vals[:len(xs) - i]
+        kernels.eval_points(range(ctx.q), coeffs[i:i + group], ctx.m_low, ctx.k, out=out)
+        step = kernels.block_points(len(out))
+        for s in range(0, ctx.q, step):
+            yield slice(i, i + group), table[:, s:s + step], out[:, s:s + step]
+
+
+def _sampled_counts(ctx: FieldCtx, n: int, members: list[str], xs: list[str],
+                    points) -> list[int]:
+    """For each x of xs and its points, how many of them (repeats counted) some
+    member's d_y takes d_x's value at: one eval_points call per x, no table."""
+    import numpy as np
+    from . import kernels
+
+    rows = _coeff_rows(ctx, n, xs[:1] + members)  # row 0: each x's in turn
+    counts = []
+    for x, pts in zip(xs, points):
+        rows[0] = coefficients(ctx, x)
+        vals = kernels.eval_points(pts, rows, ctx.m_low, ctx.k)
+        counts.append(int(np.count_nonzero((vals[1:] == vals[0]).any(axis=0))))
+    return counts
 
 
 def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:
@@ -461,18 +469,13 @@ def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:
 def _draw_nonmembers(spec: SparseLanguageSpec, n: int, count: int, seed: int) -> list[str]:
     rng = derived_rng(seed, "nonmembers")
     out: list[str] = []
-    attempts = 0
-    limit = 64 * count + 1024
-    while len(out) < count:
-        attempts += 1
-        if attempts > limit:
-            raise ValueError(
-                f"could not draw {count} nonmembers of length {n}: language too dense"
-            )
+    for _ in range(64 * count + 1024):
         x = format(rng.getrandbits(n), f"0{n}b")
         if not spec.membership(x):
             out.append(x)
-    return out
+            if len(out) == count:
+                return out
+    raise ValueError(f"could not draw {count} nonmembers of length {n}: language too dense")
 
 
 def fp_rate_experiment(
@@ -489,6 +492,9 @@ def fp_rate_experiment(
     """Acceptance fractions of `trials` uniform nonmembers (plus member
     controls), either exhaustively over all q points or on sampled points.
 
+    Exhaustive-a builds the sketch within entry_budget; sampled-a keeps no
+    table (``_sampled_counts``), but still reports entry_count = m x q.
+
     Fully deterministic given the seed: nonmember draws and per-query
     point draws come from derived streams indexed by position, so the
     report is byte-for-byte reproducible.
@@ -499,39 +505,26 @@ def fp_rate_experiment(
         raise ValueError("trials must be >= 1")
     if mode == "sampled-a" and a_samples < 1:
         raise ValueError("sampled-a mode needs a_samples >= 1")
-    planned_k = ctx.k if ctx is not None else spec.density.field_size(n)
-    if mode == "exhaustive-a" and planned_k > EXHAUSTIVE_QUERY_DEGREE_CAP:
-        raise ValueError(
-            f"exhaustive mode sweeps q = 2^{planned_k} points per input; "
-            "use mode='sampled-a' for fields this large"
-        )
-    sketch = build_sketch(
-        spec, n, ctx=ctx, entry_budget=entry_budget, source_seed=seed
-    )
-    fctx = sketch.ctx
-    members = spec.enumerator(n)
-    nonmembers = _draw_nonmembers(spec, n, trials, seed)
+    members, fctx, rule_sized = _resolve(spec, n, ctx, entry_budget)
+    if mode == "exhaustive-a" and fctx.k > EXHAUSTIVE_QUERY_DEGREE_CAP:
+        raise ValueError(f"exhaustive mode sweeps q = 2^{fctx.k} points per input; "
+                         "use mode='sampled-a' for fields this large")
     r = -(-n // fctx.k)
-
+    denom = fctx.q if mode == "exhaustive-a" else a_samples  # points per string
     if mode == "exhaustive-a":
-        denom = fctx.q
-        counts = exact_fp_count(sketch, nonmembers) + _member_counts(sketch, members)
+        sketch = _build(members, fctx, rule_sized, n, entry_budget, seed)
+        counts = (exact_fp_count(sketch, _draw_nonmembers(spec, n, trials, seed))
+                  + _member_counts(sketch, members))
     else:
-        import numpy as np
-
-        def count(x: str, index: int) -> int:
-            rng = derived_rng(seed, "query-points", index)
-            pts = np.array([fctx.random_elem(rng) for _ in range(a_samples)], np.uint64)
-            return exact_fp_count(sketch, x, pts)
-
-        denom = a_samples
-        counts = ([count(x, i) for i, x in enumerate(nonmembers)]
-                  + [count(y, -1 - j) for j, y in enumerate(members)])
+        xs = _draw_nonmembers(spec, n, trials, seed) + members
+        rngs = (derived_rng(seed, "query-points", i)  # members draw at -1, -2, ...
+                for i in [*range(trials), *range(-1, -1 - len(members), -1)])
+        points = ([fctx.random_elem(rng) for _ in range(a_samples)] for rng in rngs)
+        counts = _sampled_counts(fctx, n, members, xs, points)
     nm_counts = counts[:trials]
     nm_fractions = [c / denom for c in nm_counts]
-    member_fractions = [c / denom for c in counts[trials:]]
-    max_fraction = max(nm_fractions) if nm_fractions else 0.0
-    report = {
+    max_fraction = max(nm_fractions)
+    return {
         "kind": "fp-rate",
         "tool": {"name": "streamfp", "version": __version__},
         "seed": seed,
@@ -539,16 +532,16 @@ def fp_rate_experiment(
         "k": fctx.k,
         "q": fctx.q,
         "t_hex": fctx.modulus.to_hex(),
-        "rule_sized": sketch.rule_sized,
+        "rule_sized": rule_sized,
         "language": spec.describe(),
         "member_count": len(members),
-        "entry_count": sketch.size,
+        "entry_count": len(members) * fctx.q,
         "mode": mode,
         "nonmember_count": trials,
         "points_per_query": denom,
         "bound": ACCEPT_BOUND,
-        "bound_checked": sketch.rule_sized,
-        "bound_satisfied": (max_fraction <= ACCEPT_BOUND) if sketch.rule_sized else None,
+        "bound_checked": rule_sized,
+        "bound_satisfied": (max_fraction <= ACCEPT_BOUND) if rule_sized else None,
         # Two per-nonmember acceptance caps: distinct monic degree-r
         # polynomials agree on at most r-1 points (exact algebra), while
         # the coarser analysis allows r per member.
@@ -557,9 +550,8 @@ def fp_rate_experiment(
         "max_fraction": max_fraction,
         "nonmember_accept_counts": nm_counts,
         "nonmember_fractions": nm_fractions,
-        "member_fractions": member_fractions,
+        "member_fractions": [c / denom for c in counts[trials:]],
     }
-    return report
 
 
 # ------------------------------------------------------------- file I/O

@@ -487,8 +487,11 @@ def test_sketch_build_budget_exit(tmp_path, capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("command", [["sketch", "build", "--output"],
-                                     ["sketch", "fp-rate", "--trials", "1", "--output"]])
+@pytest.mark.parametrize("command", [
+    ["sketch", "build", "--output"],
+    ["sketch", "fp-rate", "--trials", "1", "--output"],
+    ["sketch", "fp-rate", "--trials", "1", "--mode", "sampled-a", "--output"],
+])
 def test_negative_entry_budget_exits_3_naming_the_flag(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, *command, os.fspath(tmp_path / "out"), "--language",
                            "empty", "--n", "4", "--seed", "1", "--entry-budget", "-1")
@@ -585,6 +588,14 @@ def test_fp_rate_sampled_mode_refuses_a_samples_below_one(capsys, a_samples):
                              "--mode", "sampled-a", "--a-samples", a_samples)
     assert code == EXIT_PRECONDITION and out == ""
     assert "a_samples >= 1" in err
+
+
+def test_fp_rate_sampled_mode_past_k24_exits_3_naming_the_mode(capsys):
+    code, out, err = run_cli(capsys, "sketch", "fp-rate", "--n", "16", "--trials", "1",
+                             "--seed", "5", "--mode", "sampled-a", "--k", "25")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("streamfp: ") and "sampled-a mode" in err and err.count("\n") == 1
+    assert "k <= 24; got k = 25" in err
 
 
 @pytest.mark.parametrize("extra, fragment", [
@@ -686,6 +697,7 @@ def test_tally_construct_cli(capsys):
     '{"family": "polynomial", "depth": 1.5}',
     '{"family": "polynomial", "params": {"coeff": 2.7}}',
     '{"family": "custom-table", "params": {"points": [[1.5, 2]]}}',
+    pytest.param("[" * 5000 + "]" * 5000, id="nested"),  # deeper than the JSON parser goes
 ])
 def test_tally_bad_growth_argument_exits_3(capsys, mode, gap):
     argv = ["tally", mode, "--lengths", "1,5", "--density", json.dumps({"family": "identity"})]

@@ -63,6 +63,23 @@ def test_make_field_validates_k():
         make_field(0)
 
 
+def test_make_field_tests_irreducibility_only_in_its_search(monkeypatch):
+    from streamfp import gf2poly
+
+    calls = []
+    test = gf2poly._is_irreducible_int
+    monkeypatch.setattr(gf2poly, "_is_irreducible_int", lambda m: calls.append(m) or test(m))
+    k = 40
+    find_irreducible.cache_clear()
+    ctx = make_field.__wrapped__(k)
+    # One test per odd candidate up to the modulus the search returns.
+    first = (1 << k) | 1
+    assert calls == list(range(first, ctx.modulus.bits + 1, 2))
+    assert ctx == FieldCtx(k, ctx.modulus)  # a direct context proves its modulus
+    assert calls[-2:] == [ctx.modulus.bits] * 2
+    assert (ctx.m_bits, ctx.m_low) == (ctx.modulus.bits, ctx.modulus.bits ^ (1 << k))
+
+
 def test_field_ctx_rejects_bad_modulus():
     with pytest.raises(ValueError):
         FieldCtx(2, Gf2Poly(0b101))  # (u+1)^2 is reducible

@@ -29,6 +29,7 @@ from streamfp.sketch import (
     make_language,
     query_membership,
     _member_counts,
+    _sampled_counts,
     save_sketch,
 )
 from streamfp.stream import Fingerprint, direct_eval, fingerprint
@@ -281,8 +282,8 @@ def test_counts_and_lookups_match_direct_eval_at_dtype_boundaries(tmp_path, k, n
         for x, row in rows.items():
             hits = [any(rows[y][a] == v for y in stored) for a, v in enumerate(row)]
             assert exact_fp_count(sk, x) == sum(hits)
-            assert exact_fp_count(sk, x, np.array(points, np.uint64)) == sum(
-                hits[a] for a in points)
+            assert _sampled_counts(ctx, n, list(stored), [x], [np.array(points, np.uint64)]
+                                   ) == [sum(hits[a] for a in points)]
             for a in points[:8]:
                 assert contains(sk, Fingerprint(n=n, a=a, v=row[a], ctx=ctx)) == hits[a]
 
@@ -293,13 +294,23 @@ def test_exact_fp_count_list_equals_per_string_counts():
     sk = build_sketch(spec, n)
     rng = random.Random(29)
     xs = spec.enumerator(n)[:5] + [format(rng.getrandbits(n), "032b") for _ in range(60)]
-    points = np.array([0, 0, 1] + [rng.randrange(sk.ctx.q) for _ in range(3000)], np.uint64)
-    for pts in (None, points):
-        counts = exact_fp_count(sk, xs, pts)
-        assert counts == [exact_fp_count(sk, x, pts) for x in xs]
-        assert all(isinstance(c, int) for c in counts)
-    assert counts[:5] == [points.size] * 5  # members hit at every point
+    counts = exact_fp_count(sk, xs)
+    assert counts == [exact_fp_count(sk, x) for x in xs]
+    assert all(isinstance(c, int) for c in counts)
+    assert counts[:5] == [sk.ctx.q] * 5  # members hit at every point
     assert exact_fp_count(sk, []) == []
+    # The sampled count at every point once is the exhaustive count, and
+    # it counts a repeated point each time it is drawn.
+    members = spec.enumerator(n)
+    field = np.arange(sk.ctx.q, dtype=np.uint64)
+    assert _sampled_counts(sk.ctx, n, members, xs, [field] * len(xs)) == counts
+    points = np.array([0, 0, 1] + [rng.randrange(sk.ctx.q) for _ in range(3000)], np.uint64)
+    sampled = _sampled_counts(sk.ctx, n, members, xs, [points] * len(xs))
+    assert all(isinstance(c, int) for c in sampled)
+    assert sampled[:5] == [points.size] * 5
+    twice = np.concatenate([points, points])
+    assert _sampled_counts(sk.ctx, n, members, xs, [twice] * len(xs)) == [
+        2 * c for c in sampled]
     with pytest.raises(ValueError, match="length mismatch"):
         exact_fp_count(sk, xs[:3] + ["0"])
 
@@ -371,7 +382,10 @@ def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given)
     at = sorted(set(points))
     rows = {y: dict(zip(at, (direct_eval(ctx, y, a) for a in at))) for y in {*stored, *xs}}
     want = [sum(any(rows[y][a] == rows[x][a] for y in stored) for a in points) for x in xs]
-    got = exact_fp_count(sk, xs, np.array(points, np.uint64) if given else None)
+    if given:  # the sampled count, from the member rows with no table
+        got = _sampled_counts(ctx, n, stored, xs, [np.array(points, np.uint64)] * len(xs))
+    else:
+        got = exact_fp_count(sk, xs)
     assert got == want
 
 
@@ -539,6 +553,25 @@ def test_fp_rate_sampled_mode():
     assert all(f <= 1.0 for f in r["nonmember_fractions"])
     r2 = fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", a_samples=64)
     assert r == r2
+
+
+def test_fp_rate_sampled_mode_builds_no_table(monkeypatch):
+    import streamfp.sketch as sketch_mod
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("sampled-a built a sketch table")
+
+    spec = make_language("seeded-random", seed=5)
+    want = fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", a_samples=64)
+    for name in ("build_sketch", "_build", "SketchSet"):
+        monkeypatch.setattr(sketch_mod, name, no_table)
+    # No table, so the entry budget bounds nothing but its own sign here.
+    r = fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", a_samples=64,
+                           entry_budget=0)
+    assert r == want
+    assert r["entry_count"] == r["member_count"] * r["q"]
+    with pytest.raises(ValueError, match="--entry-budget must be >= 0"):
+        fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", entry_budget=-1)
 
 
 def test_fp_rate_rejects_bad_mode_and_trials():
