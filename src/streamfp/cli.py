@@ -23,7 +23,7 @@ from . import sketch as sketch_mod
 from .field import make_field
 from .gf2poly import IRREDUCIBLE_DEGREE_CAP, find_irreducible
 from .seeds import derive_seed
-from .stream import Fingerprint, begin_seeded, encode_fingerprint
+from .stream import _CHUNK_BLOCKS, Fingerprint, begin_seeded, encode_fingerprint
 
 __all__ = ["main"]
 
@@ -55,12 +55,6 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     write_atomic(path, text.encode())
-
-
-# File and stdin input is read in chunks of this many k-byte blocks.  A
-# block holds exactly 8 segments, so a raw chunk never splits a segment,
-# and the chunk, not the input, sets the memory the reader holds.
-_CHUNK_BLOCKS = 4096
 
 
 def _stream_input(args, start) -> Fingerprint:
@@ -266,7 +260,7 @@ def _cmd_sketch_fp_rate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from . import bench as bench_mod  # the one command that needs numpy up front
+    from . import bench as bench_mod
 
     try:
         ks = (bench_mod.DEFAULT_KS if args.k is None
@@ -465,7 +459,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # tally's OutOfRangeError too
         print(f"streamfp: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except MemoryError as exc:  # an input size, such as bench --mib, too large to hold
+    except MemoryError as exc:  # a size too large to hold, such as a raised --entry-budget
         print(f"streamfp: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -1,13 +1,13 @@
 """Batched GF(2^k) kernels over uint64 arrays, in numpy.
 
-With ``bench``, this is the one module that imports numpy at module
-level.  The others import numpy, or this module, inside the functions
-that run batch work: a sketch build or sweep, and a stream call of 128
-or more segments in a stream of at least 2^23 bits at k <= 64.  Shorter
-streams, streams past k = 64 (both fold in lanes on Python ints, see
-:mod:`streamfp.stream`), sketch lookups and the other commands never
-load numpy.  Elements are uint64 bit patterns, so ``mulmod``,
-``cut_segments`` and the fold cover extension degrees
+This is the one module that imports numpy at module level.  The others
+import numpy, or this module, inside the functions that run batch work:
+a sketch build, sweep or sampled count, and a stream call of 128 or more
+segments in a stream of at least 2^23 bits at k <= 64 (``bench``'s
+streams among them).  Shorter streams, streams past k = 64 (both fold
+in lanes on Python ints, see :mod:`streamfp.stream`), sketch lookups and
+the other commands never load numpy.  Elements are uint64 bit patterns,
+so ``mulmod``, ``cut_segments`` and the fold cover extension degrees
 1..``WORD_DEGREE_CAP`` (the word tier); wider fields stay on the big-int
 tier.  Both tiers must agree bit for bit; the differential tests enforce
 that.

@@ -19,7 +19,8 @@ the buffer, with no numpy, so loading a sketch and querying it never
 import it.  The numpy view ``values`` serves the exact false-positive
 count, a block of points and a chunk of member rows at a time (a member
 control against its own row alone); the sampled count needs no table,
-as it evaluates a string and the members at the string's drawn points.
+as it evaluates a nonmember and the members at the nonmember's drawn
+points, and a member's count there is its point count by construction.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -446,17 +447,25 @@ def _blocks(sketch: SketchSet, xs: list[str]):
 
 def _sampled_counts(ctx: FieldCtx, n: int, members: list[str], xs: list[str],
                     points) -> list[int]:
-    """For each x of xs and its points, how many of them (repeats counted) some
-    member's d_y takes d_x's value at: one eval_points call per x, no table."""
+    """For each x of xs and its points (any iterable of ints), how many of
+    them (repeats counted) some member's d_y takes d_x's value at, with no
+    table: x's row and the member rows are evaluated and compared a block
+    of ``kernels.block_points`` points at a time, so the working arrays do
+    not grow with members x points."""
     import numpy as np
     from . import kernels
 
     rows = _coeff_rows(ctx, n, xs[:1] + members)  # row 0: each x's in turn
+    step = kernels.block_points(len(rows))
     counts = []
     for x, pts in zip(xs, points):
         rows[0] = coefficients(ctx, x)
-        vals = kernels.eval_points(pts, rows, ctx.m_low, ctx.k)
-        counts.append(int(np.count_nonzero((vals[1:] == vals[0]).any(axis=0))))
+        pts = np.fromiter(pts, np.uint64)
+        hits = 0
+        for s in range(0, pts.size, step):
+            vals = kernels.eval_points(pts[s:s + step], rows, ctx.m_low, ctx.k)
+            hits += int(np.count_nonzero((vals[1:] == vals[0]).any(axis=0)))
+        counts.append(hits)
     return counts
 
 
@@ -492,8 +501,11 @@ def fp_rate_experiment(
     """Acceptance fractions of `trials` uniform nonmembers (plus member
     controls), either exhaustively over all q points or on sampled points.
 
-    Exhaustive-a builds the sketch within entry_budget; sampled-a keeps no
-    table (``_sampled_counts``), but still reports entry_count = m x q.
+    Exhaustive-a builds the sketch within entry_budget, and a member
+    control compares a fresh evaluation with the stored table.  Sampled-a
+    keeps no table, but still reports entry_count = m x q.  It evaluates
+    only the nonmembers (``_sampled_counts``): a member y reads a_samples
+    by construction, as y itself takes d_y's value at each of its points.
 
     Fully deterministic given the seed: nonmember draws and per-query
     point draws come from derived streams indexed by position, so the
@@ -516,11 +528,10 @@ def fp_rate_experiment(
         counts = (exact_fp_count(sketch, _draw_nonmembers(spec, n, trials, seed))
                   + _member_counts(sketch, members))
     else:
-        xs = _draw_nonmembers(spec, n, trials, seed) + members
-        rngs = (derived_rng(seed, "query-points", i)  # members draw at -1, -2, ...
-                for i in [*range(trials), *range(-1, -1 - len(members), -1)])
-        points = ([fctx.random_elem(rng) for _ in range(a_samples)] for rng in rngs)
-        counts = _sampled_counts(fctx, n, members, xs, points)
+        xs = _draw_nonmembers(spec, n, trials, seed)
+        rngs = (derived_rng(seed, "query-points", i) for i in range(trials))
+        points = ((fctx.random_elem(rng) for _ in range(a_samples)) for rng in rngs)
+        counts = _sampled_counts(fctx, n, members, xs, points) + [a_samples] * len(members)
     nm_counts = counts[:trials]
     nm_fractions = [c / denom for c in nm_counts]
     max_fraction = max(nm_fractions)

@@ -772,14 +772,14 @@ def test_bench_bad_k_list_exits_3_naming_the_flag(capsys, ks):
 
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 781. GiB"), MemoryError()])
 def test_bench_out_of_memory_exits_3(capsys, monkeypatch, error):
-    # The allocation is stood in for: on an overcommitting host a real one
-    # of this size could succeed and then exhaust the machine.
-    from streamfp import bench
+    # The failure is stood in for at the stream's first feed, so the
+    # 100000 MiB stream is never run.
+    from streamfp import stream
 
-    def refuse(seed, k, count):
+    def refuse(self, data, nbits=None):
         raise error
 
-    monkeypatch.setattr(bench, "_random_words", refuse)
+    monkeypatch.setattr(stream.StreamState, "feed_bytes", refuse)
     code, out, err = run_cli(capsys, "bench", "--k", "8", "--mib", "100000", "--seed", "5")
     assert code == EXIT_PRECONDITION and out == ""
     assert err == f"streamfp: {str(error) or 'out of memory'}\n"

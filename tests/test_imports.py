@@ -54,8 +54,9 @@ def low_weight_sketch(tmp_path_factory) -> str:
     (["fingerprint", "--bits", "10" * 50, "--seed", "3"], EXIT_OK),
     (["tally", "--padding-stable", "--n", "5"], EXIT_OK),
     (["irreducible", "--k", "12"], EXIT_OK),
+    (["bench", "--k", "100", "--mib", "1", "--seed", "1"], EXIT_OK),  # the lane fold
 ], ids=["version", "query-accept", "query-reject", "fingerprint-100-bits", "tally",
-        "irreducible"])
+        "irreducible", "bench-k100"])
 def test_light_commands_import_no_numpy(low_weight_sketch, argv, code):
     if argv[:2] == ["sketch", "query"]:
         argv = argv + ["--sketch", low_weight_sketch]

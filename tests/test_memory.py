@@ -2,7 +2,7 @@
 state claim: the peak RSS of `fingerprint --format raw` stays flat as the
 input grows, read from a file or from a stdin pipe.  Entry budgets bound
 real bytes: a sketch build's peak allocation is a small constant per
-projected entry."""
+projected entry, and a sampled count holds no members x points array."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import pytest
 
 from streamfp import kernels
 from streamfp.field import make_field, select_field_size
-from streamfp.sketch import build_sketch, exact_fp_count, make_language
+from streamfp.sketch import _sampled_counts, build_sketch, exact_fp_count, make_language
 
 # A child's ru_maxrss also holds the peak of the address space it was
 # spawned from (Linux keeps the old high-water mark across exec, and a
@@ -144,3 +144,26 @@ def test_exact_fp_count_peak_is_below_the_table():
         tracemalloc.stop()
     assert len(counts) == len(xs)
     assert peak <= sk.values.nbytes, peak / sk.values.nbytes
+
+
+def test_sampled_count_peak_is_flat_in_members_times_points():
+    # The sampled count evaluates and compares a string's points a block
+    # at a time, so it never holds a (1 + m) x N array of values (34 MB at
+    # m = 64 and N = 65536); the points' own uint64 array is 512 KiB.
+    spec = make_language("seeded-random", seed=3)
+    n = 64
+    members = spec.enumerator(n)
+    ctx = make_field(select_field_size(n, len(members)))
+    rng = random.Random(64)
+    points = [rng.randrange(ctx.q) for _ in range(1 << 16)]
+    x = format(rng.getrandbits(n), f"0{n}b")
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
+    tracemalloc.start()
+    try:
+        counts = _sampled_counts(ctx, n, members, [x], [points])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 64 and len(counts) == 1
+    one_array = (1 + len(members)) * len(points) * 8
+    assert peak <= one_array // 16, peak / one_array

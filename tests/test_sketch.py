@@ -574,6 +574,29 @@ def test_fp_rate_sampled_mode_builds_no_table(monkeypatch):
         fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", entry_budget=-1)
 
 
+def test_fp_rate_sampled_mode_evaluates_only_the_nonmembers(monkeypatch):
+    # A member y reads a_samples by construction (y itself takes d_y's
+    # value at each of its points), so only the trials non-members are
+    # evaluated, each with the member rows: trials x (1 + m) x N
+    # evaluations, counted as rows x points over every kernel call.
+    evals = []
+    eval_points = kernels.eval_points
+
+    def counted(points, coeffs, *args, **kwargs):
+        evals.append(len(np.atleast_2d(coeffs)) * len(points))
+        return eval_points(points, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "eval_points", counted)
+    spec = make_language("seeded-random", seed=5)
+    trials, n, samples = 7, 40, 600
+    r = fp_rate_experiment(spec, n, trials=trials, seed=99, mode="sampled-a",
+                           a_samples=samples)
+    m = r["member_count"]
+    assert m == n
+    assert sum(evals) == trials * (1 + m) * samples
+    assert r["member_fractions"] == [1.0] * m
+
+
 def test_fp_rate_rejects_bad_mode_and_trials():
     spec = make_language("singleton", member="1011")
     with pytest.raises(ValueError):
