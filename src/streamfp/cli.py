@@ -250,7 +250,6 @@ def _cmd_sketch_fp_rate(args) -> int:
         mode=args.mode,
         ctx=_ctx_override(args),
         a_samples=args.a_samples,
-        entry_budget=args.entry_budget,
     )
     if args.report_format == "csv":
         _write_output(_fp_rate_csv(report), args.output)
@@ -351,12 +350,6 @@ def _add_language_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--member", default=None, help="singleton member bit string")
 
 
-def _add_budget_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--entry-budget", type=int, default=sketch_mod.DEFAULT_ENTRY_BUDGET,
-                   help="most stored entries (members x 2^k) a sketch build or an "
-                        "exhaustive fp-rate may make (default: %(default)s)")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit EXIT_PRECONDITION; argparse's own code, 2, is EXIT_IO."""
 
@@ -392,7 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, default=None, help="field override (skips sizing rule)")
     b.add_argument("--seed", type=int, default=None)
-    _add_budget_flag(b)
+    b.add_argument("--entry-budget", type=int, default=sketch_mod.DEFAULT_ENTRY_BUDGET,
+                   help="most stored entries (members x 2^k) a sketch build may make "
+                        "(default: %(default)s)")
     b.add_argument("--output", required=True, help="sketch file (.spsk)")
     b.set_defaults(func=_cmd_sketch_build)
 
@@ -411,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="points per query in sampled-a mode")
     fr.add_argument("--k", type=int, default=None, help="field override (skips sizing rule)")
     fr.add_argument("--seed", type=int, default=None)
-    _add_budget_flag(fr)
     fr.add_argument("--report-format", choices=("json", "csv"), default="json")
     fr.add_argument("--output", default=None)
     fr.set_defaults(func=_cmd_sketch_fp_rate)

@@ -2,7 +2,7 @@
 
 This is the one module that imports numpy at module level.  The others
 import numpy, or this module, inside the functions that run batch work:
-a sketch build, sweep or sampled count, and a stream call of 128 or more
+a sketch build, an exact or sampled count, and a stream call of 128 or more
 segments in a stream of at least 2^23 bits at k <= 64 (``bench``'s
 streams among them).  Shorter streams, streams past k = 64 (both fold
 in lanes on Python ints, see :mod:`streamfp.stream`), sketch lookups and
@@ -23,10 +23,10 @@ Given points, and rows with short runs (``log_order``), go in blocks of
 about 32768 / rows points (``block_points``): a power row
 P <- exp[log[P] + log[a]] shared by the batch, and one gather
 ``exp[log[c] + log[P]]`` per row, coefficient and point (Horner needs
-two per step).  ``compare_shape`` adds the chunk of member rows an exact
-count compares per step, in a bool buffer of at most 256 KiB.  ``log[0]``
-is a sentinel past every log sum, clipped into the zero tail of ``exp``,
-so a zero coefficient or a = 0 gives a zero product.  ``log`` holds q
+two per step).  ``sweep_field`` yields the whole-field values of all
+rows a block of points at a time: those runs, or those gather blocks.
+``log[0]`` is a sentinel past every log sum, clipped into the zero tail
+of ``exp``, so a zero coefficient or a = 0 gives a zero product.  ``log`` holds q
 uint32 entries and ``exp`` 2q of the value table's type (``value_dtype``:
 1, 2 or 4 bytes), cached per field for k in 1..``ENUMERATION_DEGREE_CAP``.
 
@@ -77,6 +77,7 @@ __all__ = [
     "value_dtype",
     "block_points",
     "eval_points",
+    "sweep_field",
     "cut_segments",
     "fold_segments",
 ]
@@ -87,6 +88,8 @@ BACKEND = "numpy"
 NUMBA_AVAILABLE = False
 
 _U64_ALL = 0xFFFF_FFFF_FFFF_FFFF
+_TABLE_CHUNK = 1 << 16  # log/antilog entries filled per numpy step
+SWEEP_WIDTH = 1 << 12  # points per log-order block of sweep_field
 
 
 def _check_k(k: int) -> None:
@@ -139,7 +142,8 @@ def value_dtype(k: int) -> np.dtype:
 @functools.lru_cache(maxsize=4)
 def _log_tables(k: int, m_low: int) -> tuple[np.ndarray, np.ndarray]:
     """(log, exp) for GF(2^k): exp[i] = g^(i mod (q-1)) for i < 2q - 2,
-    then a zero tail; log[g^i] = i and log[0] = 2q - 2, the sentinel."""
+    then a zero tail; log[g^i] = i and log[0] = 2q - 2, the sentinel.
+    Filled in chunks, so building them holds little beyond the tables."""
     q = 1 << k
     modulus = m_low | q
     g = _primitive_element(modulus, k)
@@ -148,16 +152,19 @@ def _log_tables(k: int, m_low: int) -> tuple[np.ndarray, np.ndarray]:
     m, gm = 1, g
     while m < q - 1:  # exp[m:2m] = exp[:m] * g^m
         tables = np.array(split_tables(gm, modulus, k), np.uint32)
-        head = exp[:min(m, q - 1 - m)]
-        prod = tables[0][head & 0xFF]
-        for i in range(1, len(tables)):
-            prod ^= tables[i][(head >> np.uint32(8 * i)) & 0xFF]
-        exp[m:m + head.size] = prod
+        for s in range(0, min(m, q - 1 - m), _TABLE_CHUNK):
+            head = exp[s:min(s + _TABLE_CHUNK, m, q - 1 - m)]
+            prod = tables[0][head & 0xFF]
+            for i in range(1, len(tables)):
+                prod ^= tables[i][(head >> np.uint32(8 * i)) & 0xFF]
+            exp[m + s:m + s + head.size] = prod
         gm = _powmod(gm, 2, modulus)
         m *= 2
     exp[q - 1:2 * q - 2] = exp[:q - 1]
     log = np.empty(q, np.uint32)
-    log[exp[:q - 1]] = np.arange(q - 1, dtype=np.uint32)
+    for s in range(0, q - 1, _TABLE_CHUNK):
+        log[exp[s:min(s + _TABLE_CHUNK, q - 1)]] = np.arange(
+            s, min(s + _TABLE_CHUNK, q - 1), dtype=np.uint32)
     log[0] = 2 * q - 2
     log.flags.writeable = exp.flags.writeable = False  # shared by every caller
     return log, exp
@@ -167,13 +174,6 @@ def block_points(rows: int) -> int:
     """Points per block for a batch of rows polynomials: a rows x block
     uint32 working array then takes about 128 KiB."""
     return max(1, (1 << 15) // max(1, rows))
-
-
-def compare_shape(rows: int, members: int) -> tuple[int, int]:
-    """(block_points(rows), member rows per chunk) to compare rows values
-    with members table rows: a chunk x rows x block bool takes <= 256 KiB."""
-    step = block_points(rows)
-    return step, max(1, min(members, (1 << 18) // (max(1, rows) * step)))
 
 
 def log_order(k: int, r: int) -> bool:
@@ -226,21 +226,54 @@ def eval_points(points, coeffs, m_low: int, k: int, out=None) -> np.ndarray:
 
 def _eval_field(batch, log, exp, res) -> None:
     """eval_points(range(q), batch) into res for r >= 1, in log order."""
-    r = batch.shape[1]
     order = log.size - 1  # of g
-    width = max(1, order // r)  # every slice index stays below 2 (q - 1)
+    width = max(1, order // batch.shape[1])
     acc = np.empty(order, res.dtype)
     res[:, 0] = batch[:, -1]  # a = 0
-    for row, coeffs, logs in zip(res, batch, log[batch].tolist()):
-        terms = [(r - 1 - i, c) for i, c in enumerate(logs[:-1]) if c != 2 * order]
+    for row, logs in zip(res, log[batch].tolist()):
         for s in range(0, order, width):
-            run = acc[s:s + width]  # the values at g^j, j = s, s + 1, ...
-            run[:] = exp[r * s % order:][:r * run.size:r]  # a^r = exp[r j]
-            for e, c in terms:  # c·a^e = exp[log c + e j]
-                run ^= exp[(c + e * s) % order:][:e * run.size:e]
-        acc ^= coeffs[-1]
+            _fill_run(acc[s:s + width], s, logs, exp)
         for s in range(1, order + 1, 1 << 16):  # row[a] = acc[log a]; 512 KiB intp indices
             np.take(acc, log[s:s + (1 << 16)], out=row[s:s + (1 << 16)], mode="clip")
+
+
+def sweep_field(coeffs, m_low: int, k: int):
+    """eval_points(range(q), coeffs) of a 2-D coeffs as rows x width blocks
+    (a reused buffer) whose columns hold every point once, in no stated
+    order: a = 0, then runs of at most SWEEP_WIDTH powers of g in log
+    order, or else gather blocks of block_points(rows) points."""
+    log, exp = _log_tables(k, m_low)
+    coeffs = np.asarray(coeffs, np.uint64)
+    rows, r = coeffs.shape
+    order = (1 << k) - 1
+    if not log_order(k, r):
+        buf = np.empty((rows, block_points(rows)), exp.dtype)
+        for s in range(0, order + 1, buf.shape[1]):
+            block = buf[:, :order + 1 - s]
+            yield eval_points(range(s, s + block.shape[1]), coeffs, m_low, k, out=block)
+        return
+    yield coeffs[:, -1:].astype(exp.dtype)  # a = 0
+    logs = log[coeffs].tolist()
+    buf = np.empty((rows, min(SWEEP_WIDTH, order // r)), exp.dtype)
+    for s in range(0, order, buf.shape[1]):
+        block = buf[:, :order - s]
+        for run, row_logs in zip(block, logs):
+            _fill_run(run, s, row_logs, exp)
+        yield block
+
+
+def _fill_run(run, s: int, logs: list, exp) -> None:
+    """One row's values at g^s, g^(s+1), ... from the logs of its r
+    coefficients: c·a^e is exp[log c + e j], a strided slice of exp (none
+    for c = 0).  A run of at most (q - 1) // r keeps indices < 2 (q - 1)."""
+    order = exp.size // 2 - 1
+    r = len(logs)
+    run[:] = exp[r * s % order:][:r * run.size:r]  # a^r = exp[r j]
+    for i, c in enumerate(logs[:-1]):
+        if c != 2 * order:
+            e = r - 1 - i
+            run ^= exp[(c + e * s) % order:][:e * run.size:e]
+    run ^= exp[logs[-1]]  # the constant term: exp[log 0] is 0
 
 
 # A stream needs the tables of its point a and of a^L, and its chunks

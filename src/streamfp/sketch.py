@@ -16,11 +16,9 @@ the table as that value buffer: the array one batched kernel call filled
 for a built sketch, and the file's own bytes, used in place, for a loaded
 one.  A lookup reads the member_count values of one column straight from
 the buffer, with no numpy, so loading a sketch and querying it never
-import it.  The numpy view ``values`` serves the exact false-positive
-count, a block of points and a chunk of member rows at a time (a member
-control against its own row alone); the sampled count needs no table,
-as it evaluates a nonmember and the members at the nonmember's drawn
-points, and a member's count there is its point count by construction.
+import it.  The false-positive counts read no table: they evaluate the
+members with the counted strings a block of points at a time, and a
+member's own count is its point count by construction.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -42,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -81,6 +80,8 @@ ACCEPT_BOUND = 0.25
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 
 EXHAUSTIVE_QUERY_DEGREE_CAP = 20  # beyond this, per-input full-field sweeps get slow
+
+_STRING_GROUP = 256  # strings an exact count evaluates with the members per sweep
 
 
 class EntryBudgetError(RuntimeError):
@@ -297,16 +298,14 @@ class SketchSet:
         return values.reshape(self.member_count, self.ctx.q)
 
 
-def _resolve(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None, entry_budget: int):
+def _resolve(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None):
     """(validated members, field, rule_sized) of a build or an fp-rate run."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if entry_budget < 0:
-        raise ValueError(f"--entry-budget must be >= 0, got {entry_budget}")
     k = ctx.k if ctx is not None else spec.density.field_size(n)
     if k > ENUMERATION_DEGREE_CAP:
-        raise ValueError(f"sketch builds and sampled-a mode evaluate on log tables, "
-                         f"which need k <= {ENUMERATION_DEGREE_CAP}; got k = {k}")
+        raise ValueError(f"sketch builds and the exhaustive-a and sampled-a modes evaluate "
+                         f"on log tables, which need k <= {ENUMERATION_DEGREE_CAP}; got k = {k}")
     members = spec.enumerator(n)
     for y in members:
         if len(y) != n or y.strip("01"):
@@ -340,12 +339,9 @@ def build_sketch(
     1, 2 or 4 bytes each) raises EntryBudgetError before it evaluates
     anything.
     """
-    return _build(*_resolve(spec, n, ctx, entry_budget), n, entry_budget, source_seed)
-
-
-def _build(members: list[str], ctx: FieldCtx, rule_sized: bool, n: int,
-           entry_budget: int, source_seed: int | None) -> SketchSet:
-    """build_sketch on resolved inputs."""
+    if entry_budget < 0:
+        raise ValueError(f"--entry-budget must be >= 0, got {entry_budget}")
+    members, ctx, rule_sized = _resolve(spec, n, ctx)
     q = ctx.q
     projected = q * len(members)
     if projected > entry_budget:
@@ -385,73 +381,44 @@ def _coeff_rows(ctx: FieldCtx, n: int, strings: list[str]) -> np.ndarray:
     return np.array(rows, np.uint64).reshape(len(rows), -(-n // ctx.k))
 
 
-def exact_fp_count(sketch: SketchSet, x):
-    """|{a : (a, d_x(a)) is stored}| over every field point.  x is one
-    string (an int back) or a list of strings (a list of counts).  Each
-    block of values from ``_blocks`` is compared with the member rows a
-    chunk of rows per numpy step (``kernels.compare_shape``)."""
+def exact_fp_count(ctx: FieldCtx, n: int, members: list[str], x):
+    """|{a : d_y(a) = d_x(a) for some member y}| over every field point,
+    where a sketch of the members accepts x.  x is one string (an int
+    back) or a list of strings (a list of counts).  The members and a
+    group of strings are evaluated together per block of
+    ``kernels.sweep_field``, and the strings' values compared with one
+    member row per numpy step.  A group holds _STRING_GROUP strings, or
+    4m if more, so the members' sweep, repeated per group, adds at most a
+    quarter to the strings' own."""
     import numpy as np
     from . import kernels
 
     xs = [x] if isinstance(x, str) else list(x)
-    for y in xs:
-        if len(y) != sketch.n:
-            raise ValueError(f"length mismatch: |x|={len(y)}, sketch n={sketch.n}")
+    for y in (*members, *xs):
+        if len(y) != n:
+            raise ValueError(f"length mismatch: |x|={len(y)}, n={n}")
     counts = np.zeros(len(xs), np.int64)
-    for rows, cols, vals in _blocks(sketch, xs):
-        chunk = kernels.compare_shape(len(vals), sketch.member_count)[1]
-        hit = np.zeros(vals.shape, bool)
-        same = np.empty((chunk,) + vals.shape, bool)
-        for j in range(0, len(cols), chunk):
-            np.equal(cols[j:j + chunk, None], vals, out=same[:len(cols) - j])
-            hit |= same[:len(cols) - j].any(axis=0)
-        counts[rows] += np.count_nonzero(hit, axis=1)
-        del hit, same  # before the next block is compared
-    return int(counts[0]) if isinstance(x, str) else counts.tolist()
-
-
-def _member_counts(sketch: SketchSet, members: list[str]) -> list[int]:
-    """exact_fp_count(sketch, members) for the members the sketch was built
-    from, in order: q if d_y equals its own row at every point, else exact."""
-    import numpy as np
-
-    if len(members) != sketch.member_count:  # not the build's enumeration
-        return exact_fp_count(sketch, members)
-    same = np.ones(len(members), bool)
-    for rows, cols, vals in _blocks(sketch, members):
-        same[rows] &= (vals == cols[rows]).all(axis=1)
-    redo = [y for y, ok in zip(members, same) if not ok]
-    fallback = iter(exact_fp_count(sketch, redo) if redo else [])
-    return [sketch.ctx.q if ok else next(fallback) for ok in same]
-
-
-def _blocks(sketch: SketchSet, xs: list[str]):
-    """(slice of xs, table columns, their d_x values in a reused buffer) per
-    block of points: the field swept by ``eval_points(range(q), ...)`` per
-    group of rows (1/16 of the table's bytes, at least 128 KiB: the compare
-    reads the whole table once per group)."""
-    import numpy as np
-    from . import kernels
-
-    ctx, table = sketch.ctx, sketch.values
-    coeffs = _coeff_rows(ctx, sketch.n, xs)
-    group = max(1, max(1 << 17, table.nbytes >> 4) // (ctx.q * table.itemsize))
-    vals = np.empty((min(group, len(xs)), ctx.q), table.dtype)
+    m = len(members)
+    group = max(_STRING_GROUP, 4 * m)
     for i in range(0, len(xs), group):
-        out = vals[:len(xs) - i]
-        kernels.eval_points(range(ctx.q), coeffs[i:i + group], ctx.m_low, ctx.k, out=out)
-        step = kernels.block_points(len(out))
-        for s in range(0, ctx.q, step):
-            yield slice(i, i + group), table[:, s:s + step], out[:, s:s + step]
+        rows = _coeff_rows(ctx, n, members + xs[i:i + group])
+        for vals in kernels.sweep_field(rows, ctx.m_low, ctx.k):
+            hit = np.zeros((len(rows) - m, vals.shape[1]), bool)
+            same = np.empty_like(hit)
+            for y in vals[:m]:
+                np.equal(y, vals[m:], out=same)
+                hit |= same
+            counts[i:i + group] += np.count_nonzero(hit, axis=1)
+    return int(counts[0]) if isinstance(x, str) else counts.tolist()
 
 
 def _sampled_counts(ctx: FieldCtx, n: int, members: list[str], xs: list[str],
                     points) -> list[int]:
     """For each x of xs and its points (any iterable of ints), how many of
     them (repeats counted) some member's d_y takes d_x's value at, with no
-    table: x's row and the member rows are evaluated and compared a block
-    of ``kernels.block_points`` points at a time, so the working arrays do
-    not grow with members x points."""
+    table: the points are read, evaluated and compared a block of
+    ``kernels.block_points`` at a time, so the working arrays grow with
+    neither members x points nor the number of points."""
     import numpy as np
     from . import kernels
 
@@ -460,10 +427,10 @@ def _sampled_counts(ctx: FieldCtx, n: int, members: list[str], xs: list[str],
     counts = []
     for x, pts in zip(xs, points):
         rows[0] = coefficients(ctx, x)
-        pts = np.fromiter(pts, np.uint64)
+        pts = iter(pts)
         hits = 0
-        for s in range(0, pts.size, step):
-            vals = kernels.eval_points(pts[s:s + step], rows, ctx.m_low, ctx.k)
+        while (block := np.fromiter(itertools.islice(pts, step), np.uint64)).size:
+            vals = kernels.eval_points(block, rows, ctx.m_low, ctx.k)
             hits += int(np.count_nonzero((vals[1:] == vals[0]).any(axis=0)))
         counts.append(hits)
     return counts
@@ -496,16 +463,14 @@ def fp_rate_experiment(
     *,
     ctx: FieldCtx | None = None,
     a_samples: int = 512,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> dict:
-    """Acceptance fractions of `trials` uniform nonmembers (plus member
-    controls), either exhaustively over all q points or on sampled points.
+    """Acceptance fractions of `trials` uniform nonmembers (and of the
+    members), either exhaustively over all q points or on sampled points.
 
-    Exhaustive-a builds the sketch within entry_budget, and a member
-    control compares a fresh evaluation with the stored table.  Sampled-a
-    keeps no table, but still reports entry_count = m x q.  It evaluates
-    only the nonmembers (``_sampled_counts``): a member y reads a_samples
-    by construction, as y itself takes d_y's value at each of its points.
+    Neither mode builds the sketch, though both report its entry_count =
+    m x q.  Only the nonmembers are evaluated, with the member rows, at
+    every point (``exact_fp_count``) or at their drawn points
+    (``_sampled_counts``): a member y itself takes d_y's value at each.
 
     Fully deterministic given the seed: nonmember draws and per-query
     point draws come from derived streams indexed by position, so the
@@ -517,22 +482,19 @@ def fp_rate_experiment(
         raise ValueError("trials must be >= 1")
     if mode == "sampled-a" and a_samples < 1:
         raise ValueError("sampled-a mode needs a_samples >= 1")
-    members, fctx, rule_sized = _resolve(spec, n, ctx, entry_budget)
+    members, fctx, rule_sized = _resolve(spec, n, ctx)
     if mode == "exhaustive-a" and fctx.k > EXHAUSTIVE_QUERY_DEGREE_CAP:
         raise ValueError(f"exhaustive mode sweeps q = 2^{fctx.k} points per input; "
-                         "use mode='sampled-a' for fields this large")
+                         "use --mode sampled-a for fields this large")
     r = -(-n // fctx.k)
     denom = fctx.q if mode == "exhaustive-a" else a_samples  # points per string
+    xs = _draw_nonmembers(spec, n, trials, seed)
     if mode == "exhaustive-a":
-        sketch = _build(members, fctx, rule_sized, n, entry_budget, seed)
-        counts = (exact_fp_count(sketch, _draw_nonmembers(spec, n, trials, seed))
-                  + _member_counts(sketch, members))
+        nm_counts = exact_fp_count(fctx, n, members, xs)
     else:
-        xs = _draw_nonmembers(spec, n, trials, seed)
         rngs = (derived_rng(seed, "query-points", i) for i in range(trials))
         points = ((fctx.random_elem(rng) for _ in range(a_samples)) for rng in rngs)
-        counts = _sampled_counts(fctx, n, members, xs, points) + [a_samples] * len(members)
-    nm_counts = counts[:trials]
+        nm_counts = _sampled_counts(fctx, n, members, xs, points)
     nm_fractions = [c / denom for c in nm_counts]
     max_fraction = max(nm_fractions)
     return {
@@ -561,7 +523,7 @@ def fp_rate_experiment(
         "max_fraction": max_fraction,
         "nonmember_accept_counts": nm_counts,
         "nonmember_fractions": nm_fractions,
-        "member_fractions": [c / denom for c in counts[trials:]],
+        "member_fractions": [1.0] * len(members),
     }
 
 

@@ -489,14 +489,20 @@ def test_sketch_build_budget_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["sketch", "build", "--output"],
-    ["sketch", "fp-rate", "--trials", "1", "--output"],
-    ["sketch", "fp-rate", "--trials", "1", "--mode", "sampled-a", "--output"],
 ])
 def test_negative_entry_budget_exits_3_naming_the_flag(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, *command, os.fspath(tmp_path / "out"), "--language",
                            "empty", "--n", "4", "--seed", "1", "--entry-budget", "-1")
     assert code == EXIT_PRECONDITION
     assert "--entry-budget must be >= 0" in err
+
+
+def test_fp_rate_takes_no_entry_budget(capsys):
+    # fp-rate stores no table, so it has no budget flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["sketch", "fp-rate", "--n", "4", "--trials", "1", "--entry-budget", "1"])
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "unrecognized arguments: --entry-budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

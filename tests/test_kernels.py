@@ -283,6 +283,28 @@ def test_field_sweep_dispatch(monkeypatch):
             assert (got == kernels.eval_points(pts, rows, ctx.m_low, 12)).all(), (r, points)
 
 
+# Log order in several runs of SWEEP_WIDTH and fewer points, and in
+# runs of (q - 1) // r; gathers in several blocks and in one.
+@pytest.mark.parametrize("k, r", [(13, 1), (12, 3), (14, 40), (12, 9), (1, 1), (3, 2)])
+def test_sweep_field_blocks_hold_every_point_once(k, r):
+    # A block's column is one point's values in every row: the blocks'
+    # columns, taken together, are the whole field's, each once.
+    ctx = make_field(k)
+    rng = random.Random(k * 100 + r)
+    rows = _sweep_rows(ctx, _sweep_strings(rng, k, r), r)
+    whole = kernels.eval_points(np.arange(ctx.q, dtype=np.uint64), rows, ctx.m_low, k)
+    blocks = [block.copy() for block in kernels.sweep_field(rows, ctx.m_low, k)]
+    assert all(block.dtype == kernels.value_dtype(k) for block in blocks)
+    widths = [block.shape[1] for block in blocks]
+    if kernels.log_order(k, r):
+        assert widths[0] == 1  # a = 0
+        assert max(widths) == min(kernels.SWEEP_WIDTH, (ctx.q - 1) // r)
+    else:
+        assert max(widths) == min(ctx.q, kernels.block_points(len(rows)))
+    got = np.concatenate(blocks, axis=1)
+    assert sorted(map(tuple, got.T.tolist())) == sorted(map(tuple, whole.T.tolist()))
+
+
 def test_fold_segments_is_horner():
     # 5000 segments fold in 417 blocks of L = 12, the last block padded.
     rng = random.Random(9)

@@ -2,7 +2,8 @@
 state claim: the peak RSS of `fingerprint --format raw` stays flat as the
 input grows, read from a file or from a stdin pipe.  Entry budgets bound
 real bytes: a sketch build's peak allocation is a small constant per
-projected entry, and a sampled count holds no members x points array."""
+projected entry.  The fp-rate counts hold no members x points array, and
+the field's log tables are built with little beyond their own bytes."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import pytest
 
 from streamfp import kernels
 from streamfp.field import make_field, select_field_size
-from streamfp.sketch import _sampled_counts, build_sketch, exact_fp_count, make_language
+from streamfp.sketch import (_draw_nonmembers, _sampled_counts, build_sketch, exact_fp_count,
+                             make_language)
 
 # A child's ru_maxrss also holds the peak of the address space it was
 # spawned from (Linux keeps the old high-water mark across exec, and a
@@ -130,20 +132,80 @@ def test_field_sweep_peak_does_not_grow_with_r(r):
 
 
 def test_exact_fp_count_peak_is_below_the_table():
-    # Counting a batch works a block of points at a time, so its working
-    # arrays stay below the sketch table however many inputs it counts.
+    # The exact count evaluates the members and the strings a block of
+    # points at a time and reads no table, so its working arrays stay far
+    # below the members x q table a sketch of them would store (128 MiB
+    # at n = 128, k = 18).
     spec = make_language("seeded-random", seed=3)
-    sk = build_sketch(spec, 32)
-    rng = random.Random(32)
-    xs = [format(rng.getrandbits(32), "032b") for _ in range(100)]
+    n = 128
+    members = spec.enumerator(n)
+    ctx = make_field(select_field_size(n, len(members)))
+    xs = _draw_nonmembers(spec, n, 20, 128)
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
     tracemalloc.start()
     try:
-        counts = exact_fp_count(sk, xs)
+        counts = exact_fp_count(ctx, n, members, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(counts) == len(xs)
-    assert peak <= sk.values.nbytes, peak / sk.values.nbytes
+    assert ctx.k == 18 and len(counts) == len(xs)
+    table = len(members) * ctx.q * kernels.value_dtype(ctx.k).itemsize
+    assert peak <= table // 8, peak / table
+
+
+def test_exact_fp_count_peak_is_flat_in_the_number_of_strings():
+    # Strings are evaluated a group at a time, so counting four groups'
+    # worth peaks as high as counting one.
+    spec = make_language("seeded-random", seed=3)
+    n = 16
+    members = spec.enumerator(n)
+    ctx = make_field(select_field_size(n, len(members)))
+    xs = _draw_nonmembers(spec, n, 1024, 16)
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
+    peaks = []
+    for count in (256, 1024):
+        tracemalloc.start()
+        try:
+            exact_fp_count(ctx, n, members, xs[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 << 10, peaks
+
+
+def test_log_tables_peak_is_the_tables_they_keep():
+    # Both tables are filled a chunk at a time: building them holds the
+    # 12 MiB they keep at k = 20 and under 1 MiB more.
+    ctx = make_field(20)
+    tracemalloc.start()
+    try:
+        log, exp = kernels._log_tables.__wrapped__(ctx.k, ctx.m_low)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = log.nbytes + exp.nbytes
+    assert kept == 12 << 20
+    assert peak <= kept + (1 << 20), (peak - kept) / (1 << 20)
+
+
+def test_sampled_count_peak_is_flat_in_the_number_of_points():
+    # A string's points are read a block at a time: 2^18 points from a
+    # generator never become one 2 MiB array, so the peak is that of
+    # 2^14 points.
+    members = ["0" * 64, "1" * 64, "01" * 32]
+    ctx = make_field(16)
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
+    peaks = []
+    for count in (1 << 14, 1 << 18):
+        rng = random.Random(count)
+        points = (rng.randrange(ctx.q) for _ in range(count))
+        tracemalloc.start()
+        try:
+            _sampled_counts(ctx, 64, members, ["10" * 32], [points])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 << 10, peaks
 
 
 def test_sampled_count_peak_is_flat_in_members_times_points():

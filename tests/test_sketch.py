@@ -4,7 +4,6 @@ the acceptance-rate experiment driver."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+import streamfp.sketch as sketch_mod
 from streamfp import kernels
 from streamfp.field import make_field
 from streamfp.sketch import (
@@ -28,7 +28,6 @@ from streamfp.sketch import (
     load_sketch,
     make_language,
     query_membership,
-    _member_counts,
     _sampled_counts,
     save_sketch,
 )
@@ -171,7 +170,7 @@ def test_pair_sketch_size_gf4():
 def test_empty_sketch():
     sk = build_sketch(make_language("empty"), 4, ctx=GF4)
     assert sk.size == 0
-    assert exact_fp_count(sk, "1011") == 0
+    assert exact_fp_count(GF4, 4, [], "1011") == 0
     assert not query_membership(sk, "1011", seed=5)
 
 
@@ -233,9 +232,8 @@ def test_contains_validates_context():
 
 
 def test_exact_fp_count_frozen():
-    sk = build_sketch(make_language("singleton", member="0000"), 4, ctx=GF4)
-    assert exact_fp_count(sk, "0000") == 4  # member hits every point
-    assert exact_fp_count(sk, "1111") == 1  # agreement only at a=1
+    assert exact_fp_count(GF4, 4, ["0000"], "0000") == 4  # member hits every point
+    assert exact_fp_count(GF4, 4, ["0000"], "1111") == 1  # agreement only at a=1
 
 
 def test_member_query_accepts_for_every_seed():
@@ -281,7 +279,7 @@ def test_counts_and_lookups_match_direct_eval_at_dtype_boundaries(tmp_path, k, n
         assert np.array_equal(sk.values, built.values)
         for x, row in rows.items():
             hits = [any(rows[y][a] == v for y in stored) for a, v in enumerate(row)]
-            assert exact_fp_count(sk, x) == sum(hits)
+            assert exact_fp_count(ctx, n, list(stored), x) == sum(hits)
             assert _sampled_counts(ctx, n, list(stored), [x], [np.array(points, np.uint64)]
                                    ) == [sum(hits[a] for a in points)]
             for a in points[:8]:
@@ -291,28 +289,30 @@ def test_counts_and_lookups_match_direct_eval_at_dtype_boundaries(tmp_path, k, n
 def test_exact_fp_count_list_equals_per_string_counts():
     spec = make_language("seeded-random", seed=29)
     n = 32
-    sk = build_sketch(spec, n)
+    ctx = make_field(spec.density.field_size(n))
+    members = spec.enumerator(n)
     rng = random.Random(29)
-    xs = spec.enumerator(n)[:5] + [format(rng.getrandbits(n), "032b") for _ in range(60)]
-    counts = exact_fp_count(sk, xs)
-    assert counts == [exact_fp_count(sk, x) for x in xs]
+    xs = members[:5] + [format(rng.getrandbits(n), "032b") for _ in range(60)]
+    counts = exact_fp_count(ctx, n, members, xs)
+    assert counts == [exact_fp_count(ctx, n, members, x) for x in xs]
     assert all(isinstance(c, int) for c in counts)
-    assert counts[:5] == [sk.ctx.q] * 5  # members hit at every point
-    assert exact_fp_count(sk, []) == []
+    assert counts[:5] == [ctx.q] * 5  # members hit at every point
+    assert exact_fp_count(ctx, n, members, []) == []
     # The sampled count at every point once is the exhaustive count, and
     # it counts a repeated point each time it is drawn.
-    members = spec.enumerator(n)
-    field = np.arange(sk.ctx.q, dtype=np.uint64)
-    assert _sampled_counts(sk.ctx, n, members, xs, [field] * len(xs)) == counts
-    points = np.array([0, 0, 1] + [rng.randrange(sk.ctx.q) for _ in range(3000)], np.uint64)
-    sampled = _sampled_counts(sk.ctx, n, members, xs, [points] * len(xs))
+    field = np.arange(ctx.q, dtype=np.uint64)
+    assert _sampled_counts(ctx, n, members, xs, [field] * len(xs)) == counts
+    points = np.array([0, 0, 1] + [rng.randrange(ctx.q) for _ in range(3000)], np.uint64)
+    sampled = _sampled_counts(ctx, n, members, xs, [points] * len(xs))
     assert all(isinstance(c, int) for c in sampled)
     assert sampled[:5] == [points.size] * 5
     twice = np.concatenate([points, points])
-    assert _sampled_counts(sk.ctx, n, members, xs, [twice] * len(xs)) == [
+    assert _sampled_counts(ctx, n, members, xs, [twice] * len(xs)) == [
         2 * c for c in sampled]
     with pytest.raises(ValueError, match="length mismatch"):
-        exact_fp_count(sk, xs[:3] + ["0"])
+        exact_fp_count(ctx, n, members, xs[:3] + ["0"])
+    with pytest.raises(ValueError, match="length mismatch"):
+        exact_fp_count(ctx, n, members + ["0"], xs)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -322,29 +322,28 @@ def test_exhaustive_counts_are_the_union_of_agreements(k):
     spec = make_language("seeded-random", seed=31 + k)
     n = 9
     ctx = make_field(k)
-    sk = build_sketch(spec, n, ctx=ctx)
     members = spec.enumerator(n)
     rows = {x: [direct_eval(ctx, x, a) for a in ctx.elements()]
             for x in (format(b, "09b") for b in range(1 << n))}
     want = [sum(any(v == rows[y][a] for y in members) for a, v in enumerate(row))
             for row in rows.values()]
-    assert exact_fp_count(sk, list(rows)) == want
+    assert exact_fp_count(ctx, n, members, list(rows)) == want
 
 
 def test_soundness_pairwise_bound_exhaustive():
     spec = make_language("seeded-random", seed=23)
     n = 6
-    sk = build_sketch(spec, n)
-    members = set(spec.enumerator(n))
-    r = -(-n // sk.ctx.k)
+    ctx = make_field(spec.density.field_size(n))
+    members = spec.enumerator(n)
+    r = -(-n // ctx.k)
     cap = (r - 1) * len(members)
     for bits in range(1 << n):
         x = format(bits, f"0{n}b")
         if x in members:
             continue
-        c = exact_fp_count(sk, x)
+        c = exact_fp_count(ctx, n, members, x)
         assert c <= cap
-        assert c / sk.ctx.q <= ACCEPT_BOUND
+        assert c / ctx.q <= ACCEPT_BOUND
 
 
 def _strings(rng: random.Random, n: int, count: int) -> list[str]:
@@ -353,30 +352,33 @@ def _strings(rng: random.Random, n: int, count: int) -> list[str]:
     return [format(b, f"0{n}b") for b in bits]
 
 
-# The member counts sit around the compare chunk C: none, one, one chunk
-# short of full, exactly one chunk, and one chunk plus a single row.
+# Member counts none, one, and 7, 8 and 9 around C = 8; string counts
+# around the string group G: one short of a group, one group, and one
+# string into a second group.
 @pytest.mark.parametrize("k, n, members, batch, given", [
     *[(4, 9, m, 40, False) for m in ("0", "1", "C-1", "C", "C+1")],
-    (10, 23, "C+1", 40, False),  # 40 x 1024 cells: blocks of 819 and 205 points
+    *[(4, 9, "C", b, False) for b in ("G-1", "G", "G+1")],
+    (10, 23, "C+1", 40, False),  # 49 rows gather 668 points a block: two blocks
     (10, 23, "C", 40, True),     # given points with repeats, across a block edge
     (5, 4, "C-1", 16, False),    # n <= k: r = 1, every string of length 4
     (1, 3, "C-1", 8, True),      # k = 1: two points, every string of length 3
-    (11, 22, "C+1", 40, False),  # log order: row groups of 32 and 8, 1024-point blocks
+    (11, 22, "C+1", 40, False),  # log order: runs of 1023 points, then a = 0
 ], ids=[f"k4-members-{m}" for m in ("0", "1", "C-1", "C", "C+1")]
+    + [f"k4-strings-{b}" for b in ("G-1", "G", "G+1")]
     + ["k10-two-blocks", "k10-given-points", "r1", "k1", "k11-row-groups"])
 def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given):
     rng = random.Random(k * 100 + n)
     ctx = make_field(k)
-    chunk = kernels.compare_shape(batch, 1 << 20)[1]
+    chunk = 8
     count = {"0": 0, "1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1}[members]
+    group = max(sketch_mod._STRING_GROUP, 4 * count)
+    batch = {"G-1": group - 1, "G": group, "G+1": group + 1}.get(batch, batch)
     stored = _strings(rng, n, count)
     assert len(stored) == count
     xs = _strings(rng, n, batch)
     points = list(range(ctx.q))
     if given:
         points = [0, 0, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(900)] + [0]
-    sk = build_sketch(listed_language(*stored), n, ctx=ctx)
-    assert sk.member_count == count
     # The referee: x is accepted at a exactly when some member's polynomial
     # takes x's value there, each evaluated on its own by direct_eval.
     at = sorted(set(points))
@@ -385,8 +387,27 @@ def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given)
     if given:  # the sampled count, from the member rows with no table
         got = _sampled_counts(ctx, n, stored, xs, [np.array(points, np.uint64)] * len(xs))
     else:
-        got = exact_fp_count(sk, xs)
+        got = exact_fp_count(ctx, n, stored, xs)
     assert got == want
+
+
+@pytest.mark.parametrize("k, n", [(11, 22), (10, 23)], ids=["log-order", "gather"])
+def test_exact_count_is_the_points_a_query_accepts(k, n):
+    # The count reads no table, so this ties it to the table `sketch
+    # query` reads: x counts at a exactly when contains() accepts its
+    # fingerprint there.
+    ctx = make_field(k)
+    assert kernels.log_order(k, -(-n // k)) == (k == 11)
+    rng = random.Random(k)
+    strings = _strings(rng, n, 24)
+    members, xs = strings[:20], strings[20:]
+    sk = build_sketch(listed_language(*members), n, ctx=ctx)
+    counts = exact_fp_count(ctx, n, members, xs + members[:1])
+    assert counts[-1] == ctx.q
+    for x, count in zip(xs, counts):
+        accepted = [contains(sk, Fingerprint(n=n, a=a, v=direct_eval(ctx, x, a), ctx=ctx))
+                    for a in ctx.elements()]
+        assert count == sum(accepted), x
 
 
 # ------------------------------------------------------------------ budgets
@@ -517,26 +538,6 @@ def test_fp_rate_deterministic_and_bounded():
     assert len(r1["nonmember_fractions"]) == 20
 
 
-def test_member_control_recounts_a_member_whose_row_differs():
-    spec = make_language("seeded-random", seed=7)
-    n = 12
-    sk = build_sketch(spec, n)
-    members, q = spec.enumerator(n), sk.ctx.q
-    assert _member_counts(sk, members) == [q] * len(members)
-    # Replace one stored value of member 3 with one no row holds at that
-    # point: member 3 then matches the table everywhere else.
-    j, a = 3, 5
-    values = sk.values.copy()
-    values[j, a] = next(v for v in range(q) if v not in values[:, a])
-    bad = dataclasses.replace(sk, table=values.reshape(-1).view(np.uint8))
-    counts = _member_counts(bad, members)
-    assert counts[j] == exact_fp_count(bad, members[j]) == q - 1
-    assert counts[:j] + counts[j + 1:] == [q] * (len(members) - 1)
-    # A different order or count of members is counted in full, still exactly.
-    assert _member_counts(bad, members[::-1]) == counts[::-1]
-    assert _member_counts(bad, members[:-1]) == counts[:-1]
-
-
 def test_fp_rate_override_skips_bound_check():
     spec = make_language("singleton", member="1011")
     r = fp_rate_experiment(spec, 4, trials=5, seed=3, ctx=GF4)
@@ -555,23 +556,28 @@ def test_fp_rate_sampled_mode():
     assert r == r2
 
 
-def test_fp_rate_sampled_mode_builds_no_table(monkeypatch):
-    import streamfp.sketch as sketch_mod
-
+def _fp_rate_builds_no_table(monkeypatch, mode: str) -> None:
+    # No sketch, and no whole-field row of q values: each string is
+    # evaluated a block of points at a time.
     def no_table(*args, **kwargs):
-        raise AssertionError("sampled-a built a sketch table")
+        raise AssertionError(f"{mode} built a sketch table")
 
     spec = make_language("seeded-random", seed=5)
-    want = fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", a_samples=64)
-    for name in ("build_sketch", "_build", "SketchSet"):
+    want = fp_rate_experiment(spec, 12, trials=5, seed=99, mode=mode, a_samples=64)
+    for name in ("build_sketch", "SketchSet"):
         monkeypatch.setattr(sketch_mod, name, no_table)
-    # No table, so the entry budget bounds nothing but its own sign here.
-    r = fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", a_samples=64,
-                           entry_budget=0)
+    monkeypatch.setattr(kernels, "_eval_field", no_table)
+    r = fp_rate_experiment(spec, 12, trials=5, seed=99, mode=mode, a_samples=64)
     assert r == want
     assert r["entry_count"] == r["member_count"] * r["q"]
-    with pytest.raises(ValueError, match="--entry-budget must be >= 0"):
-        fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", entry_budget=-1)
+
+
+def test_fp_rate_sampled_mode_builds_no_table(monkeypatch):
+    _fp_rate_builds_no_table(monkeypatch, "sampled-a")
+
+
+def test_fp_rate_exhaustive_mode_builds_no_table(monkeypatch):
+    _fp_rate_builds_no_table(monkeypatch, "exhaustive-a")
 
 
 def test_fp_rate_sampled_mode_evaluates_only_the_nonmembers(monkeypatch):
@@ -606,9 +612,14 @@ def test_fp_rate_rejects_bad_mode_and_trials():
 
 
 def test_fp_rate_exhaustive_cap_suggests_sampling():
+    # Both messages name the CLI spelling of the modes.
     spec = make_language("singleton", member="1" * 600)
-    with pytest.raises(ValueError, match="sampled-a"):
+    with pytest.raises(ValueError, match="use --mode sampled-a for fields this large"):
         fp_rate_experiment(spec, 600, trials=1, seed=1, ctx=make_field(22))
+    for mode in ("exhaustive-a", "sampled-a"):
+        with pytest.raises(ValueError, match="sketch builds and the exhaustive-a and "
+                                             "sampled-a modes evaluate on log tables"):
+            fp_rate_experiment(spec, 600, trials=1, seed=1, mode=mode, ctx=make_field(25))
 
 
 def test_nonmember_draw_refuses_dense_language():
