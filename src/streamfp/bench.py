@@ -13,14 +13,14 @@ first chunk, which also loads what the fold needs, and its value is
 checked against the big-int tier: the chunk's segments, from
 :func:`streamfp.stream.coefficients`, folded with ``FieldCtx.mul`` and
 ``add``.  The two must agree bit for bit, and the report records that
-cross-check as ``matches_bigint``.
+cross-check as ``matches_bigint``.  The report carries no ``kind`` or
+``tool``: the CLI adds that envelope.
 """
 
 from __future__ import annotations
 
 import time
 
-from ._version import __version__
 from .field import make_field
 from .gf2poly import IRREDUCIBLE_DEGREE_CAP
 from .seeds import derived_rng
@@ -39,8 +39,9 @@ def _bigint_fold(ctx, segments, a: int) -> int:
 
 
 def run_bench(ks=DEFAULT_KS, mib: int = 1, seed: int = 0) -> dict:
-    """Benchmark report dict; content is deterministic given the seed
-    except for the measured times and rates themselves."""
+    """Benchmark report dict of seed, mib and results; content is
+    deterministic given the seed except for the measured times and rates
+    themselves."""
     if mib < 1:
         raise ValueError(f"bench folds at least 1 MiB, got --mib {mib}")
     for k in ks:
@@ -77,8 +78,6 @@ def run_bench(ks=DEFAULT_KS, mib: int = 1, seed: int = 0) -> dict:
             "matches_bigint": True,
         }
     return {
-        "kind": "bench",
-        "tool": {"name": "streamfp", "version": __version__},
         "seed": seed,
         "mib": mib,
         "results": results,

@@ -5,8 +5,10 @@ Exit codes: 0 success (query: accept), 1 query reject, 2 I/O error,
 3 precondition violation (bad arguments, out-of-range towers), 4 entry
 budget refusal, 5 acceptance-bound violation in a rule-sized fp-rate
 run.  Every report embeds the resolved seed, k, the modulus hex, the
-tool version, and whether the field came from the sizing rule.  File
-outputs are written atomically (temp file, then rename).
+tool version, and whether the field came from the sizing rule.  The
+library returns results without ``kind`` and ``tool``: ``_report`` adds
+both, and fingerprint's record takes ``_TOOL`` alone.  File outputs are
+written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+_TOOL = {"name": "streamfp", "version": __version__}
+
+
 def _report(kind: str, **fields) -> dict:
     """A command's JSON report: its kind, the tool, and its own fields."""
-    return {"kind": kind, "tool": {"name": "streamfp", "version": __version__}, **fields}
+    return {"kind": kind, "tool": _TOOL, **fields}
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -164,7 +169,7 @@ def _cmd_fingerprint(args) -> int:
     fp = _stream_input(args, start)
     record = fp.to_json_dict()
     record["rule_sized"] = rule_sized
-    record["tool"] = {"name": "streamfp", "version": __version__}
+    record["tool"] = _TOOL
     if args.tuple_bits:
         record["tuple_bits"] = encode_fingerprint(fp)
     _write_output(_dump_json(record), args.output)
@@ -182,19 +187,9 @@ def _cmd_sketch_build(args) -> int:
         source_seed=seed,
     )
     sketch_mod.save_sketch(sk, args.output)
-    summary = _report(
-        "sketch-build",
-        seed=seed,
-        n=sk.n,
-        k=sk.ctx.k,
-        q=sk.ctx.q,
-        t_hex=sk.ctx.modulus.to_hex(),
-        rule_sized=sk.rule_sized,
-        language=spec.describe(),
-        member_count=sk.member_count,
-        entry_count=sk.size,
-        output=args.output,
-    )
+    header = sketch_mod.sketch_header(spec, sk.n, sk.ctx, sk.member_count,
+                                      sk.rule_sized, seed)
+    summary = _report("sketch-build", **header, output=args.output)
     sys.stdout.write(_dump_json(summary))
     return EXIT_OK
 
@@ -242,7 +237,7 @@ def _fp_rate_csv(report: dict) -> str:
 def _cmd_sketch_fp_rate(args) -> int:
     seed = _resolve_seed(args.seed)
     spec = _language_from_args(args, seed)
-    report = sketch_mod.fp_rate_experiment(
+    report = _report("fp-rate", **sketch_mod.fp_rate_experiment(
         spec,
         args.n,
         trials=args.trials,
@@ -250,7 +245,7 @@ def _cmd_sketch_fp_rate(args) -> int:
         mode=args.mode,
         ctx=_ctx_override(args),
         a_samples=args.a_samples,
-    )
+    ))
     if args.report_format == "csv":
         _write_output(_fp_rate_csv(report), args.output)
     else:
@@ -266,7 +261,8 @@ def _cmd_bench(args) -> int:
               else tuple(int(x) for x in args.k.split(",")))
     except ValueError:
         raise ValueError("--k must be a comma-separated list of integers") from None
-    report = bench_mod.run_bench(ks=ks, mib=args.mib, seed=_resolve_seed(args.seed))
+    report = _report("bench", **bench_mod.run_bench(ks=ks, mib=args.mib,
+                                                    seed=_resolve_seed(args.seed)))
     _write_output(_dump_json(report), args.output)
     return EXIT_OK
 

@@ -14,11 +14,15 @@ d_{y_j}(a), in the narrowest unsigned little-endian type that holds a
 field element (1, 2 or 4 bytes, by k alone).  A :class:`SketchSet` keeps
 the table as that value buffer: the array one batched kernel call filled
 for a built sketch, and the file's own bytes, used in place, for a loaded
-one.  A lookup reads the member_count values of one column straight from
-the buffer, with no numpy, so loading a sketch and querying it never
-import it.  The false-positive counts read no table: they evaluate the
-members with the counted strings a block of points at a time, and a
-member's own count is its point count by construction.
+one, with no numpy view of it.  A lookup reads the member_count values of
+one column straight from the buffer, so loading a sketch and querying it
+never import numpy.  The false-positive counts read no table: they
+evaluate the members with the counted strings a block of points at a
+time, and a member's own count is its point count by construction.
+
+Results are plain dicts with no ``kind`` or ``tool``: the CLI adds that
+envelope.  :func:`sketch_header` holds the fields a build summary and an
+fp-rate report share.
 
 The sketch file format (.spsk, version 3) is that table itself,
 deterministic and little-endian:
@@ -38,7 +42,6 @@ value is below 2^k, and raises ValueError on the first that fails.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -48,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ._atomic import write_atomic
-from ._version import __version__
 from .field import (ENUMERATION_DEGREE_CAP, FieldCtx, item_bytes, make_field,
                     select_field_size)
 from .gf2poly import Gf2Poly
@@ -70,6 +72,7 @@ __all__ = [
     "exact_fp_count",
     "query_membership",
     "fp_rate_experiment",
+    "sketch_header",
     "save_sketch",
     "load_sketch",
     "ACCEPT_BOUND",
@@ -217,26 +220,22 @@ def make_language(kind: str, *, seed: int | None = None, max_ones: int | None = 
     if kind == "seeded-random":
         if seed is None:
             raise ValueError("seeded-random language needs a seed")
-        cache: dict[int, list[str]] = {}
+        cache: dict[int, tuple[list[str], frozenset[str]]] = {}
 
-        def enum(n: int) -> list[str]:
+        def draw(n: int) -> tuple[list[str], frozenset[str]]:
+            """The members of length n in draw order, and as one set."""
             if n not in cache:
                 rng = derived_rng(seed, "language", n)
-                seen: set[int] = set()
-                out: list[str] = []
+                out: dict[str, None] = {}  # first draws, in order
                 while len(out) < n:
-                    x = rng.getrandbits(n)
-                    if x not in seen:
-                        seen.add(x)
-                        out.append(format(x, f"0{n}b"))
-                cache[n] = out
-            return list(cache[n])
-
-        def member_q(x: str) -> bool:
-            return bool(x) and x in set(enum(len(x)))
+                    out.setdefault(format(rng.getrandbits(n), f"0{n}b"))
+                cache[n] = list(out), frozenset(out)
+            return cache[n]
 
         return SparseLanguageSpec(
-            "seeded-random", DensityFn("linear"), enum, member_q,
+            "seeded-random", DensityFn("linear"),
+            lambda n: list(draw(n)[0]),
+            lambda x: bool(x) and x in draw(len(x))[1],
             {"seed": seed},
         )
 
@@ -288,15 +287,6 @@ class SketchSet:
         """Stored entries: member_count x q, the count the entry budget bounds."""
         return self.member_count * self.ctx.q
 
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The table as a member_count x q numpy view."""
-        import numpy as np
-        from . import kernels
-
-        values = np.frombuffer(self.table, kernels.value_dtype(self.ctx.k), self.size)
-        return values.reshape(self.member_count, self.ctx.q)
-
 
 def _resolve(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None):
     """(validated members, field, rule_sized) of a build or an fp-rate run."""
@@ -320,6 +310,16 @@ def _resolve(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None):
             f"density violation at n={n}: {len(members)} members exceed f(n)={bound}"
         )
     return members, ctx or make_field(k), ctx is None
+
+
+def sketch_header(spec: SparseLanguageSpec, n: int, ctx: FieldCtx, member_count: int,
+                  rule_sized: bool, seed: int | None) -> dict:
+    """The fields a ``sketch build`` summary and an fp-rate report share:
+    the sketch of member_count members of spec at length n over ctx, and
+    its entry_count, member_count x q."""
+    return {"seed": seed, "n": n, "k": ctx.k, "q": ctx.q, "t_hex": ctx.modulus.to_hex(),
+            "rule_sized": rule_sized, "language": spec.describe(),
+            "member_count": member_count, "entry_count": member_count * ctx.q}
 
 
 def build_sketch(
@@ -472,16 +472,17 @@ def fp_rate_experiment(
     every point (``exact_fp_count``) or at their drawn points
     (``_sampled_counts``): a member y itself takes d_y's value at each.
 
-    Fully deterministic given the seed: nonmember draws and per-query
-    point draws come from derived streams indexed by position, so the
-    report is byte-for-byte reproducible.
+    The report is :func:`sketch_header`'s fields and the experiment's
+    own.  It is fully deterministic given the seed: nonmember draws and
+    per-query point draws come from derived streams indexed by position,
+    so the report is byte-for-byte reproducible.
     """
     if mode not in ("exhaustive-a", "sampled-a"):
         raise ValueError("mode must be 'exhaustive-a' or 'sampled-a'")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     if mode == "sampled-a" and a_samples < 1:
-        raise ValueError("sampled-a mode needs a_samples >= 1")
+        raise ValueError(f"sampled-a mode needs --a-samples >= 1, got {a_samples}")
     members, fctx, rule_sized = _resolve(spec, n, ctx)
     if mode == "exhaustive-a" and fctx.k > EXHAUSTIVE_QUERY_DEGREE_CAP:
         raise ValueError(f"exhaustive mode sweeps q = 2^{fctx.k} points per input; "
@@ -498,17 +499,7 @@ def fp_rate_experiment(
     nm_fractions = [c / denom for c in nm_counts]
     max_fraction = max(nm_fractions)
     return {
-        "kind": "fp-rate",
-        "tool": {"name": "streamfp", "version": __version__},
-        "seed": seed,
-        "n": n,
-        "k": fctx.k,
-        "q": fctx.q,
-        "t_hex": fctx.modulus.to_hex(),
-        "rule_sized": rule_sized,
-        "language": spec.describe(),
-        "member_count": len(members),
-        "entry_count": len(members) * fctx.q,
+        **sketch_header(spec, n, fctx, len(members), rule_sized, seed),
         "mode": mode,
         "nonmember_count": trials,
         "points_per_query": denom,

@@ -593,7 +593,14 @@ def test_fp_rate_sampled_mode_refuses_a_samples_below_one(capsys, a_samples):
                              "--n", "10", "--trials", "3", "--seed", "42",
                              "--mode", "sampled-a", "--a-samples", a_samples)
     assert code == EXIT_PRECONDITION and out == ""
-    assert "a_samples >= 1" in err
+    assert f"sampled-a mode needs --a-samples >= 1, got {a_samples}" in err
+
+
+def test_fp_rate_refuses_trials_below_one_naming_the_flag(capsys):
+    code, out, err = run_cli(capsys, "sketch", "fp-rate", "--n", "10", "--trials", "0",
+                             "--seed", "42")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err == "streamfp: --trials must be >= 1, got 0\n"
 
 
 def test_fp_rate_sampled_mode_past_k24_exits_3_naming_the_mode(capsys):
@@ -789,6 +796,44 @@ def test_bench_out_of_memory_exits_3(capsys, monkeypatch, error):
     code, out, err = run_cli(capsys, "bench", "--k", "8", "--mib", "100000", "--seed", "5")
     assert code == EXIT_PRECONDITION and out == ""
     assert err == f"streamfp: {str(error) or 'out of memory'}\n"
+
+
+# ----------------------------------------------------------------- envelope
+
+_IDENTITY = json.dumps({"family": "identity"})
+_DOUBLING = json.dumps({"family": "polynomial", "params": {"coeff": 2, "exponent": 1}})
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["fingerprint", "--bits", "1011", "--seed", "7"], None),
+    (["sketch", "build", "--language", "low-weight", "--max-ones", "1", "--n", "6",
+      "--seed", "3", "--output", "lw.spsk"], "sketch-build"),
+    (["sketch", "query", "--sketch", "lw.spsk", "--bits", "000100", "--seed", "11"],
+     "sketch-query"),
+    (["sketch", "fp-rate", "--n", "8", "--trials", "2", "--seed", "5"], "fp-rate"),
+    (["sketch", "fp-rate", "--n", "8", "--trials", "2", "--seed", "5",
+      "--mode", "sampled-a", "--a-samples", "8"], "fp-rate"),
+    (["bench", "--k", "8", "--mib", "1", "--seed", "5"], "bench"),
+    (["tally", "--padding-stable", "--n", "5"], "tally-padding-stable"),
+    (["tally", "--validate", "--lengths", "1,5", "--density", _IDENTITY,
+      "--gap", _DOUBLING], "tally-validate"),
+    (["tally", "--construct", "--density", _IDENTITY, "--gap", _DOUBLING],
+     "tally-construct"),
+], ids=["fingerprint", "sketch-build", "sketch-query", "fp-rate-exhaustive",
+        "fp-rate-sampled", "bench", "tally-padding-stable", "tally-validate",
+        "tally-construct"])
+def test_every_report_carries_the_tool_and_its_kind(tmp_path, capsys, monkeypatch,
+                                                    argv, kind):
+    # The CLI writes the envelope; fingerprint's record has a tool and no kind.
+    from streamfp import __version__
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["sketch", "build", "--language", "low-weight", "--max-ones", "1",
+                 "--n", "6", "--seed", "3", "--output", "lw.spsk"]) == EXIT_OK
+    capsys.readouterr()
+    report = run_json(capsys, *argv)
+    assert report["tool"] == {"name": "streamfp", "version": __version__}
+    assert report.get("kind") == kind
 
 
 # ------------------------------------------------------------------ version

@@ -45,6 +45,12 @@ def listed_language(*members: str) -> SparseLanguageSpec:
     )
 
 
+def table_values(sk) -> np.ndarray:
+    """A sketch's table as a member_count x q numpy view of its buffer."""
+    return np.frombuffer(sk.table, kernels.value_dtype(sk.ctx.k)).reshape(
+        sk.member_count, sk.ctx.q)
+
+
 # ---------------------------------------------------------------- languages
 
 def test_low_weight_language_frozen():
@@ -80,6 +86,28 @@ def test_seeded_random_language_is_deterministic():
     assert len(set(members)) == 8
     assert all(len(m) == 8 for m in members)
     assert all(s1.membership(m) for m in members)
+
+
+def test_seeded_random_members_are_the_first_distinct_draws():
+    # The enumerator lists them in draw order and the predicate reads the
+    # same members, as one set per length.
+    from streamfp.seeds import derived_rng
+
+    spec = make_language("seeded-random", seed=9)
+    for n in (1, 2, 3, 8):
+        rng = derived_rng(9, "language", n)
+        want: list[str] = []
+        while len(want) < n:
+            x = format(rng.getrandbits(n), f"0{n}b")
+            if x not in want:
+                want.append(x)
+        got = spec.enumerator(n)
+        assert got == want
+        got.append("0" * n)  # the caller's own list
+        assert spec.enumerator(n) == want
+        strings = (format(v, f"0{n}b") for v in range(1 << n))
+        assert [x for x in strings if spec.membership(x)] == sorted(want)
+    assert not spec.membership("")
 
 
 def test_unknown_language_kind():
@@ -164,7 +192,8 @@ def test_pair_sketch_size_gf4():
     # 4 + 4: the members agree at a=1, and each row keeps its own value there.
     sk = build_sketch(listed_language("0000", "1111"), 4, ctx=GF4)
     assert sk.size == 8
-    assert sk.values[0, 1] == sk.values[1, 1]
+    values = table_values(sk)
+    assert values[0, 1] == values[1, 1]
 
 
 def test_empty_sketch():
@@ -183,7 +212,7 @@ def test_sketch_matches_direct_set_construction():
         [direct_eval(ctx, y, a) for a in ctx.elements()]
         for y in spec.enumerator(n)
     ]
-    assert sk.values.tolist() == oracle
+    assert table_values(sk).tolist() == oracle
     assert sk.rule_sized
 
 
@@ -195,11 +224,12 @@ def test_sketch_matches_direct_set_construction():
 def test_values_table_is_members_by_points_in_the_narrowest_dtype(spec, n, ctx):
     sk = build_sketch(spec, n, ctx=ctx)
     q = sk.ctx.q
-    assert sk.values.shape == (len(spec.enumerator(n)), q)
-    assert sk.values.dtype == np.min_scalar_type(q - 1)
-    assert sk.values.flags.c_contiguous
-    assert sk.values.size > 0
-    assert int(sk.values.max()) < q
+    values = table_values(sk)
+    assert values.shape == (len(spec.enumerator(n)), q)
+    assert values.dtype == np.min_scalar_type(q - 1)
+    assert values.flags.c_contiguous
+    assert values.size > 0
+    assert int(values.max()) < q
 
 
 # ------------------------------------------------------------------ queries
@@ -275,8 +305,9 @@ def test_counts_and_lookups_match_direct_eval_at_dtype_boundaries(tmp_path, k, n
         built = build_sketch(spec, n, ctx=ctx)
         save_sketch(built, path)
         sk = load_sketch(path)  # the table as a query reads it, in place from the file
-        assert sk.values.dtype == built.values.dtype == np.min_scalar_type(ctx.q - 1)
-        assert np.array_equal(sk.values, built.values)
+        values = table_values(sk)
+        assert values.dtype == table_values(built).dtype == np.min_scalar_type(ctx.q - 1)
+        assert np.array_equal(values, table_values(built))
         for x, row in rows.items():
             hits = [any(rows[y][a] == v for y in stored) for a, v in enumerate(row)]
             assert exact_fp_count(ctx, n, list(stored), x) == sum(hits)
@@ -457,8 +488,9 @@ def test_save_load_round_trip(tmp_path):
     assert back.member_count == sk.member_count
     assert back.rule_sized == sk.rule_sized
     assert back.source_seed == 77
-    assert back.values.dtype == sk.values.dtype
-    assert np.array_equal(back.values, sk.values)
+    values = table_values(back)
+    assert values.dtype == table_values(sk).dtype
+    assert np.array_equal(values, table_values(sk))
 
 
 @pytest.mark.parametrize("spec, n, ctx", [
@@ -472,9 +504,10 @@ def test_save_load_round_trip_edge_sketches(tmp_path, spec, n, ctx):
     back = load_sketch(path)
     assert (back.n, back.ctx, back.member_count) == (sk.n, sk.ctx, sk.member_count)
     assert back.rule_sized is False and back.source_seed is None
-    assert back.values.dtype == np.uint8 and back.values.flags.aligned
-    assert back.values.shape == sk.values.shape
-    assert np.array_equal(back.values, sk.values)
+    values = table_values(back)
+    assert values.dtype == np.uint8 and values.flags.aligned
+    assert values.shape == table_values(sk).shape
+    assert np.array_equal(values, table_values(sk))
 
 
 def test_save_is_deterministic(tmp_path):
