@@ -3,10 +3,9 @@
 Streams ``mib`` MiB of pseudorandom bytes for each degree k through
 :meth:`streamfp.stream.StreamState.feed_bytes`, in the chunks of
 ``_CHUNK_BLOCKS`` k-byte blocks that ``fingerprint`` reads, so it times
-the fold ``fingerprint`` runs on a raw input of that size: the numpy
-block fold for k <= 64 (a bench stream has 2^23 bits or more), the lane
-fold past it.  Each chunk is drawn from one derived stream as it is fed,
-so a run holds one chunk.  The report gives segments/sec and
+the fold ``fingerprint`` runs on a raw input of that size, picked by the
+fold rule of :mod:`streamfp.stream`.  Each chunk is drawn from one
+derived stream as it is fed, so a run holds one chunk.  The report gives segments/sec and
 field-ops/sec (two field operations per segment) over the feed calls
 alone.  Before the timed run, a stream at the same point is fed the
 first chunk, which also loads what the fold needs, and its value is

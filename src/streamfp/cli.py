@@ -9,6 +9,10 @@ tool version, and whether the field came from the sizing rule.  The
 library returns results without ``kind`` and ``tool``: ``_report`` adds
 both, and fingerprint's record takes ``_TOOL`` alone.  File outputs are
 written atomically (temp file, then rename).
+
+No flag asks for what the inputs already give: ``sketch query`` streams
+exactly the n bits its sketch records, and ``sketch fp-rate`` samples
+points when given ``--a-samples`` and otherwise tries every point.
 """
 
 from __future__ import annotations
@@ -62,24 +66,28 @@ def _write_output(text: str, path: str | None) -> None:
     write_atomic(path, text.encode())
 
 
-def _stream_input(args, start) -> Fingerprint:
+def _stream_input(args, n: int | None, start, *, n_name: str = "--n",
+                  prefix: bool = True) -> Fingerprint:
     """Fingerprint --bits / --input / stdin (per --format) in one pass.
 
-    start(n) opens the stream once the input length n is known; the input
-    is then fed in fixed chunks and never held whole.  --bits is read as
-    the text of a bits file.
+    n is the input length in bits; None takes it from the file.
+    start(n) opens the stream once n is known; the input is then fed in
+    fixed chunks and never held whole.  --bits is read as the text of a
+    bits file.  Bits text must hold exactly n bits; raw input at least n,
+    and exactly ceil(n/8) bytes unless prefix.  Errors name n as n_name.
     """
     sources = [s for s in (args.bits, args.input) if s is not None]
     if len(sources) != 1:
         raise ValueError("provide exactly one of --bits or --input")
     if args.bits is not None:
-        return _stream_file(args.n, "bits", io.BytesIO(os.fsencode(args.bits)), start)
+        return _stream_file(n, n_name, prefix, "bits",
+                            io.BytesIO(os.fsencode(args.bits)), start)
     if args.input == "-":
-        if args.n is None:
+        if n is None:
             raise ValueError("streaming from stdin requires --n")
-        return _stream_file(args.n, args.format, sys.stdin.buffer, start)
+        return _stream_file(n, n_name, prefix, args.format, sys.stdin.buffer, start)
     with open(args.input, "rb") as fh:
-        return _stream_file(args.n, args.format, fh, start)
+        return _stream_file(n, n_name, prefix, args.format, fh, start)
 
 
 def _checked_length(n: int) -> int:
@@ -94,9 +102,10 @@ def _text_chunks(fh, size: int):
         yield b"".join(chunk.split()).decode("latin-1")
 
 
-def _stream_file(n: int | None, fmt: str, fh, start) -> Fingerprint:
+def _stream_file(n: int | None, n_name: str, prefix: bool, fmt: str, fh,
+                 start) -> Fingerprint:
     if fmt == "raw":
-        # Raw bytes pad to a multiple of 8; --n selects the leading prefix.
+        # Raw bytes pad to a multiple of 8; a prefix n selects leading bits.
         if n is None:
             n = 8 * os.fstat(fh.fileno()).st_size
         state = start(_checked_length(n))
@@ -107,8 +116,10 @@ def _stream_file(n: int | None, fmt: str, fh, start) -> Fingerprint:
             state.feed_bytes(data, min(8 * len(data), n - state.profile.bits_read))
             if len(data) < want:
                 raise ValueError(
-                    f"--n {n} exceeds the {state.profile.bits_read} bits available"
+                    f"{n_name} {n} exceeds the {state.profile.bits_read} bits available"
                 )
+        if not prefix and fh.read(1):
+            raise ValueError(f"{n_name} {n} does not match the input, which holds more bits")
         return state.finish()
     if n is None:
         # A counting pass first: the field, and so k, depends on n.
@@ -119,10 +130,10 @@ def _stream_file(n: int | None, fmt: str, fh, start) -> Fingerprint:
     for text in _text_chunks(fh, state.ctx.k * _CHUNK_BLOCKS):
         seen += len(text)
         if seen > n:
-            raise ValueError(f"--n {n} does not match the input, which holds more bits")
+            raise ValueError(f"{n_name} {n} does not match the input, which holds more bits")
         state.feed(text)
     if seen < n:
-        raise ValueError(f"--n {n} does not match the {seen} input bits")
+        raise ValueError(f"{n_name} {n} does not match the {seen} input bits")
     return state.finish()
 
 
@@ -166,7 +177,7 @@ def _cmd_fingerprint(args) -> int:
     def start(n):
         return begin_seeded(n, seed, ctx=ctx or make_field(density.field_size(n)))
 
-    fp = _stream_input(args, start)
+    fp = _stream_input(args, args.n, start)
     record = fp.to_json_dict()
     record["rule_sized"] = rule_sized
     record["tool"] = _TOOL
@@ -198,13 +209,11 @@ def _cmd_sketch_query(args) -> int:
     seed = _resolve_seed(args.seed)
     sk = sketch_mod.load_sketch(args.sketch)
 
-    def start(n):
-        if n != sk.n:
-            raise ValueError(f"input holds {n} bits but the sketch indexes n={sk.n}")
-        return begin_seeded(n, seed, ctx=sk.ctx)
-
-    # The same draw and test as sketch.query_membership, on streamed input.
-    accepted = sketch_mod.contains(sk, _stream_input(args, start))
+    # The same draw and test as sketch.query_membership, on streamed input
+    # of exactly the sketch's n bits.
+    fp = _stream_input(args, sk.n, lambda n: begin_seeded(n, seed, ctx=sk.ctx),
+                       n_name="the sketch's n =", prefix=False)
+    accepted = sketch_mod.contains(sk, fp)
     result = _report(
         "sketch-query",
         seed=seed,
@@ -242,7 +251,6 @@ def _cmd_sketch_fp_rate(args) -> int:
         args.n,
         trials=args.trials,
         seed=seed,
-        mode=args.mode,
         ctx=_ctx_override(args),
         a_samples=args.a_samples,
     ))
@@ -324,9 +332,7 @@ def _cmd_irreducible(args) -> int:
 
 # --------------------------------------------------------------- parser
 
-def _add_input_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
-    if with_n:
-        p.add_argument("--n", type=int, default=None, help="input length in bits")
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bits", default=None, help="inline bit string input")
     p.add_argument("--input", default=None, help="input path, or - for stdin")
     p.add_argument(
@@ -363,6 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fingerprint", help="fingerprint a bit stream")
+    p.add_argument("--n", type=int, default=None, help="input length in bits")
     _add_input_flags(p)
     p.add_argument("--f", default="linear",
                    help="density family for field sizing: linear, constant:c, power:p/q")
@@ -397,9 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_language_flags(fr)
     fr.add_argument("--n", type=int, required=True)
     fr.add_argument("--trials", type=int, required=True, help="number of nonmembers")
-    fr.add_argument("--mode", choices=("exhaustive-a", "sampled-a"), default="exhaustive-a")
-    fr.add_argument("--a-samples", type=int, default=512,
-                    help="points per query in sampled-a mode")
+    fr.add_argument("--a-samples", type=int, default=None,
+                    help="sample this many points per query (default: every point)")
     fr.add_argument("--k", type=int, default=None, help="field override (skips sizing rule)")
     fr.add_argument("--seed", type=int, default=None)
     fr.add_argument("--report-format", choices=("json", "csv"), default="json")

@@ -195,8 +195,8 @@ def fold_block_length(r: int) -> int:
     steps against the scalar outer fold.  The lane fold of
     :mod:`streamfp.stream` runs 8L lanes, so about sqrt(r/2) steps, for
     the same balance of big-int steps against the join of its lanes.
-    Below 128 segments L is 1, and a stream folds by :func:`horner_fold`
-    itself."""
+    Which calls fold in blocks or lanes is :mod:`streamfp.stream`'s
+    rule."""
     return max(1, math.isqrt(r >> 5))
 
 

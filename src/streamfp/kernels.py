@@ -2,15 +2,13 @@
 
 This is the one module that imports numpy at module level.  The others
 import numpy, or this module, inside the functions that run batch work:
-a sketch build, an exact or sampled count, and a stream call of 128 or more
-segments in a stream of at least 2^23 bits at k <= 64 (``bench``'s
-streams among them).  Shorter streams, streams past k = 64 (both fold
-in lanes on Python ints, see :mod:`streamfp.stream`), sketch lookups and
-the other commands never load numpy.  Elements are uint64 bit patterns,
-so ``mulmod``, ``cut_segments`` and the fold cover extension degrees
-1..``WORD_DEGREE_CAP`` (the word tier); wider fields stay on the big-int
-tier.  Both tiers must agree bit for bit; the differential tests enforce
-that.
+a sketch build, an exact or sampled count, and the stream calls that the
+fold rule of :mod:`streamfp.stream` gives the numpy block fold.  Other
+stream calls, sketch lookups and the other commands never load numpy.
+Elements are uint64 bit patterns, so ``mulmod``, ``cut_segments`` and
+the fold cover extension degrees 1..``WORD_DEGREE_CAP`` (the word tier);
+wider fields stay on the big-int tier.  Both tiers must agree bit for
+bit; the differential tests enforce that.
 
 ``eval_points`` evaluates a batch of polynomials, one per row, on
 log/antilog tables of the multiplicative group (Plank, Greenan & Miller,
@@ -42,11 +40,7 @@ split tables of a, one per byte of the block values.  The B block values
 are then folded by :func:`streamfp.field.horner_fold` with the split
 tables of a^L, the same algebra as composing chunks.  L is
 :func:`streamfp.field.fold_block_length`, about sqrt(R/32) for R
-segments.  Below 128 segments it is 1, a Horner step per segment with
-nothing shared, so the stream folds those calls in Python and calls
-this module only from 128 segments on, and only in streams of 2^23 bits
-or more: below that the lane fold, at about half this fold's speed per
-bit, costs less than loading numpy.
+segments.  Which stream calls this fold serves is the stream's rule.
 
 Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
 64: per step the low bit of one operand gates an XOR of the other into the

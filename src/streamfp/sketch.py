@@ -82,7 +82,7 @@ ACCEPT_BOUND = 0.25
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 
-EXHAUSTIVE_QUERY_DEGREE_CAP = 20  # beyond this, per-input full-field sweeps get slow
+EXHAUSTIVE_DEGREE_CAP = 20  # beyond this, fp-rate's per-input full-field sweeps get slow
 
 _STRING_GROUP = 256  # strings an exact count evaluates with the members per sweep
 
@@ -459,13 +459,13 @@ def fp_rate_experiment(
     n: int,
     trials: int,
     seed: int,
-    mode: str = "exhaustive-a",
     *,
     ctx: FieldCtx | None = None,
-    a_samples: int = 512,
+    a_samples: int | None = None,
 ) -> dict:
     """Acceptance fractions of `trials` uniform nonmembers (and of the
-    members), either exhaustively over all q points or on sampled points.
+    members): over all q points (mode exhaustive-a), or, given a_samples,
+    at that many drawn points per nonmember (mode sampled-a).
 
     Neither mode builds the sketch, though both report its entry_count =
     m x q.  Only the nonmembers are evaluated, with the member rows, at
@@ -477,20 +477,18 @@ def fp_rate_experiment(
     per-query point draws come from derived streams indexed by position,
     so the report is byte-for-byte reproducible.
     """
-    if mode not in ("exhaustive-a", "sampled-a"):
-        raise ValueError("mode must be 'exhaustive-a' or 'sampled-a'")
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
-    if mode == "sampled-a" and a_samples < 1:
-        raise ValueError(f"sampled-a mode needs --a-samples >= 1, got {a_samples}")
+    if a_samples is not None and a_samples < 1:
+        raise ValueError(f"--a-samples must be >= 1, got {a_samples}")
     members, fctx, rule_sized = _resolve(spec, n, ctx)
-    if mode == "exhaustive-a" and fctx.k > EXHAUSTIVE_QUERY_DEGREE_CAP:
+    if a_samples is None and fctx.k > EXHAUSTIVE_DEGREE_CAP:
         raise ValueError(f"exhaustive mode sweeps q = 2^{fctx.k} points per input; "
-                         "use --mode sampled-a for fields this large")
+                         "use --a-samples N to sample N points for fields this large")
     r = -(-n // fctx.k)
-    denom = fctx.q if mode == "exhaustive-a" else a_samples  # points per string
+    denom = fctx.q if a_samples is None else a_samples  # points per string
     xs = _draw_nonmembers(spec, n, trials, seed)
-    if mode == "exhaustive-a":
+    if a_samples is None:
         nm_counts = exact_fp_count(fctx, n, members, xs)
     else:
         rngs = (derived_rng(seed, "query-points", i) for i in range(trials))
@@ -500,7 +498,7 @@ def fp_rate_experiment(
     max_fraction = max(nm_fractions)
     return {
         **sketch_header(spec, n, fctx, len(members), rule_sized, seed),
-        "mode": mode,
+        "mode": "exhaustive-a" if a_samples is None else "sampled-a",
         "nonmember_count": trials,
         "points_per_query": denom,
         "bound": ACCEPT_BOUND,

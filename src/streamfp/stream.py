@@ -27,7 +27,8 @@ bit read, and joined above the register its k-bit fields are the
 segments, the bits past them the next register.  One rule, made from the
 call's segment count R, k and the stream's length n, picks the fold:
 
-- R < 128: the fields are cut into Python ints and
+- R < 128, where :func:`streamfp.field.fold_block_length` is 1 and
+  blocks would share nothing: the fields are cut into Python ints and
   :func:`streamfp.field.horner_fold` folds them on the stream's split
   tables, one step per segment.
 - k <= 64 and n >= 2^23 bits (1 MiB of raw input):

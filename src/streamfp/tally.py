@@ -48,6 +48,8 @@ __all__ = [
 
 DEFAULT_CAP_BITS = 10 ** 7
 
+_MAX_DOUBLINGS = 512  # a density at its threshold after this many doublings is bounded
+
 
 class OutOfRangeError(ValueError):
     """A tower evaluation would exceed the bit cap; distinct from any
@@ -282,16 +284,14 @@ def pad_preserves_validity(
     return validate_tally(pad(t, cap_bits), d, g, cap_bits).ok
 
 
-def _least_with_density_above(
-    d: GrowthFn, threshold: int, lo: int, cap_bits: int, max_doublings: int = 512
-) -> int:
+def _least_with_density_above(d: GrowthFn, threshold: int, lo: int, cap_bits: int) -> int:
     """Least n >= lo with d(n) > threshold (d nondecreasing)."""
     hi = max(lo, 1)
     doublings = 0
     while d.eval(hi, cap_bits) <= threshold:
         hi *= 2
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > _MAX_DOUBLINGS:
             raise ValueError(
                 f"density function appears bounded by {threshold} on the probed range"
             )

@@ -13,6 +13,7 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -373,6 +374,79 @@ def test_sketch_query_length_mismatch(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
 
 
+def _low_weight_sketch(capsys, tmp_path) -> str:
+    """The README's example sketch: n = 6, the 7 strings of weight <= 1."""
+    path = os.fspath(tmp_path / "lw.spsk")
+    run_json(capsys, "sketch", "build", "--language", "low-weight", "--max-ones", "1",
+             "--n", "6", "--seed", "3", "--output", path)
+    return path
+
+
+def _query_stdin(path: str, payload: bytes, *extra: str):
+    return subprocess.run(
+        [sys.executable, "-m", "streamfp.cli", "sketch", "query", "--sketch", path,
+         "--input", "-", "--seed", "11", *extra],
+        input=payload, capture_output=True,
+    )
+
+
+@pytest.mark.parametrize("bits, raw, code", [
+    ("000100", b"\x10", EXIT_OK),
+    ("110110", b"\xd8", EXIT_REJECT),
+])
+def test_sketch_query_streams_stdin_and_raw_input_at_the_sketchs_n(tmp_path, capsys,
+                                                                   bits, raw, code):
+    # n = 6 comes from the sketch: stdin needs no --n, and one raw byte
+    # holds the 6 bits and 2 bits of padding.
+    path = _low_weight_sketch(capsys, tmp_path)
+    want_code, want, _ = run_cli(capsys, "sketch", "query", "--sketch", path,
+                                 "--bits", bits, "--seed", "11")
+    assert want_code == code
+    for payload, extra in ((bits.encode(), ()), (raw, ("--format", "raw"))):
+        proc = _query_stdin(path, payload, *extra)
+        assert (proc.returncode, proc.stdout) == (code, want.encode()), proc.stderr
+    src = tmp_path / "input.bin"
+    src.write_bytes(raw)
+    assert run_cli(capsys, "sketch", "query", "--sketch", path, "--input", os.fspath(src),
+                   "--format", "raw", "--seed", "11") == (code, want, "")
+
+
+@pytest.mark.parametrize("payload, fmt", [
+    (b"\x10\xff", "raw"),  # a member's 6 bits, then a byte more
+    (b"", "raw"),
+    (b"0001000", "bits"),
+    (b"00010", "bits"),
+])
+def test_sketch_query_input_of_another_length_exits_3_naming_n(tmp_path, capsys,
+                                                               payload, fmt):
+    path = _low_weight_sketch(capsys, tmp_path)
+    src = tmp_path / "input"
+    src.write_bytes(payload)
+    code, out, err = run_cli(capsys, "sketch", "query", "--sketch", path,
+                             "--input", os.fspath(src), "--format", fmt, "--seed", "11")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.startswith("streamfp: the sketch's n = 6 ") and err.count("\n") == 1
+    proc = _query_stdin(path, payload, "--format", fmt)
+    assert (proc.returncode, proc.stdout) == (EXIT_PRECONDITION, b"")
+    assert proc.stderr.decode() == err
+
+
+def test_sketch_query_reads_a_bits_file_once(tmp_path, capsys):
+    # A FIFO cannot be rewound: a counting pass before the fold would fail.
+    path = _low_weight_sketch(capsys, tmp_path)
+    want = run_cli(capsys, "sketch", "query", "--sketch", path, "--bits", "000100",
+                   "--seed", "11")
+    fifo = tmp_path / "bits.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("0001 00\n",), daemon=True)
+    writer.start()
+    got = run_cli(capsys, "sketch", "query", "--sketch", path, "--input", os.fspath(fifo),
+                  "--seed", "11")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == want and got[0] == EXIT_OK
+
+
 def _spsk(header, values: bytes, version: int = 3, align: bool = True) -> bytes:
     """A .spsk file around the given header and values, with a valid digest;
     the header is space-padded to put the values at 64 bytes unless align
@@ -558,10 +632,12 @@ def test_fp_rate_csv(tmp_path, capsys):
     ((), "3e6ddb9bfe3d6bf97ab42d7c83e6e7e9c69765bbe245819a8db70feb4a7dfac8"),
     (("--report-format", "csv"),
      "9d789188996a898ddfdbc3887d719872fb7db158d341c246bbe3bdd8a17686b3"),
-    (("--mode", "sampled-a", "--a-samples", "64"),
+    (("--a-samples", "64"),
      "19c00807636618c75bf5eb249b5cc993c81afc9d303b9577e741a501e833da59"),
-    (("--mode", "sampled-a", "--a-samples", "64", "--report-format", "csv"),
+    (("--a-samples", "64", "--report-format", "csv"),
      "4520a7f5cc44e708e460437132403dd865942cc59f5ea9bdc69c63ade307056a"),
+    (("--a-samples", "512"),
+     "9ec6de573e2fb44ea8b0c69f796200814759a9d7295ea0c5a320c4504567ac9a"),
 ])
 def test_fp_rate_stdout_is_pinned(capsys, extra, digest):
     code, out, _ = run_cli(capsys, "sketch", "fp-rate", "--n", "16", "--trials", "8",
@@ -591,9 +667,9 @@ def test_fp_rate_exit_code_mapping():
 def test_fp_rate_sampled_mode_refuses_a_samples_below_one(capsys, a_samples):
     code, out, err = run_cli(capsys, "sketch", "fp-rate", "--language", "seeded-random",
                              "--n", "10", "--trials", "3", "--seed", "42",
-                             "--mode", "sampled-a", "--a-samples", a_samples)
+                             "--a-samples", a_samples)
     assert code == EXIT_PRECONDITION and out == ""
-    assert f"sampled-a mode needs --a-samples >= 1, got {a_samples}" in err
+    assert err == f"streamfp: --a-samples must be >= 1, got {a_samples}\n"
 
 
 def test_fp_rate_refuses_trials_below_one_naming_the_flag(capsys):
@@ -605,7 +681,7 @@ def test_fp_rate_refuses_trials_below_one_naming_the_flag(capsys):
 
 def test_fp_rate_sampled_mode_past_k24_exits_3_naming_the_mode(capsys):
     code, out, err = run_cli(capsys, "sketch", "fp-rate", "--n", "16", "--trials", "1",
-                             "--seed", "5", "--mode", "sampled-a", "--k", "25")
+                             "--seed", "5", "--a-samples", "512", "--k", "25")
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("streamfp: ") and "sampled-a mode" in err and err.count("\n") == 1
     assert "k <= 24; got k = 25" in err
@@ -812,7 +888,7 @@ _DOUBLING = json.dumps({"family": "polynomial", "params": {"coeff": 2, "exponent
      "sketch-query"),
     (["sketch", "fp-rate", "--n", "8", "--trials", "2", "--seed", "5"], "fp-rate"),
     (["sketch", "fp-rate", "--n", "8", "--trials", "2", "--seed", "5",
-      "--mode", "sampled-a", "--a-samples", "8"], "fp-rate"),
+      "--a-samples", "8"], "fp-rate"),
     (["bench", "--k", "8", "--mib", "1", "--seed", "5"], "bench"),
     (["tally", "--padding-stable", "--n", "5"], "tally-padding-stable"),
     (["tally", "--validate", "--lengths", "1,5", "--density", _IDENTITY,
@@ -865,6 +941,9 @@ def test_usage_errors_exit_3(capsys, argv):
     ["tally", "--padding-stable", "--n", "5", "--family", "iter-exp"],
     ["tally", "--padding-stable", "--n", "5", "--k", "1"],
     ["tally", "--padding-stable", "--n", "5", "--scale", "2"],
+    # A query streams at its sketch's n; --a-samples alone selects sampling.
+    ["sketch", "query", "--sketch", "lw.spsk", "--bits", "000100", "--n", "6"],
+    ["sketch", "fp-rate", "--n", "6", "--trials", "1", "--mode", "sampled-a"],
 ])
 def test_removed_input_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

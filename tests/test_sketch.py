@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -501,11 +502,15 @@ def test_save_load_round_trip_edge_sketches(tmp_path, spec, n, ctx):
     sk = build_sketch(spec, n, ctx=ctx)
     path = os.fspath(tmp_path / "edge.spsk")
     save_sketch(sk, path)
+    # The value region starts at a multiple of 64 bytes of the file.
+    with open(path, "rb") as fh:
+        (header_len,) = struct.unpack("<I", fh.read(12)[8:])
+    assert (12 + header_len) % 64 == 0
     back = load_sketch(path)
     assert (back.n, back.ctx, back.member_count) == (sk.n, sk.ctx, sk.member_count)
     assert back.rule_sized is False and back.source_seed is None
     values = table_values(back)
-    assert values.dtype == np.uint8 and values.flags.aligned
+    assert values.dtype == np.uint8
     assert values.shape == table_values(sk).shape
     assert np.array_equal(values, table_values(sk))
 
@@ -581,36 +586,36 @@ def test_fp_rate_override_skips_bound_check():
 
 def test_fp_rate_sampled_mode():
     spec = make_language("seeded-random", seed=5)
-    r = fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", a_samples=64)
-    assert r["points_per_query"] == 64
+    r = fp_rate_experiment(spec, 12, trials=5, seed=99, a_samples=64)
+    assert (r["mode"], r["points_per_query"]) == ("sampled-a", 64)
     assert r["member_fractions"] == [1.0] * r["member_count"]
     assert all(f <= 1.0 for f in r["nonmember_fractions"])
-    r2 = fp_rate_experiment(spec, 12, trials=5, seed=99, mode="sampled-a", a_samples=64)
+    r2 = fp_rate_experiment(spec, 12, trials=5, seed=99, a_samples=64)
     assert r == r2
 
 
-def _fp_rate_builds_no_table(monkeypatch, mode: str) -> None:
+def _fp_rate_builds_no_table(monkeypatch, a_samples: int | None) -> None:
     # No sketch, and no whole-field row of q values: each string is
     # evaluated a block of points at a time.
     def no_table(*args, **kwargs):
-        raise AssertionError(f"{mode} built a sketch table")
+        raise AssertionError(f"fp-rate at a_samples={a_samples} built a sketch table")
 
     spec = make_language("seeded-random", seed=5)
-    want = fp_rate_experiment(spec, 12, trials=5, seed=99, mode=mode, a_samples=64)
+    want = fp_rate_experiment(spec, 12, trials=5, seed=99, a_samples=a_samples)
     for name in ("build_sketch", "SketchSet"):
         monkeypatch.setattr(sketch_mod, name, no_table)
     monkeypatch.setattr(kernels, "_eval_field", no_table)
-    r = fp_rate_experiment(spec, 12, trials=5, seed=99, mode=mode, a_samples=64)
+    r = fp_rate_experiment(spec, 12, trials=5, seed=99, a_samples=a_samples)
     assert r == want
     assert r["entry_count"] == r["member_count"] * r["q"]
 
 
 def test_fp_rate_sampled_mode_builds_no_table(monkeypatch):
-    _fp_rate_builds_no_table(monkeypatch, "sampled-a")
+    _fp_rate_builds_no_table(monkeypatch, 64)
 
 
 def test_fp_rate_exhaustive_mode_builds_no_table(monkeypatch):
-    _fp_rate_builds_no_table(monkeypatch, "exhaustive-a")
+    _fp_rate_builds_no_table(monkeypatch, None)
 
 
 def test_fp_rate_sampled_mode_evaluates_only_the_nonmembers(monkeypatch):
@@ -628,8 +633,7 @@ def test_fp_rate_sampled_mode_evaluates_only_the_nonmembers(monkeypatch):
     monkeypatch.setattr(kernels, "eval_points", counted)
     spec = make_language("seeded-random", seed=5)
     trials, n, samples = 7, 40, 600
-    r = fp_rate_experiment(spec, n, trials=trials, seed=99, mode="sampled-a",
-                           a_samples=samples)
+    r = fp_rate_experiment(spec, n, trials=trials, seed=99, a_samples=samples)
     m = r["member_count"]
     assert m == n
     assert sum(evals) == trials * (1 + m) * samples
@@ -638,21 +642,24 @@ def test_fp_rate_sampled_mode_evaluates_only_the_nonmembers(monkeypatch):
 
 def test_fp_rate_rejects_bad_mode_and_trials():
     spec = make_language("singleton", member="1011")
-    with pytest.raises(ValueError):
-        fp_rate_experiment(spec, 4, trials=5, seed=1, mode="half-a")
+    with pytest.raises(ValueError, match="--a-samples must be >= 1, got 0"):
+        fp_rate_experiment(spec, 4, trials=5, seed=1, a_samples=0)
     with pytest.raises(ValueError):
         fp_rate_experiment(spec, 4, trials=0, seed=1)
 
 
 def test_fp_rate_exhaustive_cap_suggests_sampling():
-    # Both messages name the CLI spelling of the modes.
+    # The cap names the flag that samples; the log-table limit names the
+    # report's modes.
     spec = make_language("singleton", member="1" * 600)
-    with pytest.raises(ValueError, match="use --mode sampled-a for fields this large"):
+    with pytest.raises(ValueError, match="use --a-samples N to sample N points for fields "
+                                         "this large"):
         fp_rate_experiment(spec, 600, trials=1, seed=1, ctx=make_field(22))
-    for mode in ("exhaustive-a", "sampled-a"):
+    for a_samples in (None, 512):
         with pytest.raises(ValueError, match="sketch builds and the exhaustive-a and "
                                              "sampled-a modes evaluate on log tables"):
-            fp_rate_experiment(spec, 600, trials=1, seed=1, mode=mode, ctx=make_field(25))
+            fp_rate_experiment(spec, 600, trials=1, seed=1, ctx=make_field(25),
+                               a_samples=a_samples)
 
 
 def test_nonmember_draw_refuses_dense_language():
