@@ -21,6 +21,7 @@ import argparse
 import io
 import json
 import os
+import stat
 import sys
 
 from ._atomic import write_atomic
@@ -82,9 +83,10 @@ def _stream_input(args, n: int | None, start, *, n_name: str = "--n",
     if args.bits is not None:
         return _stream_file(n, n_name, prefix, "bits",
                             io.BytesIO(os.fsencode(args.bits)), start)
+    # Only a regular file's size is known before it is read.
+    if n is None and (args.input == "-" or not stat.S_ISREG(os.stat(args.input).st_mode)):
+        raise ValueError("streaming from stdin or a file that is not regular requires --n")
     if args.input == "-":
-        if n is None:
-            raise ValueError("streaming from stdin requires --n")
         return _stream_file(n, n_name, prefix, args.format, sys.stdin.buffer, start)
     with open(args.input, "rb") as fh:
         return _stream_file(n, n_name, prefix, args.format, fh, start)

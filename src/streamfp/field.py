@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .gf2poly import Gf2Poly, _clmul, _mod, find_irreducible, is_irreducible
+from .gf2poly import Gf2Poly, _clmul, _mod, _powmod, find_irreducible, is_irreducible
 
 __all__ = [
     "FieldCtx",
@@ -189,14 +189,91 @@ def horner_fold(v: int, segments, tables: list[list[int]]) -> int:
     return v
 
 
+def _cut_segments(data: bytes, count: int, k: int) -> list[int]:
+    """The first count k-bit fields of little-endian data as ints, for any
+    k: eight at a time from each k-byte group, a shift and a mask each."""
+    mask = (1 << k) - 1
+    shifts = range(0, 8 * k, k)
+    segments = []
+    for i in range(0, len(data), k):
+        group = int.from_bytes(data[i:i + k], "little")
+        segments += [group >> s & mask for s in shifts]
+    del segments[count:]
+    return segments
+
+
+# A stream's calls share its point and, all but the last, one lane count.
+@functools.lru_cache(maxsize=8)
+def _lane_plan(a: int, modulus: int, k: int, lanes: int):
+    """How _lane_fold multiplies by A = a^lanes: a table of the lanes times
+    every w-bit digit (2^w - 2 operations), then one shift-XOR per nonzero
+    w-bit digit of A, for the w in 1..4 with the fewest operations.  Also
+    the set bits of the modulus tail, and the even-field, odd-field and
+    high-half masks of the lane layout."""
+    power = _powmod(a, lanes, modulus)
+    plans = {}
+    for w in range(1, 5):
+        digits = [(i, power >> i & ((1 << w) - 1)) for i in range(0, k, w)]
+        digits = [(i, d) for i, d in digits if d]
+        plans[(1 << w) - 2 + 2 * len(digits)] = 1 << w, digits
+    slots = ((1 << 2 * k * lanes) - 1) // ((1 << 2 * k) - 1)  # bit 2kp, each p
+    low = slots * ((1 << k) - 1)
+    even = low & ((1 << k * lanes) - 1)
+    return (*plans[min(plans)], [j for j in range(k) if modulus >> j & 1],
+            even, even << k, low << k)
+
+
+def _lane_fold(v: int, segments: int, count: int, a: int, modulus: int, k: int,
+               tables: list[list[int]]) -> int:
+    """horner_fold(v, the count k-bit fields of segments, tables of a).
+    Under 128 fields, where fold_block_length is 1, that is what it runs;
+    from 128, B = 8 * fold_block_length(count) lanes run Horner by A = a^B
+    down coefficients t, t + B, ... of v, s_1, ..., zero-padded at the
+    front to whole steps of B, and horner_fold joins the lane values.  One
+    int holds the lanes in 2k-bit slots, even lanes in its low half and odd
+    lanes in its high half, so a step's B fields enter through two masks;
+    a step multiplies every lane by A, one shift-XOR per nonzero w-bit digit
+    of A from a table of the lanes times each digit, and folds each slot's
+    high half back in shift-XOR rounds on the sparse modulus tail (two for
+    every modulus find_irreducible gives).  This is SIMD within a register
+    (Fisher & Dietz, LCPC 1998): the big-int shifts and XORs run in C."""
+    if fold_block_length(count) == 1:
+        data = segments.to_bytes(-(-count // 8) * k, "little")
+        return horner_fold(v, _cut_segments(data, count, k), tables)
+    lanes = 8 * fold_block_length(count)
+    step = lanes * k // 8  # bytes
+    steps = -(-(count + 1) // lanes)
+    data = ((segments << k | v) << (steps * lanes - count - 1) * k).to_bytes(
+        steps * step, "little")
+    size, digits, tail, even, odd, high = _lane_plan(a, modulus, k, lanes)
+    acc = 0
+    for s in range(0, len(data), step):
+        fields = int.from_bytes(data[s:s + step], "little")
+        times = [0, acc]  # times[d] = the lanes times the digit d
+        for d in range(2, size):
+            times.append(times[d >> 1] << 1 if d % 2 == 0 else times[d - 1] ^ acc)
+        prod = 0
+        for i, d in digits:
+            prod ^= times[d] << i
+        while hi := prod & high:  # two rounds for every find_irreducible tail
+            prod ^= hi
+            hi >>= k
+            for j in tail:
+                prod ^= hi << j
+        acc = prod ^ (fields & even) ^ (fields & odd) << (lanes - 1) * k
+    slots = _cut_segments(acc.to_bytes(2 * step, "little"), lanes, 2 * k)
+    values = [0] * lanes  # slot p holds lane 2p, slot lanes/2 + p lane 2p + 1
+    values[::2], values[1::2] = slots[:lanes // 2], slots[lanes // 2:]
+    return horner_fold(0, values, tables)
+
+
 def fold_block_length(r: int) -> int:
     """Block length L of the block fold of r segments (see
     :mod:`streamfp.kernels`): about sqrt(r/32), which balances its numpy
-    steps against the scalar outer fold.  The lane fold of
-    :mod:`streamfp.stream` runs 8L lanes, so about sqrt(r/2) steps, for
-    the same balance of big-int steps against the join of its lanes.
-    Which calls fold in blocks or lanes is :mod:`streamfp.stream`'s
-    rule."""
+    steps against its join.  The lane fold runs 8L lanes, so about
+    sqrt(r/2) steps, for the same balance of big-int steps against the
+    join of its lanes.  Which calls fold in blocks or lanes is
+    :mod:`streamfp.stream`'s rule."""
     return max(1, math.isqrt(r >> 5))
 
 

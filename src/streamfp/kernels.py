@@ -37,8 +37,8 @@ leading coefficient, folded from 0; the coefficients are
 zero-padded at the front to B blocks of L, and Horner runs down all B
 blocks at once: L numpy steps, each ceil(k/8) gathers from the uint64
 split tables of a, one per byte of the block values.  The B block values
-are then folded by :func:`streamfp.field.horner_fold` with the split
-tables of a^L, the same algebra as composing chunks.  L is
+are then joined by :func:`streamfp.field._lane_fold` on a^L, the same
+algebra as composing chunks.  L is
 :func:`streamfp.field.fold_block_length`, about sqrt(R/32) for R
 segments.  Which stream calls this fold serves is the stream's rule.
 
@@ -58,8 +58,8 @@ import numpy as np
 from .field import (
     ENUMERATION_DEGREE_CAP,
     WORD_DEGREE_CAP,
+    _lane_fold,
     fold_block_length,
-    horner_fold,
     item_bytes,
     split_tables,
 )
@@ -273,13 +273,14 @@ def _fill_run(run, s: int, logs: list, exp) -> None:
 # A stream needs the tables of its point a and of a^L, and its chunks
 # share one block length L but for the last, so a few entries suffice.
 @functools.lru_cache(maxsize=8)
-def _point_tables(a: int, m_low: int, k: int) -> tuple[list[list[int]], np.ndarray]:
-    """Split tables of a, as int lists (the scalar fold) and as a
+def _point_tables(a: int, m_low: int, k: int, e: int = 1):
+    """a^e and its split tables, as int lists (the join) and as a
     ceil(k/8) x 256 uint64 array (the block steps)."""
-    tables = split_tables(a, m_low | (1 << k), k)
+    power = _powmod(a, e, m_low | (1 << k))
+    tables = split_tables(power, m_low | (1 << k), k)
     words = np.array(tables, np.uint64)
     words.flags.writeable = False  # shared by every caller
-    return tables, words
+    return power, tables, words
 
 
 def cut_segments(data: bytes, count: int, k: int) -> np.ndarray:
@@ -309,7 +310,7 @@ def cut_segments(data: bytes, count: int, k: int) -> np.ndarray:
 def _block_fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int,
                 length: int) -> int:
     """fold_segments with blocks of the given length."""
-    words = _point_tables(a, m_low, k)[1]
+    words = _point_tables(a, m_low, k)[2]
     r = segments.size
     blocks = -(-(r + 1) // length)
     pad = blocks * length - r - 1
@@ -328,8 +329,12 @@ def _block_fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int,
             words[i].take(acc_bytes[:, i], out=term)
             prod ^= term
         np.bitwise_xor(prod, coeffs[:, j], out=acc)
-    a_pow = _powmod(a, length, m_low | (1 << k))
-    return horner_fold(0, acc.tolist(), _point_tables(a_pow, m_low, k)[0])
+    a_pow, tables, _ = _point_tables(a, m_low, k, length)
+    # The block values as the k-bit fields of one int, block 0 lowest.
+    fields = np.packbits(np.unpackbits(acc_bytes, axis=1, bitorder="little")[:, :k],
+                         bitorder="little")
+    return _lane_fold(0, int.from_bytes(fields, "little"), blocks, a_pow,
+                      m_low | (1 << k), k, tables)
 
 
 def fold_segments(segments, a: int, m_low: int, k: int, v: int = 1) -> int:

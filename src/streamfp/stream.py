@@ -27,32 +27,21 @@ bit read, and joined above the register its k-bit fields are the
 segments, the bits past them the next register.  One rule, made from the
 call's segment count R, k and the stream's length n, picks the fold:
 
-- R < 128, where :func:`streamfp.field.fold_block_length` is 1 and
-  blocks would share nothing: the fields are cut into Python ints and
-  :func:`streamfp.field.horner_fold` folds them on the stream's split
-  tables, one step per segment.
-- k <= 64 and n >= 2^23 bits (1 MiB of raw input):
-  :func:`streamfp.kernels.cut_segments` cuts them into uint64 words and
-  :func:`streamfp.kernels.fold_segments` runs Horner down blocks of them
-  in numpy, joining the block values with the tables of a power of a.
-- otherwise, the lane fold (``_lane_fold``): Horner by A = a^B down B
-  lanes at once, with B = 8 * fold_block_length(R).  One Python int holds
-  the B lanes in 2k-bit slots, even lanes in its low half and odd lanes
-  in its high half, so the B fields of a step enter through two masks; a
-  step multiplies every lane by A, one shift-XOR per nonzero w-bit digit
-  of A from a table of the lanes times each digit (w = 1 is one per set
-  bit), and folds each slot's high half back in shift-XOR rounds on the
-  sparse modulus tail (two for every modulus find_irreducible gives).
-  This is SIMD within a register (Fisher & Dietz, LCPC 1998): the big-int
-  shifts and XORs run in C.  The lane values are then joined by
-  horner_fold on the tables of a.
+- R >= 128, 16 <= k <= 64 and n >= 2^25 bits (4 MiB of raw input; the
+  ``_NUMPY_FOLD_*`` bounds): :func:`streamfp.kernels.fold_segments` runs
+  Horner down blocks of the fields, cut into uint64 words, in numpy.
+- otherwise :func:`streamfp.field._lane_fold` on Python ints: Horner down
+  8 * fold_block_length(R) lanes at once in the slots of one int, or,
+  below R = 128 where blocks would share nothing, one step per segment.
 
-So numpy loads only for streams of 2^23 bits or more at k <= 64, where
-its block fold is about twice the lane fold's speed per bit and its
-start-up is paid back; shorter streams, like a sketch query's, and every
-stream past k = 64 run on Python ints.  The rule reads n, not the call,
-so the long calls of one stream share a fold.  Every way the algebra,
-and so the result, is the one-step-per-segment fold's.
+In process numpy folds about twice as fast per bit (16 MiB at k = 58:
+0.35 against 0.61 s), but loading it costs a CLI run about 0.09 s and
+13 MiB.  In CLI pairs at the default k the lanes won at 2 MiB and numpy
+from 4 MiB, and below k = 16 the lanes won up to 16 MiB.  So 1 MiB
+streams, a sketch query's, narrow fields and every k past 64 run on
+Python ints.  The rule reads n, not the call, so the long calls of one
+stream share a fold.  Every way the algebra, and so the result, is the
+one-step-per-segment fold's.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), a k-bit
@@ -79,7 +68,6 @@ b_{k-1}..b_0 order.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -87,13 +75,13 @@ from .field import (
     ENUMERATION_DEGREE_CAP,
     WORD_DEGREE_CAP,
     FieldCtx,
+    _lane_fold,
     fold_block_length,
-    horner_fold,
     make_field,
     select_field_size,
     split_tables,
 )
-from .gf2poly import Gf2Poly, _powmod
+from .gf2poly import Gf2Poly
 
 __all__ = [
     "ResourceProfile",
@@ -122,6 +110,11 @@ SPACE_CONSTANT = 8
 # segments, so a raw chunk never splits a segment, and the chunk, not the
 # input, sets the memory the reader holds.
 _CHUNK_BLOCKS = 4096
+
+# Streams of at least this many bits, at these k, fold in numpy; the
+# rest fold in lanes (see the module docstring for the measurements).
+_NUMPY_FOLD_BITS = 1 << 25
+_NUMPY_FOLD_DEGREES = range(16, WORD_DEGREE_CAP + 1)
 
 
 @dataclass
@@ -185,75 +178,6 @@ def _pack(chunk, nbits: int) -> int:
     return bits & ((1 << nbits) - 1) if nbits < 8 * len(chunk) else bits
 
 
-def _cut_segments(data: bytes, count: int, k: int) -> list[int]:
-    """The first count k-bit fields of little-endian data as ints, for any
-    k: eight at a time from each k-byte group, a shift and a mask each."""
-    mask = (1 << k) - 1
-    shifts = range(0, 8 * k, k)
-    segments = []
-    for i in range(0, len(data), k):
-        group = int.from_bytes(data[i:i + k], "little")
-        segments += [group >> s & mask for s in shifts]
-    del segments[count:]
-    return segments
-
-
-# A stream's calls share its point and, all but the last, one lane count.
-@functools.lru_cache(maxsize=8)
-def _lane_plan(a: int, modulus: int, k: int, lanes: int):
-    """How _lane_fold multiplies by A = a^lanes: a table of the lanes times
-    every w-bit digit (2^w - 2 operations), then one shift-XOR per nonzero
-    w-bit digit of A, for the w in 1..4 with the fewest operations.  Also
-    the set bits of the modulus tail, and the even-field, odd-field and
-    high-half masks of the lane layout."""
-    power = _powmod(a, lanes, modulus)
-    plans = {}
-    for w in range(1, 5):
-        digits = [(i, power >> i & ((1 << w) - 1)) for i in range(0, k, w)]
-        digits = [(i, d) for i, d in digits if d]
-        plans[(1 << w) - 2 + 2 * len(digits)] = 1 << w, digits
-    slots = ((1 << 2 * k * lanes) - 1) // ((1 << 2 * k) - 1)  # bit 2kp, each p
-    low = slots * ((1 << k) - 1)
-    even = low & ((1 << k * lanes) - 1)
-    return (*plans[min(plans)], [j for j in range(k) if modulus >> j & 1],
-            even, even << k, low << k)
-
-
-def _lane_fold(v: int, segments: int, count: int, ctx: FieldCtx, a: int,
-               tables: list[list[int]]) -> int:
-    """horner_fold(v, the count k-bit fields of segments, tables of a) in B
-    lanes (see the module docstring).  The coefficients v, s_1, ... are
-    zero-padded at the front to whole steps of B, and lane t runs Horner
-    by A = a^B down coefficients t, t + B, ..., so the result is the sum
-    of lane_t a^(B-1-t): Horner on a over the lane values."""
-    k = ctx.k
-    lanes = 8 * fold_block_length(count)
-    step = lanes * k // 8  # bytes
-    steps = -(-(count + 1) // lanes)
-    data = ((segments << k | v) << (steps * lanes - count - 1) * k).to_bytes(
-        steps * step, "little")
-    size, digits, tail, even, odd, high = _lane_plan(a, ctx.m_bits, k, lanes)
-    acc = 0
-    for s in range(0, len(data), step):
-        fields = int.from_bytes(data[s:s + step], "little")
-        times = [0, acc]  # times[d] = the lanes times the digit d
-        for d in range(2, size):
-            times.append(times[d >> 1] << 1 if d % 2 == 0 else times[d - 1] ^ acc)
-        prod = 0
-        for i, d in digits:
-            prod ^= times[d] << i
-        while hi := prod & high:  # two rounds for every find_irreducible tail
-            prod ^= hi
-            hi >>= k
-            for j in tail:
-                prod ^= hi << j
-        acc = prod ^ (fields & even) ^ (fields & odd) << (lanes - 1) * k
-    slots = _cut_segments(acc.to_bytes(2 * step, "little"), lanes, 2 * k)
-    values = [0] * lanes  # slot p holds lane 2p, slot lanes/2 + p lane 2p + 1
-    values[::2], values[1::2] = slots[:lanes // 2], slots[lanes // 2:]
-    return horner_fold(0, values, tables)
-
-
 class StreamState:
     """In-flight fingerprint computation; create with begin()."""
 
@@ -315,17 +239,16 @@ class StreamState:
         # final segment zero-extends high; the bytes are zero-padded to whole
         # k-byte groups of eight segments for the cutters.
         segments = bits & ((1 << used) - 1)
-        if fold_block_length(count) == 1:
-            data = segments.to_bytes(-(-count // 8) * k, "little")
-            self.v = horner_fold(self.v, _cut_segments(data, count, k), self._tables)
-        elif k <= WORD_DEGREE_CAP and self.n >= 1 << 23:  # numpy pays from 1 MiB
+        if (k in _NUMPY_FOLD_DEGREES and self.n >= _NUMPY_FOLD_BITS
+                and fold_block_length(count) > 1):
             from . import kernels
 
             data = segments.to_bytes(-(-count // 8) * k, "little")
             words = kernels.cut_segments(data, count, k)
             self.v = kernels.fold_segments(words, self.a, self.ctx.m_low, k, self.v)
         else:
-            self.v = _lane_fold(self.v, segments, count, self.ctx, self.a, self._tables)
+            self.v = _lane_fold(self.v, segments, count, self.a, self.ctx.m_bits, k,
+                                self._tables)
         self.profile.conversions += count
         self.profile.field_ops += 2 * count
 

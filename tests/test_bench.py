@@ -11,8 +11,8 @@ from streamfp.gf2poly import IRREDUCIBLE_DEGREE_CAP
 
 
 def test_run_bench_compares_backends():
-    # The stream's folds against the big-int tier: k = 8 and 64 run the
-    # numpy block fold, k = 65 the lane fold.
+    # The stream's folds against the big-int tier: a 1 MiB stream folds in
+    # lanes at every k, in the word tier (8, 64) and past it (65).
     report = run_bench(ks=(8, 64, 65), mib=1, seed=2)
     assert set(report) == {"seed", "mib", "results"}  # the CLI adds kind and tool
     for k, entry in report["results"].items():
@@ -39,11 +39,13 @@ def test_run_bench_times_the_chunks_fingerprint_reads(monkeypatch):
 
 
 def test_run_bench_raises_when_fold_disagrees_with_bigint(monkeypatch):
-    # A 1 MiB stream at k = 16 folds through kernels.fold_segments.
+    # A 4 MiB stream (2^25 bits) at k = 16 folds through
+    # kernels.fold_segments.
+    assert 4 << 23 == stream._NUMPY_FOLD_BITS and 16 in stream._NUMPY_FOLD_DEGREES
     fold = kernels.fold_segments
     monkeypatch.setattr(kernels, "fold_segments", lambda *a: fold(*a) ^ 1)
     with pytest.raises(AssertionError, match="big-int"):
-        run_bench(ks=(16,), mib=1, seed=2)
+        run_bench(ks=(16,), mib=4, seed=2)
 
 
 def test_run_bench_raises_when_lane_fold_disagrees_with_bigint(monkeypatch):

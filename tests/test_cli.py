@@ -447,6 +447,29 @@ def test_sketch_query_reads_a_bits_file_once(tmp_path, capsys):
     assert got == want and got[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("fmt, payload", [("bits", b"10110011 10110011\n"),
+                                          ("raw", b"\xb3\xb3")], ids=["bits", "raw"])
+def test_fingerprint_of_a_fifo_needs_n(tmp_path, fmt, payload):
+    # Only a regular file's size is known before it is read: without --n a
+    # FIFO is refused before it is opened, and with --n it streams.
+    argv = [sys.executable, "-m", "streamfp.cli", "fingerprint", "--seed", "7"]
+    want = subprocess.run(argv + ["--bits", "1011001110110011"], capture_output=True,
+                          timeout=60)
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    argv += ["--input", os.fspath(fifo), "--format", fmt]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_PRECONDITION, "")
+    assert proc.stderr.startswith("streamfp: ") and proc.stderr.count("\n") == 1
+    assert "requires --n" in proc.stderr
+    writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    got = subprocess.run(argv + ["--n", "16"], capture_output=True, timeout=60)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (got.returncode, got.stdout) == (EXIT_OK, want.stdout), got.stderr
+
+
 def _spsk(header, values: bytes, version: int = 3, align: bool = True) -> bytes:
     """A .spsk file around the given header and values, with a valid digest;
     the header is space-padded to put the values at 64 bytes unless align

@@ -1,7 +1,7 @@
 """Start-up footprint: the commands that run no batch kernel load no
-numpy, a stream folds in numpy only from 2^23 bits at k <= 64, only the
-tally command loads the tally code, the kernel and tally names still
-resolve through the package, and a CLI process keeps OpenBLAS
+numpy, a stream folds in numpy only from 2^25 bits at 16 <= k <= 64,
+only the tally command loads the tally code, the kernel and tally names
+still resolve through the package, and a CLI process keeps OpenBLAS
 single-threaded unless the user says otherwise."""
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import sys
 
 import pytest
 
+from streamfp import stream
 from streamfp.cli import EXIT_OK, EXIT_REJECT, main
 from streamfp.field import make_field
-from streamfp.stream import begin_seeded
 
 # Runs cli.main on the arguments after the first, then fails if any of
 # the modules named in the first (comma-separated) was imported.
@@ -65,22 +65,34 @@ def test_light_commands_import_no_numpy(low_weight_sketch, argv, code):
     assert "numpy was imported" not in proc.stderr
 
 
-def test_sub_mib_raw_fingerprint_imports_no_numpy(tmp_path):
-    # 64 KiB at the default k = 42 is one call of 12484 segments, far past
-    # the 128 from which a call folds in lanes rather than one by one.
-    path = tmp_path / "input.bin"
-    path.write_bytes(random.Random(64).randbytes(64 << 10))
+def _raw_fingerprint_imports_no_numpy(path, size: int) -> None:
+    path.write_bytes(random.Random(size).randbytes(size))
     proc = _child(_UNLOADED_CHILD, "numpy", "fingerprint", "--format", "raw",
                   "--input", os.fspath(path), "--seed", "1")
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
+def test_sub_mib_raw_fingerprint_imports_no_numpy(tmp_path):
+    # 64 KiB at the default k = 42 is one call of 12484 segments, far past
+    # the 128 from which a call folds in lanes rather than one by one.
+    _raw_fingerprint_imports_no_numpy(tmp_path / "input.bin", 64 << 10)
+
+
+def test_1_mib_raw_fingerprint_imports_no_numpy(tmp_path):
+    # 1 MiB at the default k = 50 is 2^23 bits, under the numpy fold's
+    # 2^25: its five calls of 32768 segments and the last fold in lanes.
+    assert 1 << 23 < stream._NUMPY_FOLD_BITS
+    _raw_fingerprint_imports_no_numpy(tmp_path / "input.bin", 1 << 20)
+
+
 @pytest.mark.parametrize("n, k, numpy_calls", [
-    (1 << 23, 50, 8), (1 << 23, 64, 8), ((1 << 23) - 1, 50, 0), (1 << 23, 65, 0),
+    (1 << 25, 58, 32), (1 << 25, 16, 32), (1 << 25, 64, 32), ((1 << 25) - 1, 58, 0),
+    (1 << 25, 15, 0), (1 << 25, 65, 0),
 ])
-def test_numpy_folds_streams_from_2_23_bits_at_k_up_to_64(monkeypatch, n, k, numpy_calls):
+def test_numpy_folds_streams_from_2_25_bits_at_k_16_to_64(monkeypatch, n, k, numpy_calls):
     from streamfp import kernels
 
+    assert (stream._NUMPY_FOLD_BITS, stream._NUMPY_FOLD_DEGREES) == (1 << 25, range(16, 65))
     calls = []
     fold = kernels.fold_segments
 
@@ -90,7 +102,7 @@ def test_numpy_folds_streams_from_2_23_bits_at_k_up_to_64(monkeypatch, n, k, num
 
     monkeypatch.setattr(kernels, "fold_segments", spy)
     data = random.Random(n + k).randbytes(-(-n // 8))
-    state = begin_seeded(n, 1, ctx=make_field(k))
+    state = stream.begin_seeded(n, 1, ctx=make_field(k))
     for pos in range(0, len(data), 1 << 17):
         chunk = data[pos:pos + (1 << 17)]
         state.feed_bytes(chunk, min(8 * len(chunk), n - 8 * pos))

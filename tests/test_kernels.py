@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamfp import kernels
-from streamfp.field import ENUMERATION_DEGREE_CAP, horner_fold, make_field, split_tables
+from streamfp.field import (ENUMERATION_DEGREE_CAP, fold_block_length, horner_fold, make_field,
+                            split_tables)
 from streamfp.gf2poly import Gf2Poly
 from streamfp.stream import coefficients, direct_eval
 
@@ -317,6 +318,27 @@ def test_fold_segments_is_horner():
         for s in segs:
             want = ctx.add(ctx.mul(want, a), s)
         assert got == want, k
+
+
+# Segment counts whose block fold has 1 block (v alone), 128 blocks (the
+# last joined one by one), 129 (the first joined in lanes), 1024, and
+# 1025: the CLI's chunk of 8 * _CHUNK_BLOCKS segments, with v.
+FOLD_BLOCKS = {0: 1, 254: 128, 256: 129, 31743: 1024, 32768: 1025}
+
+
+@pytest.mark.parametrize("k", [1, 8, 9, 16, 63, 64])
+def test_fold_segments_matches_horner_fold_at_every_join(k):
+    ctx = make_field(k)
+    rng = random.Random(9500 + k)
+    for r, blocks in FOLD_BLOCKS.items():
+        assert -(-(r + 1) // fold_block_length(r)) == blocks
+    for a in (0, 1, rng.getrandbits(k)):
+        tables = split_tables(a, ctx.m_bits, k)
+        for r in FOLD_BLOCKS:
+            segs = [rng.getrandbits(k) for _ in range(r)]
+            v = rng.randrange(2, 1 << k) if k > 1 else 0
+            got = kernels.fold_segments(np.array(segs, np.uint64), a, ctx.m_low, k, v)
+            assert got == horner_fold(v, segs, tables), (k, a, r)
 
 
 def _segment_bits(segs, k: int) -> str:

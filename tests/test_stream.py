@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfp.field import FieldCtx, fold_block_length, horner_fold, make_field, split_tables
+from streamfp.field import (
+    FieldCtx,
+    _lane_fold,
+    _lane_plan,
+    fold_block_length,
+    horner_fold,
+    make_field,
+    split_tables,
+)
 from streamfp.gf2poly import Gf2Poly, find_irreducible
 from streamfp.stream import (
     SPACE_CONSTANT,
@@ -29,8 +37,6 @@ from streamfp.stream import (
     encode_tuple,
     fingerprint,
     split_segments,
-    _lane_fold,
-    _lane_plan,
 )
 
 from conftest import FixedRng
@@ -552,7 +558,7 @@ def test_lane_fold_matches_horner_fold_and_direct_eval(k):
         for count in counts:
             segments = [rng.getrandbits(k) for _ in range(count)]
             v = rng.randrange(2, 1 << k) if k > 1 else 0
-            assert _lane_fold(v, _as_int(segments, k), count, ctx, a, tables) == \
+            assert _lane_fold(v, _as_int(segments, k), count, a, ctx.m_bits, k, tables) == \
                 horner_fold(v, segments, tables), (k, a, count)
         # A stream's own calls, k not dividing n: one call, then chunks of
         # 128 to 300 segments through feed and feed_bytes in turn.
@@ -611,5 +617,5 @@ def test_lane_fold_reduces_any_tail():
     a = rng.getrandbits(16)
     tables = split_tables(a, ctx.m_bits, 16)
     segments = [rng.getrandbits(16) for _ in range(500)]
-    assert _lane_fold(5, _as_int(segments, 16), 500, ctx, a, tables) == \
+    assert _lane_fold(5, _as_int(segments, 16), 500, a, ctx.m_bits, 16, tables) == \
         horner_fold(5, segments, tables)
