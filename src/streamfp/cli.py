@@ -1,5 +1,4 @@
-"""Command line: fingerprint, sketch build|query|fp-rate, bench, tally,
-irreducible.
+"""Command line: fingerprint, sketch build|query|fp-rate, tally, irreducible.
 
 Exit codes: 0 success (query: accept), 1 query reject, 2 I/O error,
 3 precondition violation (bad arguments, out-of-range towers), 4 entry
@@ -263,20 +262,6 @@ def _cmd_sketch_fp_rate(args) -> int:
     return _fp_rate_exit(report)
 
 
-def _cmd_bench(args) -> int:
-    from . import bench as bench_mod
-
-    try:
-        ks = (bench_mod.DEFAULT_KS if args.k is None
-              else tuple(int(x) for x in args.k.split(",")))
-    except ValueError:
-        raise ValueError("--k must be a comma-separated list of integers") from None
-    report = _report("bench", **bench_mod.run_bench(ks=ks, mib=args.mib,
-                                                    seed=_resolve_seed(args.seed)))
-    _write_output(_dump_json(report), args.output)
-    return EXIT_OK
-
-
 def _cmd_tally(args) -> int:
     from . import tally as tally_mod
 
@@ -413,14 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--report-format", choices=("json", "csv"), default="json")
     fr.add_argument("--output", default=None)
     fr.set_defaults(func=_cmd_sketch_fp_rate)
-
-    p = sub.add_parser("bench", help="fold throughput, checked against the big-int tier")
-    p.add_argument("--k", default=None,
-                   help="comma-separated extension degrees (default: 8,16,32,64)")
-    p.add_argument("--mib", type=int, default=1, help="stream size to fold per degree, in MiB")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("tally", help="tally-set density/gap checks")
     modes = p.add_mutually_exclusive_group(required=True)

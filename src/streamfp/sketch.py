@@ -32,12 +32,14 @@ deterministic and little-endian:
     values, row by row | SHA-256 of every byte before it
 
 The header JSON has sorted keys and no spaces before its padding and
-holds k, t_hex, n, member_count, rule_sized and seed.  Loading checks
-the magic, the version, the header's keys and types, k in
-1..ENUMERATION_DEGREE_CAP and an irreducible modulus of degree k, that
-the values start 64-byte aligned, a file length of exactly
-start + member_count q itemsize + 32 bytes, the digest, and that every
-value is below 2^k, and raises ValueError on the first that fails.
+holds k, t_hex, n, member_count, rule_sized and seed.  Loading refuses
+a path that is not a regular file, then checks the magic, the version,
+that the file holds the header length it gives, the header's keys and
+types, k in 1..ENUMERATION_DEGREE_CAP and an irreducible modulus of
+degree k, that the values start 64-byte aligned, a file length of
+exactly start + member_count q itemsize + 32 bytes, the digest, and
+that every value is below 2^k, and raises ValueError on the first that
+fails.  It reads the values only once the length check has passed.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -167,9 +171,9 @@ class DensityFn:
                 raise ValueError("constant density must be >= 0")
             return cls("constant", c)
         if name == "power":
-            num, _, den = arg.partition("/")
+            num, slash, den = arg.partition("/")
             num_i = integer(num, "power:P/Q")
-            den_i = integer(den, "power:P/Q") if den else 1
+            den_i = integer(den, "power:P/Q") if slash else 1
             if num_i < 0 or den_i < 1:
                 raise ValueError("power density needs a nonnegative rational exponent")
             return cls("power", num_i, den_i)
@@ -541,19 +545,10 @@ def save_sketch(sketch: SketchSet, path: str) -> None:
     write_atomic(path, head, sketch.table, digest.digest())
 
 
-def load_sketch(path: str) -> SketchSet:
-    """Read a .spsk file back, raising ValueError unless every check in the
-    module docstring passes."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _SPSK_PREFIX.size or blob[:4] != _SPSK_MAGIC:
-        raise ValueError("not a sketch file (bad magic)")
-    _, version, header_len = _SPSK_PREFIX.unpack_from(blob)
-    if version != _SPSK_VERSION:
-        raise ValueError(f"unsupported sketch file version {version}")
-    start = _SPSK_PREFIX.size + header_len
+def _parse_header(text: bytes) -> dict:
+    """The header JSON of a .spsk file, with its keys, types and ranges checked."""
     try:
-        header = json.loads(blob[_SPSK_PREFIX.size:start])
+        header = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"corrupt sketch file: bad header JSON ({exc})") from exc
     if not isinstance(header, dict) or header.keys() != _HEADER_TYPES.keys():
@@ -564,27 +559,53 @@ def load_sketch(path: str) -> SketchSet:
         # bool is an int subclass: int fields refuse it, the bool field needs it.
         if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise ValueError(f"corrupt sketch file: header {name} has the wrong type")
-    k, members = header["k"], header["member_count"]
-    if header["n"] < 1 or members < 0:
+    if header["n"] < 1 or header["member_count"] < 0:
         raise ValueError("corrupt sketch file: header needs n >= 1 and member_count >= 0")
-    if not 1 <= k <= ENUMERATION_DEGREE_CAP:
+    if not 1 <= header["k"] <= ENUMERATION_DEGREE_CAP:
         raise ValueError(f"corrupt sketch file: k must be in 1..{ENUMERATION_DEGREE_CAP}")
-    ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
-    if start % _SPSK_ALIGN:
-        raise ValueError(f"corrupt sketch file: value region not {_SPSK_ALIGN}-byte aligned")
-    width = item_bytes(k)
-    end = start + members * ctx.q * width
-    if len(blob) != end + _DIGEST_BYTES:
-        raise ValueError(
-            f"corrupt sketch file: {len(blob)} bytes, expected {end + _DIGEST_BYTES}")
-    if hashlib.sha256(memoryview(blob)[:end]).digest() != blob[end:]:
+    return header
+
+
+def load_sketch(path: str) -> SketchSet:
+    """Read a .spsk file back, raising ValueError unless every check in the
+    module docstring passes."""
+    # A FIFO or a device has no size to check, and may block or never end.
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"not a sketch file (not a regular file): {path}")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_SPSK_PREFIX.size)
+        if len(head) < _SPSK_PREFIX.size or head[:4] != _SPSK_MAGIC:
+            raise ValueError("not a sketch file (bad magic)")
+        _, version, header_len = _SPSK_PREFIX.unpack(head)
+        if version != _SPSK_VERSION:
+            raise ValueError(f"unsupported sketch file version {version}")
+        start = _SPSK_PREFIX.size + header_len
+        if start > size:
+            raise ValueError(f"corrupt sketch file: {size} bytes, "
+                             f"shorter than its {header_len}-byte header")
+        head += fh.read(header_len)
+        header = _parse_header(head[_SPSK_PREFIX.size:])
+        k, members = header["k"], header["member_count"]
+        ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
+        if start % _SPSK_ALIGN:
+            raise ValueError(f"corrupt sketch file: value region not {_SPSK_ALIGN}-byte aligned")
+        width = item_bytes(k)
+        end = members * ctx.q * width  # the values' end in body, the bytes after head
+        if size != start + end + _DIGEST_BYTES:
+            raise ValueError(
+                f"corrupt sketch file: {size} bytes, expected {start + end + _DIGEST_BYTES}")
+        body = fh.read(end + _DIGEST_BYTES)
+    digest = hashlib.sha256(head)
+    digest.update(memoryview(body)[:end])
+    if digest.digest() != body[end:]:
         raise ValueError("corrupt sketch file: digest mismatch")
     # A value is below 2^k when byte i of it, little-endian, is below
     # 2^(k - 8i): take that byte of every value and delete the allowed ones.
     for i in range(k // 8, width):
         allowed = bytes(range(1 << max(0, k - 8 * i)))
-        if blob[start + i:end:width].translate(None, allowed):
+        if body[i:end:width].translate(None, allowed):
             raise ValueError(f"corrupt sketch file: a value is not below 2^{k}")
     return SketchSet(n=header["n"], ctx=ctx, member_count=members,
-                     table=memoryview(blob)[start:end], source_seed=header["seed"],
+                     table=memoryview(body)[:end], source_seed=header["seed"],
                      rule_sized=header["rule_sized"])

@@ -105,10 +105,9 @@ __all__ = [
 # peak_state_bits <= SPACE_CONSTANT * (k + log2 n); see the module docstring.
 SPACE_CONSTANT = 8
 
-# The CLI reads file and stdin input in chunks of this many k-byte blocks,
-# and bench feeds its stream in the same chunks.  A block holds exactly 8
-# segments, so a raw chunk never splits a segment, and the chunk, not the
-# input, sets the memory the reader holds.
+# The CLI reads file and stdin input in chunks of this many k-byte blocks.
+# A block holds exactly 8 segments, so a raw chunk never splits a segment,
+# and the chunk, not the input, sets the memory the reader holds.
 _CHUNK_BLOCKS = 4096
 
 # Streams of at least this many bits, at these k, fold in numpy; the

@@ -845,54 +845,21 @@ def test_tally_exactly_one_mode(capsys):
         assert "usage: streamfp tally" in err and message in err
 
 
-# -------------------------------------------------------------------- bench
-
-def test_bench_smoke(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    code, _, _ = run_cli(capsys, "bench", "--k", "8", "--mib", "1", "--seed", "5",
-                         "--output", os.fspath(out))
-    assert code == EXIT_OK
-    report = json.loads(out.read_text())
-    entry = report["results"]["8"]
-    assert entry["matches_bigint"] is True
-    assert entry["segments_per_sec"] > 0
-    assert entry["field_ops_per_sec"] > 0
-
-
-def test_bench_single_backend(capsys):
-    # The bench has one fold path; the old --backend selector is a usage error.
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--k", "8", "--mib", "1", "--seed", "5", "--backend", "numpy"])
-    assert exc.value.code == EXIT_PRECONDITION
-    out = capsys.readouterr()
-    assert out.out == "" and "--backend" in out.err
-
-
-def test_bench_mib_below_one_exits_3(capsys):
-    for mib in ("0", "-3"):
-        code, out, err = run_cli(capsys, "bench", "--k", "8", "--mib", mib, "--seed", "5")
-        assert code == EXIT_PRECONDITION and out == ""
-        assert "--mib" in err
-
-
-@pytest.mark.parametrize("ks", ["", "8,x", "8,,16", "1.5"])
-def test_bench_bad_k_list_exits_3_naming_the_flag(capsys, ks):
-    code, out, err = run_cli(capsys, "bench", "--k", ks, "--mib", "1", "--seed", "5")
-    assert code == EXIT_PRECONDITION and out == ""
-    assert "--k must be a comma-separated list of integers" in err
-
+# ------------------------------------------------------------ out of memory
 
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 781. GiB"), MemoryError()])
-def test_bench_out_of_memory_exits_3(capsys, monkeypatch, error):
-    # The failure is stood in for at the stream's first feed, so the
-    # 100000 MiB stream is never run.
+def test_fingerprint_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, error):
+    # The failure is stood in for at the stream's first feed.
     from streamfp import stream
 
     def refuse(self, data, nbits=None):
         raise error
 
     monkeypatch.setattr(stream.StreamState, "feed_bytes", refuse)
-    code, out, err = run_cli(capsys, "bench", "--k", "8", "--mib", "100000", "--seed", "5")
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(range(256)))
+    code, out, err = run_cli(capsys, "fingerprint", "--format", "raw", "--input",
+                             os.fspath(src), "--seed", "5")
     assert code == EXIT_PRECONDITION and out == ""
     assert err == f"streamfp: {str(error) or 'out of memory'}\n"
 
@@ -912,14 +879,13 @@ _DOUBLING = json.dumps({"family": "polynomial", "params": {"coeff": 2, "exponent
     (["sketch", "fp-rate", "--n", "8", "--trials", "2", "--seed", "5"], "fp-rate"),
     (["sketch", "fp-rate", "--n", "8", "--trials", "2", "--seed", "5",
       "--a-samples", "8"], "fp-rate"),
-    (["bench", "--k", "8", "--mib", "1", "--seed", "5"], "bench"),
     (["tally", "--padding-stable", "--n", "5"], "tally-padding-stable"),
     (["tally", "--validate", "--lengths", "1,5", "--density", _IDENTITY,
       "--gap", _DOUBLING], "tally-validate"),
     (["tally", "--construct", "--density", _IDENTITY, "--gap", _DOUBLING],
      "tally-construct"),
 ], ids=["fingerprint", "sketch-build", "sketch-query", "fp-rate-exhaustive",
-        "fp-rate-sampled", "bench", "tally-padding-stable", "tally-validate",
+        "fp-rate-sampled", "tally-padding-stable", "tally-validate",
         "tally-construct"])
 def test_every_report_carries_the_tool_and_its_kind(tmp_path, capsys, monkeypatch,
                                                     argv, kind):
@@ -948,6 +914,7 @@ def test_version_flag(capsys):
     ["fingerprint", "--bogus"],
     ["sketch", "query", "--bits", "1011"],
     ["fingerprint", "--bits", "1011", "--k", "x"],
+    ["bench", "--k", "8"],  # a removed command; time fingerprint instead
 ])
 def test_usage_errors_exit_3(capsys, argv):
     with pytest.raises(SystemExit) as exc:

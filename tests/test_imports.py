@@ -54,9 +54,8 @@ def low_weight_sketch(tmp_path_factory) -> str:
     (["fingerprint", "--bits", "10" * 50, "--seed", "3"], EXIT_OK),
     (["tally", "--padding-stable", "--n", "5"], EXIT_OK),
     (["irreducible", "--k", "12"], EXIT_OK),
-    (["bench", "--k", "100", "--mib", "1", "--seed", "1"], EXIT_OK),  # the lane fold
 ], ids=["version", "query-accept", "query-reject", "fingerprint-100-bits", "tally",
-        "irreducible", "bench-k100"])
+        "irreducible"])
 def test_light_commands_import_no_numpy(low_weight_sketch, argv, code):
     if argv[:2] == ["sketch", "query"]:
         argv = argv + ["--sketch", low_weight_sketch]
@@ -65,10 +64,10 @@ def test_light_commands_import_no_numpy(low_weight_sketch, argv, code):
     assert "numpy was imported" not in proc.stderr
 
 
-def _raw_fingerprint_imports_no_numpy(path, size: int) -> None:
+def _raw_fingerprint_imports_no_numpy(path, size: int, *flags: str) -> None:
     path.write_bytes(random.Random(size).randbytes(size))
     proc = _child(_UNLOADED_CHILD, "numpy", "fingerprint", "--format", "raw",
-                  "--input", os.fspath(path), "--seed", "1")
+                  "--input", os.fspath(path), "--seed", "1", *flags)
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
@@ -83,6 +82,12 @@ def test_1_mib_raw_fingerprint_imports_no_numpy(tmp_path):
     # 2^25: its five calls of 32768 segments and the last fold in lanes.
     assert 1 << 23 < stream._NUMPY_FOLD_BITS
     _raw_fingerprint_imports_no_numpy(tmp_path / "input.bin", 1 << 20)
+
+
+def test_1_mib_raw_fingerprint_past_the_word_tier_imports_no_numpy(tmp_path):
+    # Past k = 64 every stream folds in lanes.
+    assert 100 not in stream._NUMPY_FOLD_DEGREES
+    _raw_fingerprint_imports_no_numpy(tmp_path / "input.bin", 1 << 20, "--k", "100")
 
 
 @pytest.mark.parametrize("n, k, numpy_calls", [

@@ -10,6 +10,9 @@ import os
 import random
 import re
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,13 +124,13 @@ def test_density_fn_parse():
     assert DensityFn.parse("linear").eval(100) == 100
     assert DensityFn.parse("power:3/2").eval(16) == 64
     for text in ("cubic-ish", "linear:5", "linear:", "constant:", "constant:-1", "power:",
-                 "power:3/0"):
+                 "power:3/0", "power:3/"):
         with pytest.raises(ValueError):
             DensityFn.parse(text)
     # A non-integer argument is named with the flag and the family's form,
     # not by int()'s own message.
     for text, form in (("constant:", "--f constant:C"), ("power:x/2", "--f power:P/Q"),
-                       ("power:3/x", "--f power:P/Q")):
+                       ("power:3/x", "--f power:P/Q"), ("power:3/", "--f power:P/Q")):
         with pytest.raises(ValueError, match=f"^{re.escape(form)} needs integers"):
             DensityFn.parse(text)
 
@@ -547,6 +550,41 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError, match="magic"):
         load_sketch(os.fspath(path))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda good: b"NOPE", "bad magic"),
+    (lambda good: b"SPSK" + struct.pack("<II", 3, 0xFFFF_FFFF),
+     "shorter than its 4294967295-byte header"),
+    (lambda good: good, f"{64 << 20} bytes, expected"),  # a sketch's header, a longer file
+], ids=["bad-magic", "header-past-the-end", "sketch-header"])
+def test_load_refuses_a_64_mib_file_before_reading_its_body(tmp_path, make, message):
+    path = os.fspath(tmp_path / "big.spsk")
+    save_sketch(build_sketch(make_language("singleton", member="1011"), 4, ctx=GF4), path)
+    good = open(path, "rb").read()
+    with open(path, "wb") as fh:
+        fh.write(make(good))
+        fh.truncate(64 << 20)  # sparse: the 64 MiB are never written
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            load_sketch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_sketch_query_on_a_fifo_exits_3_without_blocking(tmp_path):
+    path = tmp_path / "fifo.spsk"
+    os.mkfifo(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamfp.cli", "sketch", "query", "--sketch", os.fspath(path),
+         "--bits", "1011", "--seed", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"streamfp: not a sketch file (not a regular file): {path}\n"
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamfp import kernels, stream
 from streamfp.field import (
     FieldCtx,
     _lane_fold,
@@ -22,6 +23,7 @@ from streamfp.field import (
 )
 from streamfp.gf2poly import Gf2Poly, find_irreducible
 from streamfp.stream import (
+    _CHUNK_BLOCKS,
     SPACE_CONSTANT,
     Fingerprint,
     ResourceProfile,
@@ -380,6 +382,40 @@ def test_split_table_fold_matches_direct_eval(k):
             want = direct_eval(ctx, x, a)
             assert run_stream(x, ctx, a).v == want, (k, n, a)
             assert run_stream_bytes(data, n, ctx, a, step=3).v == want, (k, n, a)
+
+
+def _first_chunk_matches_bigint(k: int) -> bool:
+    """Feed a stream of 2^25 bits the first chunk the CLI reads (4096 k-byte
+    blocks) and compare its value with FieldCtx.mul and add folded over
+    the chunk's segments."""
+    ctx = make_field(k)
+    data = random.Random(k).randbytes(k * _CHUNK_BLOCKS)
+    state = begin_seeded(1 << 25, k, ctx=ctx)
+    state.feed_bytes(data)
+    want = 1
+    for c in coefficients(ctx, bits_from_bytes(data)):
+        want = ctx.add(ctx.mul(want, state.a), c)
+    return state.v == want
+
+
+# At 2^25 bits k = 16, 63 and 64, the numpy fold's edges, fold in numpy;
+# k = 1, 9 and 15, under its k = 16 floor, and two degrees past the word
+# tier fold in lanes.
+@pytest.mark.parametrize("k", [1, 9, 15, 16, 63, 64, 65, 100])
+def test_first_cli_chunk_of_a_long_stream_matches_bigint(k):
+    assert _first_chunk_matches_bigint(k)
+
+
+def test_first_chunk_check_catches_a_wrong_numpy_fold(monkeypatch):
+    fold = kernels.fold_segments
+    monkeypatch.setattr(kernels, "fold_segments", lambda *a: fold(*a) ^ 1)
+    assert not _first_chunk_matches_bigint(16)
+
+
+def test_first_chunk_check_catches_a_wrong_lane_fold(monkeypatch):
+    lane_fold = stream._lane_fold
+    monkeypatch.setattr(stream, "_lane_fold", lambda *a: lane_fold(*a) ^ 1)
+    assert not _first_chunk_matches_bigint(100)
 
 
 @given(
