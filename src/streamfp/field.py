@@ -1,4 +1,5 @@
-"""GF(2^k) field contexts.
+"""GF(2^k) field contexts, and the sizing rule that picks k for a
+length n and a density bound f(n) (:class:`DensityFn`).
 
 Field elements are bare ints: bit i of an element is the coefficient of
 u^i in its polynomial representative, so 0 and 1 are the field's zero
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .gf2poly import Gf2Poly, _clmul, _mod, _powmod, find_irreducible, is_irreducible
 
 __all__ = [
     "FieldCtx",
+    "DensityFn",
     "select_field_size",
     "make_field",
     "split_tables",
@@ -68,23 +69,130 @@ def item_bytes(k: int) -> int:
     return 1 if k <= 8 else 2 if k <= 16 else 4
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class _Record:
+    """Equality, hashing and repr by the attributes named in _fields, as a
+    dataclass gives them; the CLI's fingerprint path never pays for
+    importing dataclasses (about 10 ms, most of it inspect)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def _iroot(x: int, r: int) -> int:
+    """Largest t with t**r <= x, exact integer arithmetic."""
+    if x < 0 or r < 1:
+        raise ValueError("iroot needs x >= 0, r >= 1")
+    if x < 2 or r == 1:
+        return x
+    t = 1 << (x.bit_length() // r + 1)
+    while t ** r > x:
+        t = (t * (r - 1) + x // t ** (r - 1)) // r
+    while (t + 1) ** r <= x:
+        t += 1
+    return t
+
+
+class DensityFn(_Record):
+    """Length-indexed bound f(n) on how many members a language may have.
+
+    Families: constant c; linear (f(n) = n); power p/q (f(n) =
+    floor(n^(p/q)), exact integer roots); binomial-sum c (f(n) =
+    sum_{i<=c} C(n, i), the low-weight count).  Parsed from
+    "constant:4", "linear", "power:3/2".
+    """
+
+    _fields = ("kind", "num", "den")
+
+    def __init__(self, kind: str, num: int = 0, den: int = 1):
+        self.kind, self.num, self.den = kind, num, den
+
+    def eval(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if self.kind == "constant":
+            return self.num
+        if self.kind == "linear":
+            return n
+        if self.kind == "power":
+            return _iroot(n ** self.num, self.den)
+        if self.kind == "binomial-sum":
+            return sum(math.comb(n, i) for i in range(0, min(self.num, n) + 1))
+        raise ValueError(f"unknown density family {self.kind!r}")
+
+    def field_size(self, n: int) -> int:
+        """k for length n by the sizing rule.  A density of 0 (an empty
+        language) sizes as f(n) = 1: the rule needs f(n) >= 1, and a sketch
+        of no members needs no larger field."""
+        return select_field_size(n, max(1, self.eval(n)))
+
+    def describe(self) -> dict:
+        if self.kind == "constant":
+            return {"family": "constant", "c": self.num}
+        if self.kind == "linear":
+            return {"family": "linear"}
+        if self.kind == "binomial-sum":
+            return {"family": "binomial-sum", "max_ones": self.num}
+        return {"family": "power", "exponent": f"{self.num}/{self.den}"}
+
+    @classmethod
+    def parse(cls, text: str) -> "DensityFn":
+        name, sep, arg = text.partition(":")
+
+        def integer(part: str, form: str) -> int:
+            try:
+                return int(part)
+            except ValueError:
+                raise ValueError(f"--f {form} needs integers, got {text!r}") from None
+
+        if name == "linear":
+            if sep:
+                raise ValueError(f"linear density takes no argument, got {text!r}")
+            return cls("linear")
+        if name == "constant":
+            c = integer(arg, "constant:C")
+            if c < 0:
+                raise ValueError("constant density must be >= 0")
+            return cls("constant", c)
+        if name == "power":
+            num, slash, den = arg.partition("/")
+            num_i = integer(num, "power:P/Q")
+            den_i = integer(den, "power:P/Q") if slash else 1
+            if num_i < 0 or den_i < 1:
+                raise ValueError("power density needs a nonnegative rational exponent")
+            return cls("power", num_i, den_i)
+        raise ValueError(f"unknown density family {name!r}")
+
+
+class FieldCtx(_Record):
     """GF(2^k) with a fixed irreducible modulus of degree k."""
 
-    k: int
-    modulus: Gf2Poly
+    _fields = ("k", "modulus")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, modulus: Gf2Poly):
+        if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if self.modulus.degree != self.k:
+        if modulus.degree != k:
             raise ValueError("modulus degree must equal k")
-        if not is_irreducible(self.modulus):
+        if not is_irreducible(modulus):
             raise ValueError("modulus must be irreducible")
+        self.k, self.modulus = k, modulus
         # Cached int forms for the arithmetic and the word kernels.
-        object.__setattr__(self, "m_bits", self.modulus.bits)
-        object.__setattr__(self, "m_low", self.modulus.bits ^ (1 << self.k))
+        self.m_bits = modulus.bits
+        self.m_low = modulus.bits ^ (1 << k)
 
     @property
     def q(self) -> int:

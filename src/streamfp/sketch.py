@@ -54,11 +54,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from ._atomic import write_atomic
-from .field import (ENUMERATION_DEGREE_CAP, FieldCtx, item_bytes, make_field,
-                    select_field_size)
+from .field import ENUMERATION_DEGREE_CAP, DensityFn, FieldCtx, item_bytes, make_field
 from .gf2poly import Gf2Poly
-from .seeds import derive_seed, derived_rng
 from .stream import coefficients, fingerprint
 
 if TYPE_CHECKING:
@@ -84,6 +81,10 @@ __all__ = [
 
 ACCEPT_BOUND = 0.25
 
+# Sampled-a's false-alarm rate: exit 5 needs a non-member whose hits are
+# this unlikely, Bonferroni-split over the trials, at rate ACCEPT_BOUND.
+SAMPLED_ALPHA = 1e-3
+
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 
 EXHAUSTIVE_DEGREE_CAP = 20  # beyond this, fp-rate's per-input full-field sweeps get slow
@@ -93,91 +94,6 @@ _STRING_GROUP = 256  # strings an exact count evaluates with the members per swe
 
 class EntryBudgetError(RuntimeError):
     """Raised when a build would exceed the entry budget; never truncates."""
-
-
-def _iroot(x: int, r: int) -> int:
-    """Largest t with t**r <= x, exact integer arithmetic."""
-    if x < 0 or r < 1:
-        raise ValueError("iroot needs x >= 0, r >= 1")
-    if x < 2 or r == 1:
-        return x
-    t = 1 << (x.bit_length() // r + 1)
-    while t ** r > x:
-        t = (t * (r - 1) + x // t ** (r - 1)) // r
-    while (t + 1) ** r <= x:
-        t += 1
-    return t
-
-
-@dataclass(frozen=True)
-class DensityFn:
-    """Length-indexed bound f(n) on how many members a language may have.
-
-    Families: constant c; linear (f(n) = n); power p/q (f(n) =
-    floor(n^(p/q)), exact integer roots); binomial-sum c (f(n) =
-    sum_{i<=c} C(n, i), the low-weight count).  Parsed from
-    "constant:4", "linear", "power:3/2".
-    """
-
-    kind: str
-    num: int = 0
-    den: int = 1
-
-    def eval(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind == "constant":
-            return self.num
-        if self.kind == "linear":
-            return n
-        if self.kind == "power":
-            return _iroot(n ** self.num, self.den)
-        if self.kind == "binomial-sum":
-            return sum(math.comb(n, i) for i in range(0, min(self.num, n) + 1))
-        raise ValueError(f"unknown density family {self.kind!r}")
-
-    def field_size(self, n: int) -> int:
-        """k for length n by the sizing rule.  A density of 0 (an empty
-        language) sizes as f(n) = 1: the rule needs f(n) >= 1, and a sketch
-        of no members needs no larger field."""
-        return select_field_size(n, max(1, self.eval(n)))
-
-    def describe(self) -> dict:
-        if self.kind == "constant":
-            return {"family": "constant", "c": self.num}
-        if self.kind == "linear":
-            return {"family": "linear"}
-        if self.kind == "binomial-sum":
-            return {"family": "binomial-sum", "max_ones": self.num}
-        return {"family": "power", "exponent": f"{self.num}/{self.den}"}
-
-    @classmethod
-    def parse(cls, text: str) -> "DensityFn":
-        name, sep, arg = text.partition(":")
-
-        def integer(part: str, form: str) -> int:
-            try:
-                return int(part)
-            except ValueError:
-                raise ValueError(f"--f {form} needs integers, got {text!r}") from None
-
-        if name == "linear":
-            if sep:
-                raise ValueError(f"linear density takes no argument, got {text!r}")
-            return cls("linear")
-        if name == "constant":
-            c = integer(arg, "constant:C")
-            if c < 0:
-                raise ValueError("constant density must be >= 0")
-            return cls("constant", c)
-        if name == "power":
-            num, slash, den = arg.partition("/")
-            num_i = integer(num, "power:P/Q")
-            den_i = integer(den, "power:P/Q") if slash else 1
-            if num_i < 0 or den_i < 1:
-                raise ValueError("power density needs a nonnegative rational exponent")
-            return cls("power", num_i, den_i)
-        raise ValueError(f"unknown density family {name!r}")
 
 
 @dataclass(frozen=True)
@@ -224,6 +140,8 @@ def make_language(kind: str, *, seed: int | None = None, max_ones: int | None = 
     if kind == "seeded-random":
         if seed is None:
             raise ValueError("seeded-random language needs a seed")
+        from .seeds import derived_rng
+
         cache: dict[int, tuple[list[str], frozenset[str]]] = {}
 
         def draw(n: int) -> tuple[list[str], frozenset[str]]:
@@ -440,6 +358,22 @@ def _sampled_counts(ctx: FieldCtx, n: int, members: list[str], xs: list[str],
     return counts
 
 
+def _bound_rejected(hits: int, samples: int, trials: int) -> bool:
+    """Whether h = hits of N = samples drawn points refute an acceptance
+    rate p <= ACCEPT_BOUND at level SAMPLED_ALPHA / trials.  The tail
+    P[Bin(N, p) >= h] is bounded by exp(-N D(h/N || p)) for h/N > p
+    (Hoeffding, JASA 1963), D the binary relative entropy; the bound
+    overstates the tail, so a rejection is conservative.  A rate h/N of
+    at most ACCEPT_BOUND never rejects."""
+    x, p = hits / samples, ACCEPT_BOUND
+    if x <= p:
+        return False
+    divergence = x * math.log(x / p)
+    if x < 1:
+        divergence += (1 - x) * math.log((1 - x) / (1 - p))
+    return -samples * divergence <= math.log(SAMPLED_ALPHA / trials)
+
+
 def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:
     """One random-point membership query (replayable from its seed)."""
     fp = fingerprint(sketch.n, x, seed=seed, ctx=sketch.ctx)
@@ -447,6 +381,8 @@ def query_membership(sketch: SketchSet, x: str, seed: int) -> bool:
 
 
 def _draw_nonmembers(spec: SparseLanguageSpec, n: int, count: int, seed: int) -> list[str]:
+    from .seeds import derived_rng
+
     rng = derived_rng(seed, "nonmembers")
     out: list[str] = []
     for _ in range(64 * count + 1024):
@@ -475,6 +411,9 @@ def fp_rate_experiment(
     m x q.  Only the nonmembers are evaluated, with the member rows, at
     every point (``exact_fp_count``) or at their drawn points
     (``_sampled_counts``): a member y itself takes d_y's value at each.
+    A rule-sized run checks the bound: exhaustive-a exactly, as
+    max_fraction <= ACCEPT_BOUND, and sampled-a as a test that no
+    non-member's hits reject it (``_bound_rejected``).
 
     The report is :func:`sketch_header`'s fields and the experiment's
     own.  It is fully deterministic given the seed: nonmember draws and
@@ -495,11 +434,17 @@ def fp_rate_experiment(
     if a_samples is None:
         nm_counts = exact_fp_count(fctx, n, members, xs)
     else:
+        from .seeds import derived_rng
+
         rngs = (derived_rng(seed, "query-points", i) for i in range(trials))
         points = ((fctx.random_elem(rng) for _ in range(a_samples)) for rng in rngs)
         nm_counts = _sampled_counts(fctx, n, members, xs, points)
     nm_fractions = [c / denom for c in nm_counts]
     max_fraction = max(nm_fractions)
+    if a_samples is None:
+        satisfied = max_fraction <= ACCEPT_BOUND
+    else:
+        satisfied = not any(_bound_rejected(c, a_samples, trials) for c in nm_counts)
     return {
         **sketch_header(spec, n, fctx, len(members), rule_sized, seed),
         "mode": "exhaustive-a" if a_samples is None else "sampled-a",
@@ -507,7 +452,7 @@ def fp_rate_experiment(
         "points_per_query": denom,
         "bound": ACCEPT_BOUND,
         "bound_checked": rule_sized,
-        "bound_satisfied": (max_fraction <= ACCEPT_BOUND) if rule_sized else None,
+        "bound_satisfied": satisfied if rule_sized else None,
         # Two per-nonmember acceptance caps: distinct monic degree-r
         # polynomials agree on at most r-1 points (exact algebra), while
         # the coarser analysis allows r per member.
@@ -542,6 +487,8 @@ def save_sketch(sketch: SketchSet, path: str) -> None:
     head = _SPSK_PREFIX.pack(_SPSK_MAGIC, _SPSK_VERSION, len(header)) + header
     digest = hashlib.sha256(head)
     digest.update(sketch.table)
+    from ._atomic import write_atomic
+
     write_atomic(path, head, sketch.table, digest.digest())
 
 

@@ -69,12 +69,12 @@ b_{k-1}..b_0 order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .field import (
     ENUMERATION_DEGREE_CAP,
     WORD_DEGREE_CAP,
     FieldCtx,
+    _Record,
     _lane_fold,
     fold_block_length,
     make_field,
@@ -116,26 +116,28 @@ _NUMPY_FOLD_BITS = 1 << 25
 _NUMPY_FOLD_DEGREES = range(16, WORD_DEGREE_CAP + 1)
 
 
-@dataclass
-class ResourceProfile:
+class ResourceProfile(_Record):
     """Counters for the one-pass cost model of a single stream run."""
 
-    conversions: int = 0      # segment -> element mappings
-    field_ops: int = 0        # multiplications + additions
-    random_bits: int = 0      # bits drawn for the evaluation point
-    bits_read: int = 0        # input bits consumed (exactly n, no rewinds)
-    peak_state_bits: int = 0  # max live state, per the documented accounting
+    _fields = ("conversions", "field_ops", "random_bits", "bits_read", "peak_state_bits")
+    __hash__ = None  # mutable, as its counters run
+
+    def __init__(self, conversions: int = 0, field_ops: int = 0, random_bits: int = 0,
+                 bits_read: int = 0, peak_state_bits: int = 0):
+        self.conversions = conversions          # segment -> element mappings
+        self.field_ops = field_ops              # multiplications + additions
+        self.random_bits = random_bits          # bits drawn for the evaluation point
+        self.bits_read = bits_read              # input bits consumed (exactly n, no rewinds)
+        self.peak_state_bits = peak_state_bits  # max live state, per the documented accounting
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(_Record):
     """Output of one stream run: <n, a, v> plus its context and seed."""
 
-    n: int
-    a: int
-    v: int
-    ctx: FieldCtx
-    seed: int | None = None
+    _fields = ("n", "a", "v", "ctx", "seed")
+
+    def __init__(self, n: int, a: int, v: int, ctx: FieldCtx, seed: int | None = None):
+        self.n, self.a, self.v, self.ctx, self.seed = n, a, v, ctx, seed
 
     @property
     def k(self) -> int:

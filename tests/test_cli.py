@@ -680,6 +680,29 @@ def test_fp_rate_n64_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_fp_rate_sampled_chance_hit_exits_0(capsys, seed):
+    # Two points per non-member and 200 non-members: some non-member hits
+    # one of its two by chance, though the exhaustive count at seed 1 is
+    # 0.0037, under the bound.
+    report = run_json(capsys, "sketch", "fp-rate", "--n", "16", "--trials", "200",
+                      "--a-samples", "2", "--language", "low-weight", "--max-ones", "2",
+                      "--seed", seed)
+    assert report["max_fraction"] == 0.5 and report["bound_satisfied"] is True
+
+
+def test_fp_rate_sampled_true_violation_exits_5(capsys, monkeypatch):
+    # Every drawn point of every non-member hits: far past chance at 1/4.
+    from streamfp import sketch
+
+    monkeypatch.setattr(sketch, "_sampled_counts",
+                        lambda ctx, n, members, xs, points: [64] * len(xs))
+    code, out, _ = run_cli(capsys, "sketch", "fp-rate", "--n", "16", "--trials", "4",
+                           "--seed", "5", "--a-samples", "64")
+    assert code == EXIT_BOUND
+    assert json.loads(out)["bound_satisfied"] is False
+
+
 def test_fp_rate_exit_code_mapping():
     assert _fp_rate_exit({"bound_checked": True, "bound_satisfied": True}) == EXIT_OK
     assert _fp_rate_exit({"bound_checked": False, "bound_satisfied": None}) == EXIT_OK

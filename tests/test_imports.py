@@ -1,8 +1,10 @@
 """Start-up footprint: the commands that run no batch kernel load no
 numpy, a stream folds in numpy only from 2^25 bits at 16 <= k <= 64,
-only the tally command loads the tally code, the kernel and tally names
-still resolve through the package, and a CLI process keeps OpenBLAS
-single-threaded unless the user says otherwise."""
+only the tally command loads the tally code, a command imports no module
+it does not run, importing the package loads only its version while
+every exported name still resolves to its defining module's object, and
+a CLI process keeps OpenBLAS single-threaded unless the user says
+otherwise."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import sys
 
 import pytest
 
+import streamfp
 from streamfp import stream
 from streamfp.cli import EXIT_OK, EXIT_REJECT, main
 from streamfp.field import make_field
@@ -47,6 +50,29 @@ def low_weight_sketch(tmp_path_factory) -> str:
     return path
 
 
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    """The modules an interpreter has loaded before it runs any code: a
+    site hook may load some, and an import test can assert only the rest."""
+    proc = _child("import sys; print(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def _assert_unloaded(bare: set[str], modules: tuple[str, ...], *argv: str,
+                     code: int = EXIT_OK) -> None:
+    banned = [name for name in modules if name not in bare]
+    assert any(name.startswith("streamfp.") for name in banned)
+    proc = _child(_UNLOADED_CHILD, ",".join(banned), *argv)
+    assert proc.returncode == code and "was imported" not in proc.stderr, proc.stderr
+
+
+# Modules the fingerprint command does not run: the sketch layer, the
+# seed derivation and its hashlib, the atomic writer, and dataclasses.
+_NOT_FINGERPRINT = ("streamfp.sketch", "streamfp.seeds", "streamfp._atomic", "dataclasses",
+                    "hashlib")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--version"], EXIT_OK),
     (["sketch", "query", "--bits", "000100", "--seed", "11"], EXIT_OK),
@@ -64,30 +90,29 @@ def test_light_commands_import_no_numpy(low_weight_sketch, argv, code):
     assert "numpy was imported" not in proc.stderr
 
 
-def _raw_fingerprint_imports_no_numpy(path, size: int, *flags: str) -> None:
+def _raw_fingerprint_imports_no_numpy(bare: set[str], path, size: int, *flags: str) -> None:
     path.write_bytes(random.Random(size).randbytes(size))
-    proc = _child(_UNLOADED_CHILD, "numpy", "fingerprint", "--format", "raw",
-                  "--input", os.fspath(path), "--seed", "1", *flags)
-    assert proc.returncode == EXIT_OK, proc.stderr
+    _assert_unloaded(bare, ("numpy", *_NOT_FINGERPRINT), "fingerprint", "--format", "raw",
+                     "--input", os.fspath(path), "--seed", "1", *flags)
 
 
-def test_sub_mib_raw_fingerprint_imports_no_numpy(tmp_path):
+def test_sub_mib_raw_fingerprint_imports_no_numpy(bare_modules, tmp_path):
     # 64 KiB at the default k = 42 is one call of 12484 segments, far past
     # the 128 from which a call folds in lanes rather than one by one.
-    _raw_fingerprint_imports_no_numpy(tmp_path / "input.bin", 64 << 10)
+    _raw_fingerprint_imports_no_numpy(bare_modules, tmp_path / "input.bin", 64 << 10)
 
 
-def test_1_mib_raw_fingerprint_imports_no_numpy(tmp_path):
+def test_1_mib_raw_fingerprint_imports_no_numpy(bare_modules, tmp_path):
     # 1 MiB at the default k = 50 is 2^23 bits, under the numpy fold's
     # 2^25: its five calls of 32768 segments and the last fold in lanes.
     assert 1 << 23 < stream._NUMPY_FOLD_BITS
-    _raw_fingerprint_imports_no_numpy(tmp_path / "input.bin", 1 << 20)
+    _raw_fingerprint_imports_no_numpy(bare_modules, tmp_path / "input.bin", 1 << 20)
 
 
-def test_1_mib_raw_fingerprint_past_the_word_tier_imports_no_numpy(tmp_path):
+def test_1_mib_raw_fingerprint_past_the_word_tier_imports_no_numpy(bare_modules, tmp_path):
     # Past k = 64 every stream folds in lanes.
     assert 100 not in stream._NUMPY_FOLD_DEGREES
-    _raw_fingerprint_imports_no_numpy(tmp_path / "input.bin", 1 << 20, "--k", "100")
+    _raw_fingerprint_imports_no_numpy(bare_modules, tmp_path / "input.bin", 1 << 20, "--k", "100")
 
 
 @pytest.mark.parametrize("n, k, numpy_calls", [
@@ -126,6 +151,37 @@ def test_non_tally_commands_import_no_tally(low_weight_sketch, argv):
     proc = _child(_UNLOADED_CHILD, "streamfp.tally", *argv)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "streamfp.tally was imported" not in proc.stderr
+
+
+def test_fingerprint_of_bits_imports_only_what_it_runs(bare_modules):
+    _assert_unloaded(bare_modules, _NOT_FINGERPRINT, "fingerprint", "--bits", "1011",
+                     "--seed", "3")
+
+
+@pytest.mark.parametrize("bits, code", [("000100", EXIT_OK), ("110110", EXIT_REJECT)])
+def test_sketch_query_imports_no_atomic_writer(bare_modules, low_weight_sketch, bits, code):
+    _assert_unloaded(bare_modules, ("streamfp._atomic",), "sketch", "query", "--sketch",
+                     low_weight_sketch, "--bits", bits, "--seed", "11", code=code)
+
+
+def test_package_import_loads_only_its_version():
+    proc = _child("import sys, streamfp\n"
+                  "print(' '.join(sorted(m for m in sys.modules if m.startswith('streamfp'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["streamfp", "streamfp._version"]
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    import importlib
+
+    for name in streamfp.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"streamfp.{streamfp._LAZY[name]}")
+        obj = getattr(streamfp, name)
+        assert obj is getattr(module, name), name
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+    assert streamfp.DensityFn is streamfp.sketch.DensityFn  # a name sketch keeps
 
 
 def test_package_import_is_numpy_free_and_kernels_resolve_lazily():

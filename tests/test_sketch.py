@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -16,6 +17,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import streamfp.sketch as sketch_mod
 from streamfp import kernels
@@ -630,6 +633,32 @@ def test_fp_rate_sampled_mode():
     assert all(f <= 1.0 for f in r["nonmember_fractions"])
     r2 = fp_rate_experiment(spec, 12, trials=5, seed=99, a_samples=64)
     assert r == r2
+
+
+def _binomial_tail(n: int, h: int) -> float:
+    """P[Bin(n, 1/4) >= h], exactly."""
+    return sum(math.comb(n, i) * 3 ** (n - i) for i in range(h, n + 1)) / 4 ** n
+
+
+def test_sampled_bound_rejects_only_improbable_hits():
+    reject = sketch_mod._bound_rejected
+    assert reject(64, 64, 1)        # every point of 64 hit: 4^-64
+    assert not reject(1, 2, 1)      # one of two: 7/16, no evidence
+    assert not reject(2, 2, 200)    # both of two: 1/16 per non-member
+    # Hoeffding's bound overstates the tail, so a rejection is never
+    # weaker than the exact binomial test at the same level.
+    for trials in (1, 50):
+        for n in range(1, 61):
+            for h in range(n + 1):
+                if reject(h, n, trials):
+                    assert _binomial_tail(n, h) <= sketch_mod.SAMPLED_ALPHA / trials, (h, n)
+
+
+@given(n=st.integers(1, 1 << 20), trials=st.integers(1, 10 ** 4), data=st.data())
+def test_sampled_bound_never_rejects_a_rate_within_the_bound(n, trials, data):
+    h = data.draw(st.integers(0, n // 4))
+    assert h / n <= ACCEPT_BOUND
+    assert not sketch_mod._bound_rejected(h, n, trials)
 
 
 def _fp_rate_builds_no_table(monkeypatch, a_samples: int | None) -> None:
