@@ -24,8 +24,7 @@ _LAZY = {
         "select_field_size",
     ), "field"),
     **dict.fromkeys((
-        "Gf2Poly", "IRREDUCIBLE_DEGREE_CAP", "ONE", "U", "ZERO", "factor_smallest",
-        "find_irreducible", "gcd", "is_irreducible", "powmod",
+        "Gf2Poly", "IRREDUCIBLE_DEGREE_CAP", "find_irreducible", "is_irreducible",
     ), "gf2poly"),
     **dict.fromkeys(("eval_points", "fold_segments", "mulmod"), "kernels"),
     **dict.fromkeys(("derive_seed", "derived_rng"), "seeds"),

@@ -450,14 +450,18 @@ def console():
     kept from starting a thread pool when numpy loads, unless the user
     has set OPENBLAS_NUM_THREADS.
 
-    Once main() returns, the process flushes its output and ends with
+    Once main() returns, or argparse exits with its code (--version,
+    --help, usage errors), the process flushes its output and ends with
     os._exit, skipping the interpreter's teardown (18 to 38 ms a call,
     most of it freeing modules).  A stdout that cannot take the
     output, such as a full disk or a closed pipe, is an I/O error like any
-    other.  argparse's exits (--version, usage errors) and an uncaught
-    exception leave the normal way, so a bug still prints its traceback."""
+    other.  An uncaught exception leaves the normal way, so a bug still
+    prints its traceback."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's exits, always with an int code
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:

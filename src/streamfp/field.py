@@ -187,7 +187,7 @@ class FieldCtx(_Record):
             raise ValueError("extension degree must be >= 1")
         if modulus.degree != k:
             raise ValueError("modulus degree must equal k")
-        if not is_irreducible(modulus):
+        if not is_irreducible(modulus.bits):
             raise ValueError("modulus must be irreducible")
         self.k, self.modulus = k, modulus
         # Cached int forms for the arithmetic and the word kernels.
@@ -211,14 +211,7 @@ class FieldCtx(_Record):
         assert 0 <= a < self.q, "element out of range for this context"
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _powmod(a, e, self.m_bits)
 
     def inv(self, a: int) -> int:
         if a == 0:

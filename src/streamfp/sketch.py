@@ -534,7 +534,10 @@ def load_sketch(path: str) -> SketchSet:
         head += fh.read(header_len)
         header = _parse_header(head[_SPSK_PREFIX.size:])
         k, members = header["k"], header["member_count"]
-        ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
+        try:
+            ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
+        except ValueError as exc:  # not hex, wrong degree or reducible
+            raise ValueError(f"corrupt sketch file: header t_hex: {exc}") from exc
         if start % _SPSK_ALIGN:
             raise ValueError(f"corrupt sketch file: value region not {_SPSK_ALIGN}-byte aligned")
         width = item_bytes(k)

@@ -14,13 +14,7 @@ import time
 import pytest
 
 from streamfp.field import make_field
-from streamfp.gf2poly import (
-    Gf2Poly,
-    ONE,
-    factor_smallest,
-    find_irreducible,
-    is_irreducible,
-)
+from streamfp.gf2poly import find_irreducible, is_irreducible
 from streamfp.sketch import fp_rate_experiment, make_language
 from streamfp.stream import (
     SPACE_CONSTANT,
@@ -32,7 +26,7 @@ from streamfp.stream import (
 )
 from streamfp.tally import GrowthFn, is_padding_stable_at
 
-from conftest import FixedRng
+from conftest import FixedRng, factor_smallest
 
 
 def report_line(num: int, ok: bool, detail: str) -> None:
@@ -135,18 +129,18 @@ def test_criterion_5_irreducible_generation():
         count = 0
         seen_first = None
         for bits in range(1 << k, 1 << (k + 1)):
-            if is_irreducible(Gf2Poly(bits)):
+            if is_irreducible(bits):
                 count += 1
                 if seen_first is None:
                     seen_first = bits
         if count != want:
             problems.append(f"k={k} count {count} != {want}")
-        if seen_first != int(chosen):
+        if seen_first != chosen.bits:
             problems.append(f"k={k} not minimal")
         if k <= 8:
             brute = sum(
                 1 for bits in range(1 << k, 1 << (k + 1))
-                if factor_smallest(Gf2Poly(bits)) is None
+                if factor_smallest(bits) is None
             )
             if brute != want:
                 problems.append(f"k={k} trial-division count {brute} != {want}")
@@ -165,10 +159,9 @@ def test_criterion_6_rabin_vs_brute_force():
     disagreements = 0
     checked = 0
     # All 2^12 bit patterns with constant term set and degree <= 12.
-    for bits in range(1, 1 << 13, 2):
-        p = Gf2Poly(bits)
+    for p in range(1, 1 << 13, 2):
         checked += 1
-        if p == ONE:
+        if p == 1:
             # Degree-0 input: both sides must refuse.
             try:
                 is_irreducible(p)

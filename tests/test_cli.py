@@ -508,11 +508,17 @@ def _spsk(header, values: bytes, version: int = 3, align: bool = True) -> bytes:
      "not below 2^4"),
     (lambda h, vals, good: _spsk(h, vals, align=False), EXIT_PRECONDITION,
      "not 64-byte aligned"),
+    (lambda h, vals, good: _spsk({**h, "t_hex": "0x15"}, vals), EXIT_PRECONDITION,
+     "corrupt sketch file: header t_hex: modulus must be irreducible"),
+    (lambda h, vals, good: _spsk({**h, "t_hex": "0x7"}, vals), EXIT_PRECONDITION,
+     "corrupt sketch file: header t_hex: modulus degree must equal k"),
+    (lambda h, vals, good: _spsk({**h, "t_hex": "0xZZ"}, vals), EXIT_PRECONDITION,
+     "corrupt sketch file: header t_hex: invalid literal"),
     (None, EXIT_IO, "No such file"),
 ], ids=["non-object-header", "nested-header", "numeric-t_hex", "v1-version", "v2-version",
         "bool-seed", "negative-member_count", "k-25", "trailing-byte",
         "truncated-digest", "flipped-value-byte", "value-too-large", "unaligned-values",
-        "missing-file"])
+        "reducible-t_hex", "wrong-degree-t_hex", "non-hex-t_hex", "missing-file"])
 def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, code,
                                                        fragment):
     good_path = tmp_path / "good.spsk"

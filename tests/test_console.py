@@ -122,6 +122,17 @@ def test_stdout_on_a_full_device_exits_2(env):
     _assert_one_io_line(proc, "No space left on device")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_argparse_output_on_a_full_device_exits_2(flag):
+    # argparse prints these and exits itself; console() takes its code and
+    # ends through the same flush as any command.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "streamfp.cli", flag], stdout=full,
+                              stderr=subprocess.PIPE, env=_BUFFERED)
+    _assert_one_io_line(proc, "No space left on device")
+
+
 @pytest.mark.parametrize("env", sorted(_STDOUT_ENVS))
 def test_stdout_to_a_closed_pipe_exits_2(env):
     read_end, write_end = os.pipe()

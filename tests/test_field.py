@@ -64,11 +64,13 @@ def test_make_field_validates_k():
 
 
 def test_make_field_tests_irreducibility_only_in_its_search(monkeypatch):
-    from streamfp import gf2poly
+    from streamfp import field, gf2poly
 
     calls = []
-    test = gf2poly._is_irreducible_int
-    monkeypatch.setattr(gf2poly, "_is_irreducible_int", lambda m: calls.append(m) or test(m))
+    test = gf2poly.is_irreducible
+    # The search calls the test through gf2poly, FieldCtx through field.
+    for module in (gf2poly, field):
+        monkeypatch.setattr(module, "is_irreducible", lambda m: calls.append(m) or test(m))
     k = 40
     find_irreducible.cache_clear()
     ctx = make_field.__wrapped__(k)
@@ -124,6 +126,8 @@ def test_pow_identities():
     for a in ctx.elements():
         assert ctx.pow(a, 1) == a
     assert ctx.pow(0, 0) == 1  # documented empty-product convention
+    with pytest.raises(ValueError):
+        ctx.pow(2, -1)
 
 
 # ------------------------------------------------------------------- axioms
@@ -266,16 +270,30 @@ def test_elem_range_checks():
         ctx.elem_from_hex("ff")
 
 
+def _shift_and_reduce_mul(a: int, b: int, m: int, k: int) -> int:
+    """a*b mod m, deg m = k, bit-serially: for each bit of b from the top,
+    multiply the product so far by u, reduce, and add a if the bit is set.
+    It shares no routine with the field, so it referees ctx.mul."""
+    acc = 0
+    for i in range(b.bit_length() - 1, -1, -1):
+        acc <<= 1
+        if acc >> k:
+            acc ^= m
+        if (b >> i) & 1:
+            acc ^= a
+    return acc
+
+
 def test_word_and_bigint_tiers_agree():
-    # Same random products computed through a k=24 context (word-tier
-    # kernels use these bit patterns) and raw polynomial reduction.
-    ctx = make_field(24)
+    # Random products through a context (the word-tier kernels use these
+    # bit patterns up to k = 64) and through the bit-serial referee.
     rng = random.Random(77)
-    m = ctx.modulus
-    for _ in range(300):
-        a = rng.getrandbits(24)
-        b = rng.getrandbits(24)
-        assert ctx.mul(a, b) == int((Gf2Poly(a) * Gf2Poly(b)) % m)
+    for k in (24, 64, 65, 128):
+        ctx = make_field(k)
+        for _ in range(300):
+            a = rng.getrandbits(k)
+            b = rng.getrandbits(k)
+            assert ctx.mul(a, b) == _shift_and_reduce_mul(a, b, ctx.modulus.bits, k), (k, a, b)
 
 
 @pytest.mark.parametrize("k", [1, 5, 8, 12, 64, 65, 72])

@@ -1,6 +1,7 @@
-"""GF(2)[u] polynomial arithmetic: frozen hand-worked values, ring
-axioms on random samples, and the irreducibility test checked against
-an independent trial-division oracle and against Rabin's test."""
+"""GF(2)[u] polynomial arithmetic on int-coded polynomials: frozen
+hand-worked values, ring axioms on random samples, the modulus record,
+and the irreducibility test checked against an independent
+trial-division oracle and against Rabin's test."""
 
 from __future__ import annotations
 
@@ -13,19 +14,20 @@ from hypothesis import strategies as st
 from streamfp.gf2poly import (
     IRREDUCIBLE_DEGREE_CAP,
     Gf2Poly,
-    ONE,
-    U,
-    ZERO,
-    factor_smallest,
+    _clmul,
+    _divmod,
+    _gcd,
+    _mod,
+    _powmod,
     find_irreducible,
-    gcd,
     is_irreducible,
-    powmod,
 )
 
+from conftest import factor_smallest
 
-def poly(bits: int) -> Gf2Poly:
-    return Gf2Poly(bits)
+
+def _deg(a: int) -> int:
+    return a.bit_length() - 1
 
 
 # ----------------------------------------------------------- representation
@@ -34,25 +36,23 @@ def test_hex_convention_round_trip():
     # u^4 + u + 1 has coefficient bits 10011, LSB = constant term.
     p = Gf2Poly.from_hex("0x13")
     assert p.degree == 4
-    assert p == poly(0b10011)
+    assert p == Gf2Poly(0b10011)
     assert p.to_hex() == "0x13"
     assert Gf2Poly.from_hex("13") == p
 
 
 def test_zero_and_one_are_distinct():
-    assert ZERO != ONE
-    assert not ZERO
-    assert ONE
-    assert ZERO.degree < 0
-    assert ONE.degree == 0
-    assert U.degree == 1
+    assert Gf2Poly(0) != Gf2Poly(1)
+    assert Gf2Poly(0).degree < 0
+    assert Gf2Poly(1).degree == 0
+    assert Gf2Poly(2).degree == 1
 
 
 def test_repr_names_terms():
-    assert repr(poly(0b111)) == "u^2+u+1"
-    assert repr(ZERO) == "0"
-    assert repr(ONE) == "1"
-    assert repr(U) == "u"
+    assert repr(Gf2Poly(0b111)) == "u^2+u+1"
+    assert repr(Gf2Poly(0)) == "0"
+    assert repr(Gf2Poly(1)) == "1"
+    assert repr(Gf2Poly(2)) == "u"
 
 
 def test_from_hex_rejects_garbage():
@@ -62,200 +62,180 @@ def test_from_hex_rejects_garbage():
         Gf2Poly.from_hex("")
 
 
-# ------------------------------------------------------------------ add/mul
-
-def test_add_self_cancels():
-    p = poly(0b11)  # u + 1
-    assert p + p == ZERO
-
-
-def test_add_disjoint_supports():
-    assert poly(0b101) + poly(0b10) == poly(0b111)
+def test_hash_and_equality_consistency():
+    a = Gf2Poly(0b1011)
+    b = Gf2Poly.from_hex("0xb")
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
-def test_add_identity():
-    for bits in (0, 1, 0b1011, 0b110101):
-        assert poly(bits) + ZERO == poly(bits)
-
+# ---------------------------------------------------------------------- mul
 
 def test_mul_hand_examples():
-    assert poly(0b11) * poly(0b11) == poly(0b101)  # (u+1)^2 = u^2+1
-    assert poly(0b11) * poly(0b111) == poly(0b1001)  # (u+1)(u^2+u+1) = u^3+1
-    assert poly(0b1011) * ZERO == ZERO
+    assert _clmul(0b11, 0b11) == 0b101  # (u+1)^2 = u^2+1
+    assert _clmul(0b11, 0b111) == 0b1001  # (u+1)(u^2+u+1) = u^3+1
+    assert _clmul(0b1011, 0) == 0
 
 
 def test_mul_degree_adds():
     rng = random.Random(1)
     for _ in range(200):
-        p = poly(rng.getrandbits(40) | (1 << 40))
-        q = poly(rng.getrandbits(25) | (1 << 25))
-        assert (p * q).degree == p.degree + q.degree
+        p = rng.getrandbits(40) | (1 << 40)
+        q = rng.getrandbits(25) | (1 << 25)
+        assert _deg(_clmul(p, q)) == _deg(p) + _deg(q)
 
 
 # ------------------------------------------------------------------- divmod
 
 def test_divmod_hand_examples():
-    q, r = divmod(poly(0b1011), poly(0b111))
-    assert (q, r) == (poly(0b11), poly(0b10))
-    q, r = divmod(poly(0b100), poly(0b111))
-    assert (q, r) == (ONE, poly(0b11))
+    assert _divmod(0b1011, 0b111) == (0b11, 0b10)
+    assert _divmod(0b100, 0b111) == (1, 0b11)
 
 
 def test_divmod_self():
     for bits in (1, 0b10, 0b111, 0b100101):
-        q, r = divmod(poly(bits), poly(bits))
-        assert (q, r) == (ONE, ZERO)
+        assert _divmod(bits, bits) == (1, 0)
 
 
 def test_divmod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        divmod(poly(0b101), ZERO)
+        _divmod(0b101, 0)
     with pytest.raises(ZeroDivisionError):
-        poly(0b101) % ZERO
+        _mod(0b101, 0)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 96 - 1),
        st.integers(min_value=1, max_value=2 ** 48 - 1))
 @settings(max_examples=200, deadline=None)
-def test_divmod_reconstruction(pbits, mbits):
-    p, m = poly(pbits), poly(mbits)
-    q, r = divmod(p, m)
-    assert q * m + r == p
-    assert r.degree < m.degree
+def test_divmod_reconstruction(p, m):
+    q, r = _divmod(p, m)
+    assert _clmul(q, m) ^ r == p
+    assert _deg(r) < _deg(m)
 
 
 # --------------------------------------------------------------- ring axioms
 
 def test_ring_axioms_random_sample():
+    # Addition is XOR; the product is _clmul.
     rng = random.Random(20240817)
     for _ in range(10_000):
-        a = poly(rng.getrandbits(rng.randrange(1, 257)))
-        b = poly(rng.getrandbits(rng.randrange(1, 257)))
-        c = poly(rng.getrandbits(rng.randrange(1, 257)))
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + a == ZERO
+        a = rng.getrandbits(rng.randrange(1, 257))
+        b = rng.getrandbits(rng.randrange(1, 257))
+        c = rng.getrandbits(rng.randrange(1, 257))
+        assert _clmul(a, b) == _clmul(b, a)
+        assert _clmul(_clmul(a, b), c) == _clmul(a, _clmul(b, c))
+        assert _clmul(a, b ^ c) == _clmul(a, b) ^ _clmul(a, c)
+        assert _clmul(a, 1) == a
 
 
 def test_frobenius_linearity():
     rng = random.Random(7)
     for _ in range(500):
-        a = poly(rng.getrandbits(120))
-        b = poly(rng.getrandbits(120))
-        s = a + b
-        assert s * s == a * a + b * b
+        a = rng.getrandbits(120)
+        b = rng.getrandbits(120)
+        s = a ^ b
+        assert _clmul(s, s) == _clmul(a, a) ^ _clmul(b, b)
 
 
 # ---------------------------------------------------------------------- gcd
 
 def test_gcd_hand_examples():
-    assert gcd(poly(0b101), poly(0b11)) == poly(0b11)
-    assert gcd(poly(0b111), U) == ONE
-    p = poly(0b110111)
-    assert gcd(p, p) == p
-    assert gcd(p, ZERO) == p
-    assert gcd(ZERO, p) == p
-
-
-def test_gcd_of_zeros_raises():
-    with pytest.raises(ValueError):
-        gcd(ZERO, ZERO)
+    assert _gcd(0b101, 0b11) == 0b11
+    assert _gcd(0b111, 0b10) == 1
+    p = 0b110111
+    assert _gcd(p, p) == p
+    assert _gcd(p, 0) == p
+    assert _gcd(0, p) == p
 
 
 def test_gcd_divides_both():
     rng = random.Random(3)
     for _ in range(300):
-        a = poly(rng.getrandbits(60))
-        b = poly(rng.getrandbits(60))
+        a = rng.getrandbits(60)
+        b = rng.getrandbits(60)
         if not a and not b:
             continue
-        g = gcd(a, b)
-        assert a % g == ZERO
-        assert b % g == ZERO
+        g = _gcd(a, b)
+        assert _mod(a, g) == 0
+        assert _mod(b, g) == 0
 
 
 # ------------------------------------------------------------------- powmod
 
 def test_powmod_hand_examples():
-    t = poly(0b111)
-    assert powmod(U, 2, t) == poly(0b11)
-    assert powmod(U, 4, t) == U
-    assert powmod(poly(0b1101), 0, t) == ONE
+    t = 0b111
+    assert _powmod(0b10, 2, t) == 0b11
+    assert _powmod(0b10, 4, t) == 0b10
+    assert _powmod(0b1101, 0, t) == 1
 
 
 def test_powmod_matches_repeated_multiplication():
     rng = random.Random(11)
-    m = find_irreducible(13)
+    m = find_irreducible(13).bits
     for _ in range(50):
-        a = poly(rng.getrandbits(13))
+        a = rng.getrandbits(13)
         e = rng.randrange(0, 50)
-        expected = ONE
+        expected = 1
         for _ in range(e):
-            expected = (expected * a) % m
-        assert powmod(a, e, m) == expected
+            expected = _mod(_clmul(expected, a), m)
+        assert _powmod(a, e, m) == expected
 
 
 def test_powmod_big_exponent_composes():
     # a^(2^60) mod m computed in one call equals sixty squarings.
-    m = find_irreducible(17)
-    a = poly(0b10110111)
-    x = a % m
+    m = find_irreducible(17).bits
+    a = 0b10110111
+    x = _mod(a, m)
     for _ in range(60):
-        x = (x * x) % m
-    assert powmod(a, 1 << 60, m) == x
+        x = _mod(_clmul(x, x), m)
+    assert _powmod(a, 1 << 60, m) == x
 
 
 def test_powmod_errors():
     with pytest.raises(ZeroDivisionError):
-        powmod(U, 3, ZERO)
-    with pytest.raises(ValueError):
-        powmod(U, 3, ONE)  # modulus must have degree >= 1
-    with pytest.raises(ValueError):
-        powmod(U, -1, poly(0b111))
+        _powmod(0b10, 3, 0)
 
 
 # ------------------------------------------------------------ irreducibility
 
 def test_is_irreducible_hand_examples():
-    assert is_irreducible(poly(0b111)) is True
-    assert is_irreducible(poly(0b101)) is False  # (u+1)^2
-    assert is_irreducible(U) is True
-    assert is_irreducible(poly(0b11)) is True
+    assert is_irreducible(0b111) is True
+    assert is_irreducible(0b101) is False  # (u+1)^2
+    assert is_irreducible(0b10) is True
+    assert is_irreducible(0b11) is True
 
 
 def test_is_irreducible_rejects_constants():
     with pytest.raises(ValueError):
-        is_irreducible(ZERO)
+        is_irreducible(0)
     with pytest.raises(ValueError):
-        is_irreducible(ONE)
+        is_irreducible(1)
 
 
 def test_factor_smallest_hand_examples():
-    assert factor_smallest(poly(0b101)) == poly(0b11)
-    assert factor_smallest(poly(0b10011)) is None
-    assert factor_smallest(poly(0b100)) == U
+    assert factor_smallest(0b101) == 0b11
+    assert factor_smallest(0b10011) is None
+    assert factor_smallest(0b100) == 0b10
     with pytest.raises(ValueError):
-        factor_smallest(ONE)
+        factor_smallest(1)
 
 
 def test_is_irreducible_agrees_with_trial_division_to_degree_12():
     for bits in range(2, 1 << 13):
-        p = poly(bits)
-        assert is_irreducible(p) == (factor_smallest(p) is None), repr(p)
+        assert is_irreducible(bits) == (factor_smallest(bits) is None), hex(bits)
 
 
-def _rabin(m: Gf2Poly) -> bool:
+def _rabin(m: int) -> bool:
     """Rabin's test, as a referee: degree-k m is irreducible iff
     u^(2^k) = u (mod m) and gcd(u^(2^(k/d)) + u, m) = 1 for each prime d
     dividing k."""
-    k = m.degree
+    k = _deg(m)
     primes = [d for d in range(2, k + 1) if k % d == 0
               and all(d % e for e in range(2, d))]
-    return powmod(U, 1 << k, m) == U % m and all(
-        gcd(powmod(U, 1 << (k // d), m) + U, m) == ONE for d in primes
+    u = _mod(0b10, m)
+    return _powmod(u, 1 << k, m) == u and all(
+        _gcd(_powmod(u, 1 << (k // d), m) ^ u, m) == 1 for d in primes
     )
 
 
@@ -266,29 +246,27 @@ def test_is_irreducible_agrees_with_rabin_at_degrees_20_to_160():
     # irreducibles themselves are checked as well.
     rng = random.Random(20261018)
     degrees = [rng.randrange(20, 161) for _ in range(200)]
-    cases = [poly(rng.getrandbits(k) | (1 << k) | 1) for k in degrees]
+    cases = [rng.getrandbits(k) | (1 << k) | 1 for k in degrees]
     for k in degrees[:40]:
         for j in (k // 2, rng.randrange(1, k)):
-            cases.append(find_irreducible(j) * find_irreducible(k - j))
-    cases += [find_irreducible(k) for k in set(degrees)]
+            cases.append(_clmul(find_irreducible(j).bits, find_irreducible(k - j).bits))
+    cases += [find_irreducible(k).bits for k in set(degrees)]
     assert any(_rabin(p) for p in cases[:200])
     for p in cases:
-        assert is_irreducible(p) == _rabin(p), p.to_hex()
+        assert is_irreducible(p) == _rabin(p), hex(p)
 
 
 def test_irreducible_counts_match_necklace_numbers_to_degree_8():
     expected = {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
     for k, want in expected.items():
-        got = sum(
-            1 for bits in range(1 << k, 1 << (k + 1)) if is_irreducible(poly(bits))
-        )
+        got = sum(1 for bits in range(1 << k, 1 << (k + 1)) if is_irreducible(bits))
         assert got == want, f"degree {k}"
 
 
 # --------------------------------------------------------- find_irreducible
 
 def test_find_irreducible_frozen_values():
-    assert find_irreducible(1) == U
+    assert find_irreducible(1) == Gf2Poly(0b10)
     assert find_irreducible(2).to_hex() == "0x7"
     assert find_irreducible(3).to_hex() == "0xb"
     assert find_irreducible(4).to_hex() == "0x13"
@@ -298,10 +276,10 @@ def test_find_irreducible_frozen_values():
 def test_find_irreducible_is_minimal_in_enumeration_order():
     # Independent oracle: ascending integer scan, trial-division check.
     for k in range(2, 11):
-        got = find_irreducible(k)
-        for bits in range(1 << k, int(got)):
-            assert factor_smallest(poly(bits)) is not None, (
-                f"degree {k}: skipped irreducible {poly(bits)!r}"
+        got = find_irreducible(k).bits
+        for bits in range(1 << k, got):
+            assert factor_smallest(bits) is not None, (
+                f"degree {k}: skipped irreducible {Gf2Poly(bits)!r}"
             )
         assert factor_smallest(got) is None
 
@@ -326,8 +304,8 @@ def test_find_irreducible_pinned_moduli():
 
 
 def test_find_irreducible_deterministic():
-    first = [int(find_irreducible(k)) for k in range(1, 20)]
-    second = [int(find_irreducible(k)) for k in range(1, 20)]
+    first = [find_irreducible(k).bits for k in range(1, 20)]
+    second = [find_irreducible(k).bits for k in range(1, 20)]
     assert first == second
 
 
@@ -335,7 +313,7 @@ def test_find_irreducible_large_degrees():
     for k in (64, 96, 129):
         p = find_irreducible(k)
         assert p.degree == k
-        assert is_irreducible(p)
+        assert is_irreducible(p.bits)
 
 
 def test_find_irreducible_cap():
@@ -343,11 +321,3 @@ def test_find_irreducible_cap():
         find_irreducible(0)
     with pytest.raises(ValueError):
         find_irreducible(IRREDUCIBLE_DEGREE_CAP + 1)
-
-
-def test_hash_and_equality_consistency():
-    a = poly(0b1011)
-    b = Gf2Poly.from_hex("0xb")
-    assert a == b
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1

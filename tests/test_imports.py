@@ -209,8 +209,9 @@ def test_package_import_is_numpy_free_and_kernels_resolve_lazily():
     assert proc.returncode == 0, proc.stderr
 
 
-# Starts the CLI through one of its process entries, then prints the
-# OPENBLAS_NUM_THREADS it left in the environment.
+# Starts the CLI through one of its process entries, and prints the
+# OPENBLAS_NUM_THREADS it left in the environment as the process ends
+# (console() ends it with os._exit, --version included).
 _ENTRIES = {
     "-m": "import runpy; runpy.run_module('streamfp.cli', run_name='__main__')",
     "script": "from streamfp.cli import console; console()",
@@ -225,11 +226,12 @@ def test_cli_process_defaults_openblas_to_one_thread(entry, preset, seen):
         env["OPENBLAS_NUM_THREADS"] = preset
     code = ("import os, sys\n"
             "sys.argv = ['streamfp', '--version']\n"
-            "try:\n"
-            f"    {_ENTRIES[entry]}\n"
-            "except SystemExit:\n"
-            "    pass\n"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+            "exit_ = os._exit\n"
+            "def _exit(code):\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'), flush=True)\n"
+            "    exit_(code)\n"
+            "os._exit = _exit\n"
+            f"{_ENTRIES[entry]}\n")
     proc = _child(code, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == seen
