@@ -25,7 +25,7 @@ import sys
 
 from ._version import __version__
 from .field import DensityFn, make_field
-from .gf2poly import IRREDUCIBLE_DEGREE_CAP, find_irreducible
+from .gf2poly import IRREDUCIBLE_DEGREE_CAP
 from .stream import _CHUNK_BLOCKS, Fingerprint, begin_seeded, encode_fingerprint
 
 __all__ = ["main"]
@@ -56,8 +56,10 @@ def _report(kind: str, **fields) -> dict:
     return {"kind": kind, "tool": _TOOL, **fields}
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(text: str, path: str | None = None) -> None:
     if path is None or path == "-":
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError("stdout is closed")
         sys.stdout.write(text)
         return
     from ._atomic import write_atomic
@@ -206,7 +208,7 @@ def _cmd_sketch_build(args) -> int:
     header = sketch_mod.sketch_header(spec, sk.n, sk.ctx, sk.member_count,
                                       sk.rule_sized, seed)
     summary = _report("sketch-build", **header, output=args.output)
-    sys.stdout.write(_dump_json(summary))
+    _write_output(_dump_json(summary))
     return EXIT_OK
 
 
@@ -226,11 +228,11 @@ def _cmd_sketch_query(args) -> int:
         seed=seed,
         n=sk.n,
         k=sk.ctx.k,
-        t_hex=sk.ctx.modulus.to_hex(),
+        t_hex=sk.ctx.t_hex,
         rule_sized=sk.rule_sized,
         accepted=accepted,
     )
-    sys.stdout.write(_dump_json(result))
+    _write_output(_dump_json(result))
     return EXIT_OK if accepted else EXIT_REJECT
 
 
@@ -321,7 +323,7 @@ def _cmd_tally(args) -> int:
 def _cmd_irreducible(args) -> int:
     if not 1 <= args.k <= IRREDUCIBLE_DEGREE_CAP:
         raise ValueError(f"--k must be in 1..{IRREDUCIBLE_DEGREE_CAP}")
-    sys.stdout.write(find_irreducible(args.k).to_hex() + "\n")
+    _write_output(make_field(args.k).t_hex + "\n")
     return EXIT_OK
 
 
@@ -349,6 +351,12 @@ def _add_language_flags(p: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit EXIT_PRECONDITION; argparse's own code, 2, is EXIT_IO."""
+
+    def _print_message(self, message, file=None):
+        # argparse drops failed writes and sends a closed stdout's text to stderr.
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        _write_output(message)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -430,8 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"streamfp: {exc}", file=sys.stderr)
@@ -454,16 +462,17 @@ def console():
     --help, usage errors), the process flushes its output and ends with
     os._exit, skipping the interpreter's teardown (18 to 38 ms a call,
     most of it freeing modules).  A stdout that cannot take the
-    output, such as a full disk or a closed pipe, is an I/O error like any
-    other.  An uncaught exception leaves the normal way, so a bug still
-    prints its traceback."""
+    output, such as a full disk, a closed pipe or a closed fd 1, is an I/O
+    error like any other.  An uncaught exception leaves the normal way, so
+    a bug still prints its traceback."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
     except SystemExit as exc:  # argparse's exits, always with an int code
         code = exc.code
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as exc:
         if code != EXIT_IO:  # main() has reported a failed write already
             print(f"streamfp: {exc}", file=sys.stderr)

@@ -25,13 +25,14 @@ from __future__ import annotations
 import functools
 import math
 
-from .gf2poly import Gf2Poly, _clmul, _mod, _powmod, find_irreducible, is_irreducible
+from .gf2poly import _clmul, _mod, _powmod, find_irreducible
 
 __all__ = [
     "FieldCtx",
     "DensityFn",
     "select_field_size",
     "make_field",
+    "field_of",
     "split_tables",
     "horner_fold",
     "fold_block_length",
@@ -178,21 +179,16 @@ class DensityFn(_Record):
 
 
 class FieldCtx(_Record):
-    """GF(2^k) with a fixed irreducible modulus of degree k."""
+    """GF(2^k) over find_irreducible(k): the degree alone names the field."""
 
-    _fields = ("k", "modulus")
+    _fields = ("k",)
 
-    def __init__(self, k: int, modulus: Gf2Poly):
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
-        if modulus.degree != k:
-            raise ValueError("modulus degree must equal k")
-        if not is_irreducible(modulus.bits):
-            raise ValueError("modulus must be irreducible")
-        self.k, self.modulus = k, modulus
-        # Cached int forms for the arithmetic and the word kernels.
-        self.m_bits = modulus.bits
-        self.m_low = modulus.bits ^ (1 << k)
+    def __init__(self, k: int):
+        self.k, self.modulus = k, find_irreducible(k)
+        # Cached forms for the arithmetic, the word kernels and the files.
+        self.m_bits = self.modulus.bits
+        self.m_low = self.m_bits ^ (1 << k)
+        self.t_hex = format(self.m_bits, "#x")
 
     @property
     def q(self) -> int:
@@ -380,8 +376,13 @@ def fold_block_length(r: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def make_field(k: int) -> FieldCtx:
-    """GF(2^k) with the deterministic modulus from find_irreducible(k), which
-    the search proved irreducible: FieldCtx's own test is skipped."""
-    ctx, m = object.__new__(FieldCtx), find_irreducible(k)
-    ctx.__dict__.update(k=k, modulus=m, m_bits=m.bits, m_low=m.bits ^ (1 << k))
+    """GF(2^k), built once per process."""
+    return FieldCtx(k)
+
+
+def field_of(k: int, t_hex: str) -> FieldCtx:
+    """make_field(k), if t_hex is its modulus string; any other raises ValueError."""
+    ctx = make_field(k)
+    if t_hex != ctx.t_hex:
+        raise ValueError(f"{t_hex!r} is not the modulus of GF(2^{k}), {ctx.t_hex}")
     return ctx

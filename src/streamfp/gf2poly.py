@@ -2,10 +2,9 @@
 
 A polynomial is stored as a nonnegative Python int: bit i of the integer
 is the coefficient of u^i, so the constant term sits in bit 0 and the
-integer 0 is the zero polynomial.  The hexadecimal form used in files
-and on the command line is the hex of that integer, e.g. u^4+u+1 <-> 0x13.
-:class:`Gf2Poly` is the record of one modulus: its pattern, hex form and
-degree.  The arithmetic runs on the bare ints.
+integer 0 is the zero polynomial, and u^4+u+1 is 0x13.
+:class:`Gf2Poly`, what :func:`find_irreducible` returns, wraps one
+modulus's pattern.  The arithmetic runs on the bare ints.
 
 Addition is XOR and multiplication is the carry-less product.  Python
 ints are arbitrary precision, so these routines have no degree limit;
@@ -92,37 +91,18 @@ def _powmod(base: int, e: int, m: int) -> int:
 
 
 class Gf2Poly:
-    """A field modulus over GF(2), wrapping its int coefficient pattern."""
+    """A field modulus over GF(2): its int coefficient pattern, as bits."""
 
     __slots__ = ("bits",)
 
     def __init__(self, bits: int):
-        if not isinstance(bits, int) or bits < 0:
-            raise ValueError("coefficient pattern must be a nonnegative int")
         self.bits = bits
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Gf2Poly":
-        return cls(int(text, 16))
-
-    def to_hex(self) -> str:
-        return format(self.bits, "#x")
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 as the marker for the zero polynomial."""
-        return _degree(self.bits)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Gf2Poly) and self.bits == other.bits
 
     def __hash__(self) -> int:
         return hash((Gf2Poly, self.bits))
-
-    def __repr__(self) -> str:
-        terms = ["1" if i == 0 else ("u" if i == 1 else f"u^{i}")
-                 for i in range(self.degree, -1, -1) if (self.bits >> i) & 1]
-        return "+".join(terms) or "0"
 
 
 def _prime_divisors(k: int) -> list[int]:

@@ -35,8 +35,8 @@ The header JSON has sorted keys and no spaces before its padding and
 holds k, t_hex, n, member_count, rule_sized and seed.  Loading refuses
 a path that is not a regular file, then checks the magic, the version,
 that the file holds the header length it gives, the header's keys and
-types, k in 1..ENUMERATION_DEGREE_CAP and an irreducible modulus of
-degree k, that the values start 64-byte aligned, a file length of
+types, k in 1..ENUMERATION_DEGREE_CAP and a t_hex that is make_field(k)'s
+own, that the values start 64-byte aligned, a file length of
 exactly start + member_count q itemsize + 32 bytes, the digest, and
 that every value is below 2^k, and raises ValueError on the first that
 fails.  It reads the values only once the length check has passed.
@@ -54,8 +54,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .field import ENUMERATION_DEGREE_CAP, DensityFn, FieldCtx, item_bytes, make_field
-from .gf2poly import Gf2Poly
+from .field import ENUMERATION_DEGREE_CAP, DensityFn, FieldCtx, field_of, item_bytes, make_field
 from .stream import coefficients, fingerprint
 
 if TYPE_CHECKING:
@@ -239,7 +238,7 @@ def sketch_header(spec: SparseLanguageSpec, n: int, ctx: FieldCtx, member_count:
     """The fields a ``sketch build`` summary and an fp-rate report share:
     the sketch of member_count members of spec at length n over ctx, and
     its entry_count, member_count x q."""
-    return {"seed": seed, "n": n, "k": ctx.k, "q": ctx.q, "t_hex": ctx.modulus.to_hex(),
+    return {"seed": seed, "n": n, "k": ctx.k, "q": ctx.q, "t_hex": ctx.t_hex,
             "rule_sized": rule_sized, "language": spec.describe(),
             "member_count": member_count, "entry_count": member_count * ctx.q}
 
@@ -481,7 +480,7 @@ def save_sketch(sketch: SketchSet, path: str) -> None:
     header = json.dumps({
         "k": sketch.ctx.k, "member_count": sketch.member_count, "n": sketch.n,
         "rule_sized": sketch.rule_sized, "seed": sketch.source_seed,
-        "t_hex": sketch.ctx.modulus.to_hex(),
+        "t_hex": sketch.ctx.t_hex,
     }, sort_keys=True, separators=(",", ":")).encode()
     header += b" " * (-(_SPSK_PREFIX.size + len(header)) % _SPSK_ALIGN)
     head = _SPSK_PREFIX.pack(_SPSK_MAGIC, _SPSK_VERSION, len(header)) + header
@@ -535,8 +534,8 @@ def load_sketch(path: str) -> SketchSet:
         header = _parse_header(head[_SPSK_PREFIX.size:])
         k, members = header["k"], header["member_count"]
         try:
-            ctx = FieldCtx(k, Gf2Poly.from_hex(header["t_hex"]))
-        except ValueError as exc:  # not hex, wrong degree or reducible
+            ctx = field_of(k, header["t_hex"])
+        except ValueError as exc:  # not the modulus make_field(k) writes
             raise ValueError(f"corrupt sketch file: header t_hex: {exc}") from exc
         if start % _SPSK_ALIGN:
             raise ValueError(f"corrupt sketch file: value region not {_SPSK_ALIGN}-byte aligned")

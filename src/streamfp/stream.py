@@ -76,12 +76,12 @@ from .field import (
     FieldCtx,
     _Record,
     _lane_fold,
+    field_of,
     fold_block_length,
     make_field,
     select_field_size,
     split_tables,
 )
-from .gf2poly import Gf2Poly
 
 __all__ = [
     "ResourceProfile",
@@ -147,7 +147,7 @@ class Fingerprint(_Record):
         return {
             "n": self.n,
             "k": self.k,
-            "t_hex": self.ctx.modulus.to_hex(),
+            "t_hex": self.ctx.t_hex,
             "a_hex": self.ctx.elem_hex(self.a),
             "v_hex": self.ctx.elem_hex(self.v),
             "seed": self.seed,
@@ -155,7 +155,7 @@ class Fingerprint(_Record):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Fingerprint":
-        ctx = FieldCtx(int(d["k"]), Gf2Poly.from_hex(d["t_hex"]))
+        ctx = field_of(int(d["k"]), d["t_hex"])
         return cls(
             n=int(d["n"]),
             a=ctx.elem_from_hex(d["a_hex"]),

@@ -508,17 +508,17 @@ def _spsk(header, values: bytes, version: int = 3, align: bool = True) -> bytes:
      "not below 2^4"),
     (lambda h, vals, good: _spsk(h, vals, align=False), EXIT_PRECONDITION,
      "not 64-byte aligned"),
-    (lambda h, vals, good: _spsk({**h, "t_hex": "0x15"}, vals), EXIT_PRECONDITION,
-     "corrupt sketch file: header t_hex: modulus must be irreducible"),
-    (lambda h, vals, good: _spsk({**h, "t_hex": "0x7"}, vals), EXIT_PRECONDITION,
-     "corrupt sketch file: header t_hex: modulus degree must equal k"),
-    (lambda h, vals, good: _spsk({**h, "t_hex": "0xZZ"}, vals), EXIT_PRECONDITION,
-     "corrupt sketch file: header t_hex: invalid literal"),
+    # Any t_hex but the one make_field(4) writes, 0x13: reducible, of the
+    # wrong degree, not hex, another irreducible, and 0x13 spelled otherwise.
+    *[(lambda h, vals, good, t=t: _spsk({**h, "t_hex": t}, vals), EXIT_PRECONDITION,
+       f"corrupt sketch file: header t_hex: {t!r} is not the modulus of GF(2^4), 0x13")
+      for t in ("0x15", "0x7", "0xZZ", "0x19", "0X13")],
     (None, EXIT_IO, "No such file"),
 ], ids=["non-object-header", "nested-header", "numeric-t_hex", "v1-version", "v2-version",
         "bool-seed", "negative-member_count", "k-25", "trailing-byte",
         "truncated-digest", "flipped-value-byte", "value-too-large", "unaligned-values",
-        "reducible-t_hex", "wrong-degree-t_hex", "non-hex-t_hex", "missing-file"])
+        "reducible-t_hex", "wrong-degree-t_hex", "non-hex-t_hex", "foreign-t_hex",
+        "non-canonical-t_hex", "missing-file"])
 def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, code,
                                                        fragment):
     good_path = tmp_path / "good.spsk"
@@ -541,7 +541,7 @@ def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, c
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert fragment in proc.stderr
+    assert fragment in proc.stderr and proc.stderr.count("\n") == 1
 
 
 # A value with a bit at or above k, for every item size: 2-byte items at
@@ -551,11 +551,11 @@ def test_sketch_query_bad_file_exits_without_traceback(tmp_path, capsys, make, c
     (9, 1, 0x02), (15, 1, 0x80), (17, 2, 0x02), (23, 2, 0x80), (24, 3, 0x01),
 ])
 def test_sketch_query_value_range_check_per_item_size(tmp_path, k, byte, bits):
-    from streamfp.gf2poly import find_irreducible
+    from streamfp.field import make_field
 
     width = 2 if k <= 16 else 4
     header = {"k": k, "member_count": 1, "n": 4, "rule_sized": False, "seed": 3,
-              "t_hex": find_irreducible(k).to_hex()}
+              "t_hex": make_field(k).t_hex}
     values = bytearray(width << k)
     values[-width + byte] = bits  # the last value of the table
     path = tmp_path / "bad.spsk"
@@ -919,7 +919,9 @@ _DOUBLING = json.dumps({"family": "polynomial", "params": {"coeff": 2, "exponent
 def test_every_report_carries_the_tool_and_its_kind(tmp_path, capsys, monkeypatch,
                                                     argv, kind):
     # The CLI writes the envelope; fingerprint's record has a tool and no kind.
+    # Every report with a k names make_field(k)'s modulus.
     from streamfp import __version__
+    from streamfp.field import make_field
 
     monkeypatch.chdir(tmp_path)
     assert main(["sketch", "build", "--language", "low-weight", "--max-ones", "1",
@@ -928,6 +930,8 @@ def test_every_report_carries_the_tool_and_its_kind(tmp_path, capsys, monkeypatc
     report = run_json(capsys, *argv)
     assert report["tool"] == {"name": "streamfp", "version": __version__}
     assert report.get("kind") == kind
+    if "k" in report:
+        assert report["t_hex"] == make_field(report["k"]).t_hex
 
 
 # ------------------------------------------------------------------ version

@@ -5,6 +5,7 @@ into one ``streamfp:`` line and exit 2, buffered or not."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -125,12 +126,37 @@ def test_stdout_on_a_full_device_exits_2(env):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("flag", ["--version", "--help"])
 def test_argparse_output_on_a_full_device_exits_2(flag):
-    # argparse prints these and exits itself; console() takes its code and
-    # ends through the same flush as any command.
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "streamfp.cli", flag], stdout=full,
-                              stderr=subprocess.PIPE, env=_BUFFERED)
-    _assert_one_io_line(proc, "No space left on device")
+    # argparse prints these and exits itself, through the commands' own
+    # stdout writer, so a failed write is not ignored when unbuffered.
+    for env in _STDOUT_ENVS.values():
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "streamfp.cli", flag], stdout=full,
+                                  stderr=subprocess.PIPE, env=env)
+        _assert_one_io_line(proc, "No space left on device")
+
+
+def _close_stdout():
+    os.close(1)
+
+
+# With fd 1 closed, Python starts with sys.stdout set to None.
+@pytest.mark.parametrize("env", sorted(_STDOUT_ENVS))
+@pytest.mark.parametrize("argv", [["fingerprint", "--bits", "1011", "--seed", "3"],
+                                  ["--version"]], ids=["fingerprint", "version"])
+def test_closed_stdout_exits_2(argv, env):
+    proc = subprocess.run([sys.executable, "-m", "streamfp.cli", *argv],
+                          stderr=subprocess.PIPE, env=_STDOUT_ENVS[env],
+                          preexec_fn=_close_stdout)
+    _assert_one_io_line(proc, "stdout is closed")
+
+
+def test_closed_stdout_is_no_error_without_stdout_output(tmp_path):
+    out = tmp_path / "fp.json"
+    proc = subprocess.run([sys.executable, "-m", "streamfp.cli", "fingerprint", "--bits",
+                           "1011", "--seed", "3", "--output", os.fspath(out)],
+                          stderr=subprocess.PIPE, env=_BUFFERED, preexec_fn=_close_stdout)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert json.loads(out.read_text())["seed"] == 3
 
 
 @pytest.mark.parametrize("env", sorted(_STDOUT_ENVS))

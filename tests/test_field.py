@@ -10,13 +10,13 @@ import pytest
 
 from streamfp.field import (
     ENUMERATION_DEGREE_CAP,
-    FieldCtx,
+    field_of,
     horner_fold,
     make_field,
     select_field_size,
     split_tables,
 )
-from streamfp.gf2poly import Gf2Poly, find_irreducible
+from streamfp.gf2poly import find_irreducible
 
 
 # ------------------------------------------------------------------- sizing
@@ -54,8 +54,8 @@ def test_select_field_size_huge_inputs_supported():
 # ----------------------------------------------------------------- contexts
 
 def test_make_field_frozen_moduli():
-    assert make_field(2).modulus.to_hex() == "0x7"
-    assert make_field(4).modulus.to_hex() == "0x13"
+    assert make_field(2).t_hex == "0x7"
+    assert make_field(4).t_hex == "0x13"
 
 
 def test_make_field_validates_k():
@@ -64,31 +64,36 @@ def test_make_field_validates_k():
 
 
 def test_make_field_tests_irreducibility_only_in_its_search(monkeypatch):
-    from streamfp import field, gf2poly
+    from streamfp import gf2poly
 
     calls = []
     test = gf2poly.is_irreducible
-    # The search calls the test through gf2poly, FieldCtx through field.
-    for module in (gf2poly, field):
-        monkeypatch.setattr(module, "is_irreducible", lambda m: calls.append(m) or test(m))
+    monkeypatch.setattr(gf2poly, "is_irreducible", lambda m: calls.append(m) or test(m))
     k = 40
     find_irreducible.cache_clear()
     ctx = make_field.__wrapped__(k)
     # One test per odd candidate up to the modulus the search returns.
-    first = (1 << k) | 1
-    assert calls == list(range(first, ctx.modulus.bits + 1, 2))
-    assert ctx == FieldCtx(k, ctx.modulus)  # a direct context proves its modulus
-    assert calls[-2:] == [ctx.modulus.bits] * 2
-    assert (ctx.m_bits, ctx.m_low) == (ctx.modulus.bits, ctx.modulus.bits ^ (1 << k))
+    searched = list(range((1 << k) | 1, ctx.modulus.bits + 1, 2))
+    assert calls == searched
+    # A record's modulus is compared with make_field(k)'s, not proved again.
+    assert field_of(k, ctx.t_hex) == ctx
+    assert calls == searched
+    assert (ctx.m_bits, ctx.m_low, ctx.t_hex) == (
+        ctx.modulus.bits, ctx.modulus.bits ^ (1 << k), hex(ctx.modulus.bits))
 
 
 def test_field_ctx_rejects_bad_modulus():
+    # field_of names GF(2^k) only by make_field(k)'s own string.
+    assert field_of(2, "0x7") is make_field(2)
+    for k, t_hex in [(2, "0x5"),  # (u+1)^2 is reducible
+                     (3, "0x7"),  # degree mismatch
+                     (4, "0xZZ"), (4, ""), (4, 0x13),  # not the hex string
+                     (4, "0x19"),  # irreducible, but not find_irreducible(4)
+                     (4, "0X13"), (4, "13"), (4, "0x013")]:  # 0x13 spelled otherwise
+        with pytest.raises(ValueError, match="is not the modulus of GF"):
+            field_of(k, t_hex)
     with pytest.raises(ValueError):
-        FieldCtx(2, Gf2Poly(0b101))  # (u+1)^2 is reducible
-    with pytest.raises(ValueError):
-        FieldCtx(3, Gf2Poly(0b111))  # degree mismatch
-    with pytest.raises(ValueError):
-        FieldCtx(0, Gf2Poly(0b11))
+        make_field(0)
 
 
 def test_q_property():

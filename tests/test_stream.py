@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from streamfp import kernels, stream
 from streamfp.field import (
-    FieldCtx,
     _lane_fold,
     _lane_plan,
     fold_block_length,
@@ -21,7 +20,7 @@ from streamfp.field import (
     make_field,
     split_tables,
 )
-from streamfp.gf2poly import Gf2Poly, find_irreducible
+from streamfp.gf2poly import find_irreducible, is_irreducible
 from streamfp.stream import (
     _CHUNK_BLOCKS,
     SPACE_CONSTANT,
@@ -290,6 +289,12 @@ def test_fingerprint_json_round_trip():
     assert d["n"] == 6 and d["seed"] == 44
     back = Fingerprint.from_json_dict(d)
     assert back == fp
+    # Only the modulus make_field(k) writes names the field, not the next
+    # irreducible of degree k.
+    first = find_irreducible(fp.k).bits
+    foreign = next(m for m in range(first + 2, 2 << fp.k, 2) if is_irreducible(m))
+    with pytest.raises(ValueError, match="is not the modulus"):
+        Fingerprint.from_json_dict({**d, "t_hex": hex(foreign)})
 
 
 # ------------------------------------------------------------ tuple coding
@@ -648,10 +653,11 @@ def test_lane_fold_reduces_in_two_rounds_for_the_library_moduli():
 def test_lane_fold_reduces_any_tail():
     # An irreducible modulus with a dense tail of degree k - 1 needs more
     # than two rounds; the fold keeps reducing until every high half is 0.
-    ctx = FieldCtx(16, Gf2Poly(0x1FFED))
+    modulus = 0x1FFED
+    assert is_irreducible(modulus)
     rng = random.Random(16)
     a = rng.getrandbits(16)
-    tables = split_tables(a, ctx.m_bits, 16)
+    tables = split_tables(a, modulus, 16)
     segments = [rng.getrandbits(16) for _ in range(500)]
-    assert _lane_fold(5, _as_int(segments, 16), 500, a, ctx.m_bits, 16, tables) == \
+    assert _lane_fold(5, _as_int(segments, 16), 500, a, modulus, 16, tables) == \
         horner_fold(5, segments, tables)
