@@ -41,7 +41,7 @@ _LAZY = {
         "encode_tuple", "fingerprint", "split_segments",
     ), "stream"),
     **dict.fromkeys((
-        "DEFAULT_CAP_BITS", "GrowthFn", "OutOfRangeError", "TallyCheck", "as_tally",
+        "CAP_BITS", "GrowthFn", "OutOfRangeError", "TallyCheck", "as_tally",
         "construct_lengths", "is_padding_stable_at", "iter_exp", "iter_log", "pad",
         "pad_preserves_validity", "tally_from_json", "tally_to_json", "validate_tally",
     ), "tally"),

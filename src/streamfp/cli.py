@@ -67,6 +67,17 @@ def _write_output(text: str, path: str | None = None) -> None:
     write_atomic(path, text.encode())
 
 
+def _write_error(text: str = "") -> None:
+    """Write text to stderr and flush it.  A closed fd 2 (sys.stderr is
+    None) or a full one loses the text, never the exit code."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def _stream_input(args, n: int | None, start, *, n_name: str = "--n",
                   prefix: bool = True) -> Fingerprint:
     """Fingerprint --bits / --input / stdin (per --format) in one pass.
@@ -202,7 +213,7 @@ def _cmd_sketch_build(args) -> int:
         sk = sketch_mod.build_sketch(spec, args.n, ctx=_ctx_override(args),
                                      entry_budget=budget, source_seed=seed)
     except sketch_mod.EntryBudgetError as exc:
-        print(f"streamfp: {exc}", file=sys.stderr)
+        _write_error(f"streamfp: {exc}\n")
         return EXIT_BUDGET
     sketch_mod.save_sketch(sk, args.output)
     header = sketch_mod.sketch_header(spec, sk.n, sk.ctx, sk.member_count,
@@ -275,7 +286,6 @@ def _cmd_sketch_fp_rate(args) -> int:
 def _cmd_tally(args) -> int:
     from . import tally as tally_mod
 
-    cap = tally_mod.DEFAULT_CAP_BITS if args.cap_bits is None else args.cap_bits
     if args.mode == "padding-stable":
         if args.n is None:
             raise ValueError("--padding-stable needs --n")
@@ -284,8 +294,8 @@ def _cmd_tally(args) -> int:
             "tally-padding-stable",
             gap=g.describe(),
             n=args.n,
-            cap_bits=cap,
-            stable=tally_mod.is_padding_stable_at(g, args.n, cap),
+            cap_bits=tally_mod.CAP_BITS,
+            stable=tally_mod.is_padding_stable_at(g, args.n),
         )
     elif args.mode == "validate":
         if not args.lengths:
@@ -293,13 +303,13 @@ def _cmd_tally(args) -> int:
         lengths = tally_mod.as_tally(int(x) for x in args.lengths.split(","))
         d = _growth_from_arg(args.density, "--density")
         g = _growth_from_arg(args.gap, "--gap")
-        check = tally_mod.validate_tally(lengths, d, g, cap)
+        check = tally_mod.validate_tally(lengths, d, g)
         result = _report(
             "tally-validate",
             lengths=tally_mod.tally_to_json(lengths),
             density=d.describe(),
             gap=g.describe(),
-            cap_bits=cap,
+            cap_bits=tally_mod.CAP_BITS,
             ok=check.ok,
             violation=check.violation,
             witness=list(check.witness) if check.witness else None,
@@ -307,13 +317,13 @@ def _cmd_tally(args) -> int:
     else:
         d = _growth_from_arg(args.density, "--density")
         g = _growth_from_arg(args.gap, "--gap")
-        lengths = tally_mod.construct_lengths(d, g, args.count, cap)
+        lengths = tally_mod.construct_lengths(d, g, args.count)
         result = _report(
             "tally-construct",
             density=d.describe(),
             gap=g.describe(),
             count=args.count,
-            cap_bits=cap,
+            cap_bits=tally_mod.CAP_BITS,
             lengths=[str(x) for x in lengths],
         )
     _write_output(_dump_json(result), args.output)
@@ -353,14 +363,14 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors exit EXIT_PRECONDITION; argparse's own code, 2, is EXIT_IO."""
 
     def _print_message(self, message, file=None):
-        # argparse drops failed writes and sends a closed stdout's text to stderr.
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
+        # Only --help and --version print here, to stdout.  argparse would drop
+        # a failed write and send a closed stdout's text to stderr.
         _write_output(message)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_PRECONDITION, f"{self.prog}: error: {message}\n")
+        # Not print_usage(sys.stderr): given None, for a closed fd 2, it prints to stdout.
+        _write_error(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        sys.exit(EXIT_PRECONDITION)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='JSON {"family", "depth", "params"} (--padding-stable default: '
                         f'{_PADDING_STABLE_GAP})')
     p.add_argument("--count", type=int, default=3)
-    p.add_argument("--cap-bits", type=int, default=None)  # None: tally.DEFAULT_CAP_BITS
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_tally)
 
@@ -442,13 +451,13 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
-        print(f"streamfp: {exc}", file=sys.stderr)
+        _write_error(f"streamfp: {exc}\n")
         return EXIT_IO
     except (ValueError, ZeroDivisionError) as exc:  # tally's OutOfRangeError too
-        print(f"streamfp: {exc}", file=sys.stderr)
+        _write_error(f"streamfp: {exc}\n")
         return EXIT_PRECONDITION
     except MemoryError as exc:  # a size too large to hold, such as a raised --entry-budget
-        print(f"streamfp: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _write_error(f"streamfp: {str(exc) or 'out of memory'}\n")
         return EXIT_PRECONDITION
 
 
@@ -463,8 +472,9 @@ def console():
     os._exit, skipping the interpreter's teardown (18 to 38 ms a call,
     most of it freeing modules).  A stdout that cannot take the
     output, such as a full disk, a closed pipe or a closed fd 1, is an I/O
-    error like any other.  An uncaught exception leaves the normal way, so
-    a bug still prints its traceback."""
+    error like any other.  A stderr that is closed or cannot take an
+    error line loses the line, never the exit code.  An uncaught
+    exception leaves the normal way, so a bug still prints its traceback."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
@@ -475,9 +485,9 @@ def console():
             sys.stdout.flush()
     except OSError as exc:
         if code != EXIT_IO:  # main() has reported a failed write already
-            print(f"streamfp: {exc}", file=sys.stderr)
+            _write_error(f"streamfp: {exc}\n")
         code = EXIT_IO
-    sys.stderr.flush()
+    _write_error()  # flushes whatever else went to stderr
     os._exit(code)
 
 

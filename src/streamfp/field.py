@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .gf2poly import _clmul, _mod, _powmod, find_irreducible
+from .gf2poly import IRREDUCIBLE_DEGREE_CAP, _clmul, _mod, _powmod, find_irreducible
 
 __all__ = [
     "FieldCtx",
@@ -131,13 +131,22 @@ class DensityFn(_Record):
         if self.kind == "power":
             return _iroot(n ** self.num, self.den)
         if self.kind == "binomial-sum":
-            return sum(math.comb(n, i) for i in range(0, min(self.num, n) + 1))
+            total = term = 1  # C(n, i + 1) = C(n, i) * (n - i) / (i + 1), exactly
+            for i in range(min(self.num, n)):
+                term = term * (n - i) // (i + 1)
+                total += term
+            return total
         raise ValueError(f"unknown density family {self.kind!r}")
 
     def field_size(self, n: int) -> int:
         """k for length n by the sizing rule.  A density of 0 (an empty
         language) sizes as f(n) = 1: the rule needs f(n) >= 1, and a sketch
-        of no members needs no larger field."""
+        of no members needs no larger field.  A power density is refused
+        unevaluated once n^(p/q) >= 2^((bitlen(n) - 1)p/q) >= 2^cap."""
+        cap = IRREDUCIBLE_DEGREE_CAP
+        if self.kind == "power" and self.num * (n.bit_length() - 1) >= self.den * cap:
+            raise ValueError(f"f(n) = n^({self.num}/{self.den}) at n = {n} is at least "
+                             f"2^{cap}, so k would exceed {cap}")
         return select_field_size(n, max(1, self.eval(n)))
 
     def describe(self) -> dict:

@@ -17,7 +17,7 @@ constraint across the map.
 
 All values are exact big integers.  Tower evaluations refuse, rather
 than approximate, once an intermediate would exceed the bit cap
-(default 10^7 bits); out-of-range is the distinct OutOfRangeError,
+CAP_BITS (10^7 bits); out-of-range is the distinct OutOfRangeError,
 never a boolean.  Stability comparisons stay exact past the cap when
 bit lengths alone decide them: 2^{g(n)} + g(n) has exactly g(n) + 1
 bits, so any in-cap left side with at most g(n) bits is smaller without
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
 __all__ = [
-    "DEFAULT_CAP_BITS",
+    "CAP_BITS",
     "OutOfRangeError",
     "iter_exp",
     "iter_log",
@@ -46,7 +46,7 @@ __all__ = [
     "tally_from_json",
 ]
 
-DEFAULT_CAP_BITS = 10 ** 7
+CAP_BITS = 10 ** 7  # the most bits of any integer a tally check materializes
 
 _MAX_DOUBLINGS = 512  # a density at its threshold after this many doublings is bounded
 
@@ -56,7 +56,7 @@ class OutOfRangeError(ValueError):
     boolean answer and from ordinary precondition errors."""
 
 
-def iter_exp(depth: int, n: int, cap_bits: int = DEFAULT_CAP_BITS) -> int:
+def iter_exp(depth: int, n: int) -> int:
     """Iterated exponential: depth 1 is 2^n, each extra level re-exponentiates."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -64,11 +64,11 @@ def iter_exp(depth: int, n: int, cap_bits: int = DEFAULT_CAP_BITS) -> int:
         raise ValueError("argument must be >= 0")
     v = n
     for _ in range(depth):
-        if v >= cap_bits:
+        if v >= CAP_BITS:
             # v itself may already be astronomically large; report its size.
             raise OutOfRangeError(
                 f"tower needs an integer of roughly 2^{v.bit_length() - 1} bits, "
-                f"over the cap of {cap_bits} bits"
+                f"over the cap of {CAP_BITS} bits"
             )
         v = 1 << v
     return v
@@ -134,18 +134,18 @@ class GrowthFn:
             if vs != sorted(vs):
                 raise ValueError("custom-table values must be nondecreasing")
 
-    def eval(self, n: int, cap_bits: int = DEFAULT_CAP_BITS) -> int:
+    def eval(self, n: int) -> int:
         if n < 1:
             raise ValueError("growth functions are defined on n >= 1")
         scale = int(self.params.get("scale", 1))
         if self.family == "iter-exp":
-            return iter_exp(self.depth, scale * n, cap_bits)
+            return iter_exp(self.depth, scale * n)
         if self.family == "iter-log":
             return iter_log(self.depth, scale * n)
         if self.family == "polynomial":
             coeff = int(self.params.get("coeff", 1))
             exponent = int(self.params.get("exponent", 1))
-            if exponent * n.bit_length() > cap_bits:
+            if exponent * n.bit_length() > CAP_BITS:
                 raise OutOfRangeError("polynomial value exceeds the bit cap")
             return coeff * n ** exponent
         if self.family == "identity":
@@ -188,21 +188,17 @@ def as_tally(lengths: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def pad(lengths: Sequence[int], cap_bits: int = DEFAULT_CAP_BITS) -> tuple[int, ...]:
+def pad(lengths: Sequence[int]) -> tuple[int, ...]:
     """Image of the tally set under n -> 2^n + n (strictly monotone, so
     the image is again sorted and duplicate-free)."""
     t = as_tally(lengths)
-    out = []
     for m in t:
-        if m >= cap_bits:
-            raise OutOfRangeError(
-                f"padded length 2^{m} + {m} exceeds the {cap_bits}-bit cap"
-            )
-        out.append((1 << m) + m)
-    return tuple(out)
+        if m >= CAP_BITS:
+            raise OutOfRangeError(f"padded length 2^{m} + {m} exceeds the {CAP_BITS}-bit cap")
+    return tuple((1 << m) + m for m in t)
 
 
-def is_padding_stable_at(g: GrowthFn, n: int, cap_bits: int = DEFAULT_CAP_BITS) -> bool:
+def is_padding_stable_at(g: GrowthFn, n: int) -> bool:
     """Exact check of g(2^n + n) < 2^{g(n)} + g(n).
 
     The left side is always materialized (OutOfRangeError past the cap).
@@ -213,21 +209,19 @@ def is_padding_stable_at(g: GrowthFn, n: int, cap_bits: int = DEFAULT_CAP_BITS) 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n >= cap_bits:
-        raise OutOfRangeError(f"2^{n} + {n} exceeds the {cap_bits}-bit cap")
-    lhs = g.eval((1 << n) + n, cap_bits)
-    gn = g.eval(n, cap_bits)
-    if gn + 1 <= cap_bits:
+    if n >= CAP_BITS:
+        raise OutOfRangeError(f"2^{n} + {n} exceeds the {CAP_BITS}-bit cap")
+    lhs = g.eval((1 << n) + n)
+    gn = g.eval(n)
+    if gn + 1 <= CAP_BITS:
         return lhs < (1 << gn) + gn
     bl = lhs.bit_length()
     if bl <= gn:
         return True
     if bl > gn + 1:
         return False
-    raise OutOfRangeError(
-        "comparison needs the materialized tower (equal bit lengths) "
-        f"but g(n) = {gn} exceeds the {cap_bits}-bit cap"
-    )
+    raise OutOfRangeError("comparison needs the materialized tower (equal bit lengths) "
+                          f"but g(n) = {gn} exceeds the {CAP_BITS}-bit cap")
 
 
 @dataclass(frozen=True)
@@ -242,53 +236,43 @@ class TallyCheck:
         return self.ok
 
 
-def validate_tally(
-    lengths: Sequence[int],
-    d: GrowthFn,
-    g: GrowthFn,
-    cap_bits: int = DEFAULT_CAP_BITS,
-) -> TallyCheck:
+def validate_tally(lengths: Sequence[int], d: GrowthFn, g: GrowthFn) -> TallyCheck:
     """Check the density bound at every member length and the gap bound on
     every consecutive pair; reports the first violation found."""
     t = as_tally(lengths)
     for i, ell in enumerate(t):
-        if i + 1 > d.eval(ell, cap_bits):
+        if i + 1 > d.eval(ell):
             return TallyCheck(False, "density", (ell, i + 1))
         if i + 1 < len(t):
             nxt = t[i + 1]
-            if g.eval(ell, cap_bits) >= nxt:
+            if g.eval(ell) >= nxt:
                 return TallyCheck(False, "gap", (ell, nxt))
     return TallyCheck(True)
 
 
-def pad_preserves_validity(
-    lengths: Sequence[int],
-    d: GrowthFn,
-    g: GrowthFn,
-    cap_bits: int = DEFAULT_CAP_BITS,
-) -> bool:
+def pad_preserves_validity(lengths: Sequence[int], d: GrowthFn, g: GrowthFn) -> bool:
     """Whether the padded image of a valid tally set is still valid.
 
     Preconditions (violations raise, they are not counterexamples): the
     input set itself validates, and g is padding stable at every member.
     """
-    base = validate_tally(lengths, d, g, cap_bits)
+    base = validate_tally(lengths, d, g)
     if not base.ok:
         raise ValueError(
             f"input tally set fails validation: {base.violation} at {base.witness}"
         )
     t = as_tally(lengths)
     for m in t:
-        if not is_padding_stable_at(g, m, cap_bits):
+        if not is_padding_stable_at(g, m):
             raise ValueError(f"gap function is not padding stable at member {m}")
-    return validate_tally(pad(t, cap_bits), d, g, cap_bits).ok
+    return validate_tally(pad(t), d, g).ok
 
 
-def _least_with_density_above(d: GrowthFn, threshold: int, lo: int, cap_bits: int) -> int:
+def _least_with_density_above(d: GrowthFn, threshold: int, lo: int) -> int:
     """Least n >= lo with d(n) > threshold (d nondecreasing)."""
     hi = max(lo, 1)
     doublings = 0
-    while d.eval(hi, cap_bits) <= threshold:
+    while d.eval(hi) <= threshold:
         hi *= 2
         doublings += 1
         if doublings > _MAX_DOUBLINGS:
@@ -298,19 +282,14 @@ def _least_with_density_above(d: GrowthFn, threshold: int, lo: int, cap_bits: in
     lo_search = max(lo, hi // 2)
     while lo_search < hi:
         mid = (lo_search + hi) // 2
-        if d.eval(mid, cap_bits) > threshold:
+        if d.eval(mid) > threshold:
             hi = mid
         else:
             lo_search = mid + 1
     return hi
 
 
-def construct_lengths(
-    d: GrowthFn,
-    g: GrowthFn,
-    count: int,
-    cap_bits: int = DEFAULT_CAP_BITS,
-) -> list[int]:
+def construct_lengths(d: GrowthFn, g: GrowthFn, count: int) -> list[int]:
     """A strictly increasing length sequence whose singleton-per-length
     tally set respects (d, g).
 
@@ -325,13 +304,13 @@ def construct_lengths(
     prev_density = 0
     probe_from = 1
     for _ in range(count):
-        nj = _least_with_density_above(d, prev_density, probe_from, cap_bits)
-        prev_density = d.eval(nj, cap_bits)
+        nj = _least_with_density_above(d, prev_density, probe_from)
+        prev_density = d.eval(nj)
         probe_from = nj + 1
         if not out:
             out.append(nj)
         else:
-            out.append(max(nj, g.eval(out[-1], cap_bits) + 1, out[-1] + 1))
+            out.append(max(nj, g.eval(out[-1]) + 1, out[-1] + 1))
     return out
 
 

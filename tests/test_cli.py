@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,22 @@ def test_fingerprint_field_override(capsys):
     assert r["k"] == 2
     assert r["rule_sized"] is False
     assert r["v_hex"] in {"0", "1", "2", "3"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fingerprint", "--bits", "1011", "--f", "power:1000000000/1"], "k would exceed 1024"),
+    (["sketch", "build", "--n", "20000", "--language", "low-weight", "--max-ones", "20000",
+      "--output", "x.spsk"], "got k = 20018"),
+], ids=["power", "binomial-sum"])
+def test_a_field_too_large_is_refused_without_computing_all_of_f_n(tmp_path, capsys,
+                                                                   monkeypatch, argv, message):
+    # Neither 4^(10^9) nor 20001 separate binomials: each refusal takes well under 2 s.
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (EXIT_PRECONDITION, "") and message in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_fingerprint_density_families(capsys):
@@ -964,6 +981,8 @@ def test_usage_errors_exit_3(capsys, argv):
     ["tally", "--padding-stable", "--n", "5", "--family", "iter-exp"],
     ["tally", "--padding-stable", "--n", "5", "--k", "1"],
     ["tally", "--padding-stable", "--n", "5", "--scale", "2"],
+    # The tally bit cap is the constant tally.CAP_BITS.
+    ["tally", "--padding-stable", "--n", "5", "--cap-bits", "5"],
     # A query streams at its sketch's n; --a-samples alone selects sampling.
     ["sketch", "query", "--sketch", "lw.spsk", "--bits", "000100", "--n", "6"],
     ["sketch", "fp-rate", "--n", "6", "--trials", "1", "--mode", "sampled-a"],

@@ -1,7 +1,8 @@
 """The process entry: ``python -m streamfp.cli`` and ``console()`` print
 what an in-process ``main()`` prints and exit with its code, write
 ``--output`` files whole, and turn a stdout that cannot take the output
-into one ``streamfp:`` line and exit 2, buffered or not."""
+into one ``streamfp:`` line and exit 2, buffered or not.  A stderr that
+cannot take a line loses it and keeps the exit code."""
 
 from __future__ import annotations
 
@@ -185,3 +186,34 @@ def test_an_uncaught_exception_keeps_its_traceback(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_BUFFERED)
     assert proc.returncode == 1
     assert b"Traceback" in proc.stderr and b"KeyError: 'bug'" in proc.stderr
+
+
+def _close_stderr():
+    os.close(2)
+
+
+# fd 2 closed (Python starts with sys.stderr set to None) or on a full
+# device: the error line is lost, the exit code is not, and nothing meant
+# for stderr reaches stdout.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("argv, code, out", [
+    (["irreducible", "--k", "3"], EXIT_OK, b"0xb\n"),
+    (["irreducible", "--k", "0"], EXIT_PRECONDITION, b""),
+    (["fingerprint", "--bogus"], EXIT_PRECONDITION, b""),
+    (["sketch", "query", "--sketch", "SKETCH", "--bits", "110110", "--seed", "11"],
+     EXIT_REJECT, None),
+], ids=["irreducible", "precondition", "usage-error", "query-reject"])
+def test_stderr_that_cannot_take_a_line_keeps_the_exit_code(sketch_path, stderr, entry, argv,
+                                                            code, out):
+    argv = [sketch_path if a == "SKETCH" else a for a in argv]
+    with open("/dev/full", "wb") as full:
+        redirect = {"preexec_fn": _close_stderr} if stderr == "closed" else {"stderr": full}
+        proc = subprocess.run([sys.executable, *_ENTRIES[entry], *argv], stdout=subprocess.PIPE,
+                              env=_BUFFERED, **redirect)
+    assert proc.returncode == code
+    if out is None:  # the query's report, and no error line with it
+        assert json.loads(proc.stdout)["accepted"] is False
+    else:
+        assert proc.stdout == out

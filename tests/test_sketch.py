@@ -138,6 +138,28 @@ def test_density_fn_parse():
             DensityFn.parse(text)
 
 
+def test_binomial_sum_density_matches_math_comb():
+    # eval sums by C(n, i + 1) = C(n, i)(n - i)/(i + 1); math.comb is the referee.
+    cases = [(n, c) for n in range(1, 34) for c in range(0, 36)]
+    for n, c in cases + [(64, 2), (128, 3), (2000, 2000)]:
+        want = sum(math.comb(n, i) for i in range(min(c, n) + 1))
+        assert DensityFn("binomial-sum", c).eval(n) == want, (n, c)
+
+
+def test_power_density_past_the_degree_cap_is_refused_before_f_n():
+    # At n = 3, n^(p/q) >= 2^(p/q): from p/q = 1024 on, k would pass the
+    # degree cap, and f(n) is never computed.
+    with pytest.raises(ValueError, match="at least 2\\^1024, so k would exceed 1024"):
+        DensityFn("power", 1024, 1).field_size(3)
+    with pytest.raises(ValueError, match="2\\^1024"):
+        DensityFn("power", 10 ** 9, 1).field_size(4)
+    with pytest.raises(ValueError, match="2\\^1024"):
+        DensityFn("power", 2048, 3).field_size(8)  # 3 * 2048/3 = 2048 >= 1024
+    # Just under the line f(n) is computed, and sizes past the cap as before.
+    assert DensityFn("power", 1023, 1).field_size(3) == (8 * 3 ** 1023 * 3).bit_length()
+    assert DensityFn("power", 1023, 3).field_size(8) == (8 * 2 ** 1023 * 8).bit_length()
+
+
 def test_fingerprint_density_with_a_stray_argument_exits_3(capsys):
     from streamfp.cli import EXIT_PRECONDITION, main
 

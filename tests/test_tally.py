@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from streamfp.tally import (
-    DEFAULT_CAP_BITS,
+    CAP_BITS,
     GrowthFn,
     OutOfRangeError,
     as_tally,
@@ -43,7 +43,7 @@ def test_iter_exp_frozen():
 
 def test_iter_exp_cap_is_distinct_error():
     with pytest.raises(OutOfRangeError):
-        iter_exp(2, 64, cap_bits=1000)
+        iter_exp(2, 64)
     assert issubclass(OutOfRangeError, ValueError)
     with pytest.raises(ValueError):
         iter_exp(0, 3)
@@ -126,7 +126,7 @@ def test_pad_monotone_injective():
 
 def test_pad_cap():
     with pytest.raises(OutOfRangeError):
-        pad([DEFAULT_CAP_BITS + 1])
+        pad([CAP_BITS + 1])
 
 
 def test_as_tally_normalizes():
