@@ -29,10 +29,9 @@ _LAZY = {
     **dict.fromkeys(("eval_points", "fold_segments", "mulmod"), "kernels"),
     **dict.fromkeys(("derive_seed", "derived_rng"), "seeds"),
     **dict.fromkeys((
-        "ACCEPT_BOUND", "DEFAULT_ENTRY_BUDGET", "EntryBudgetError", "SketchSet",
-        "SparseLanguageSpec", "build_sketch", "contains", "exact_fp_count",
-        "fp_rate_experiment", "load_sketch", "make_language", "query_membership",
-        "save_sketch",
+        "ACCEPT_BOUND", "ENTRY_CAP", "SketchSet", "SparseLanguageSpec", "build_sketch",
+        "contains", "exact_fp_count", "fp_rate_experiment", "load_sketch", "make_language",
+        "query_membership", "save_sketch",
     ), "sketch"),
     **dict.fromkeys((
         "Fingerprint", "ResourceProfile", "SPACE_CONSTANT", "StreamState", "begin",

@@ -1,13 +1,14 @@
 """Command line: fingerprint, sketch build|query|fp-rate, tally, irreducible.
 
 Exit codes: 0 success (query: accept), 1 query reject, 2 I/O error,
-3 precondition violation (bad arguments, out-of-range towers), 4 entry
-budget refusal, 5 acceptance-bound violation in a rule-sized fp-rate
-run.  Every report embeds the resolved seed, k, the modulus hex, the
-tool version, and whether the field came from the sizing rule.  The
-library returns results without ``kind`` and ``tool``: ``_report`` adds
-both, and fingerprint's record takes ``_TOOL`` alone.  File outputs are
-written atomically (temp file, then rename).
+3 precondition violation (bad arguments, out-of-range towers, a sketch
+build over sketch.ENTRY_CAP), 5 acceptance-bound violation in a
+rule-sized fp-rate run; 4 is unused and reserved.  Every report embeds
+the resolved seed, k, the modulus hex, the tool version, and whether
+the field came from the sizing rule.  The library returns results
+without ``kind`` and ``tool``: ``_report`` adds both, and fingerprint's
+record takes ``_TOOL`` alone.  File outputs are written atomically
+(temp file, then rename).
 
 No flag asks for what the inputs already give: ``sketch query`` streams
 exactly the n bits its sketch records, and ``sketch fp-rate`` samples
@@ -34,8 +35,7 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_IO = 2
 EXIT_PRECONDITION = 3
-EXIT_BUDGET = 4
-EXIT_BOUND = 5
+EXIT_BOUND = 5  # 4 is unused and reserved
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -208,13 +208,7 @@ def _cmd_sketch_build(args) -> int:
 
     seed = _resolve_seed(args.seed)
     spec = _language_from_args(args, seed)
-    budget = sketch_mod.DEFAULT_ENTRY_BUDGET if args.entry_budget is None else args.entry_budget
-    try:
-        sk = sketch_mod.build_sketch(spec, args.n, ctx=_ctx_override(args),
-                                     entry_budget=budget, source_seed=seed)
-    except sketch_mod.EntryBudgetError as exc:
-        _write_error(f"streamfp: {exc}\n")
-        return EXIT_BUDGET
+    sk = sketch_mod.build_sketch(spec, args.n, ctx=_ctx_override(args), source_seed=seed)
     sketch_mod.save_sketch(sk, args.output)
     header = sketch_mod.sketch_header(spec, sk.n, sk.ctx, sk.member_count,
                                       sk.rule_sized, seed)
@@ -401,9 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, default=None, help="field override (skips sizing rule)")
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--entry-budget", type=int, default=None,
-                   help="most stored entries (members x 2^k) a sketch build may make "
-                        "(default: sketch.DEFAULT_ENTRY_BUDGET, 10^8)")
     b.add_argument("--output", required=True, help="sketch file (.spsk)")
     b.set_defaults(func=_cmd_sketch_build)
 
@@ -456,7 +447,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # tally's OutOfRangeError too
         _write_error(f"streamfp: {exc}\n")
         return EXIT_PRECONDITION
-    except MemoryError as exc:  # a size too large to hold, such as a raised --entry-budget
+    except MemoryError as exc:  # a size too large to hold
         _write_error(f"streamfp: {str(exc) or 'out of memory'}\n")
         return EXIT_PRECONDITION
 

@@ -94,14 +94,17 @@ class _Record:
 
 
 def _iroot(x: int, r: int) -> int:
-    """Largest t with t**r <= x, exact integer arithmetic."""
+    """Largest t with t**r <= x, exact integer arithmetic.  Newton's method
+    starts just above the root, at (iroot(x >> rs) + 1) << s for s half the
+    root's bits (math.isqrt's start for r = 2), so a few steps reach it."""
     if x < 0 or r < 1:
         raise ValueError("iroot needs x >= 0, r >= 1")
     if x < 2 or r == 1:
         return x
-    t = 1 << (x.bit_length() // r + 1)
-    while t ** r > x:
-        t = (t * (r - 1) + x // t ** (r - 1)) // r
+    s = x.bit_length() // r // 2
+    t = (_iroot(x >> r * s, r) + 1) << s if s else 1 << (x.bit_length() // r + 1)
+    while (p := t ** (r - 1)) * t > x:
+        t = (t * (r - 1) + x // p) // r
     while (t + 1) ** r <= x:
         t += 1
     return t

@@ -64,8 +64,7 @@ __all__ = [
     "DensityFn",
     "SparseLanguageSpec",
     "make_language",
-    "EntryBudgetError",
-    "DEFAULT_ENTRY_BUDGET",
+    "ENTRY_CAP",
     "SketchSet",
     "build_sketch",
     "contains",
@@ -84,15 +83,11 @@ ACCEPT_BOUND = 0.25
 # this unlikely, Bonferroni-split over the trials, at rate ACCEPT_BOUND.
 SAMPLED_ALPHA = 1e-3
 
-DEFAULT_ENTRY_BUDGET = 10 ** 8
+ENTRY_CAP = 10 ** 8  # the most entries, q x f(n), a sketch build may make
 
 EXHAUSTIVE_DEGREE_CAP = 20  # beyond this, fp-rate's per-input full-field sweeps get slow
 
 _STRING_GROUP = 256  # strings an exact count evaluates with the members per sweep
-
-
-class EntryBudgetError(RuntimeError):
-    """Raised when a build would exceed the entry budget; never truncates."""
 
 
 @dataclass(frozen=True)
@@ -205,18 +200,25 @@ class SketchSet:
 
     @property
     def size(self) -> int:
-        """Stored entries: member_count x q, the count the entry budget bounds."""
+        """Stored entries: member_count x q; a build keeps q x f(n) <= ENTRY_CAP."""
         return self.member_count * self.ctx.q
 
 
-def _resolve(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None):
-    """(validated members, field, rule_sized) of a build or an fp-rate run."""
+def _size(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None):
+    """(field, rule_sized, f(n)) of a build or an fp-rate run, from the
+    density alone: nothing is listed, so every refusal that k and f(n)
+    decide can run first."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = ctx.k if ctx is not None else spec.density.field_size(n)
     if k > ENUMERATION_DEGREE_CAP:
         raise ValueError(f"sketch builds and the exhaustive-a and sampled-a modes evaluate "
                          f"on log tables, which need k <= {ENUMERATION_DEGREE_CAP}; got k = {k}")
+    return ctx or make_field(k), ctx is None, spec.density.eval(n)
+
+
+def _members(spec: SparseLanguageSpec, n: int, bound: int) -> list[str]:
+    """The members of length n, validated and held to f(n) = bound."""
     members = spec.enumerator(n)
     for y in members:
         if len(y) != n or y.strip("01"):
@@ -225,12 +227,11 @@ def _resolve(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None):
             raise ValueError(f"membership predicate rejects an enumerated member at n={n}")
     if len(set(members)) != len(members):
         raise ValueError(f"language enumerator emitted duplicates at n={n}")
-    bound = spec.density.eval(n)
     if len(members) > bound:
         raise ValueError(
             f"density violation at n={n}: {len(members)} members exceed f(n)={bound}"
         )
-    return members, ctx or make_field(k), ctx is None
+    return members
 
 
 def sketch_header(spec: SparseLanguageSpec, n: int, ctx: FieldCtx, member_count: int,
@@ -248,7 +249,6 @@ def build_sketch(
     n: int,
     *,
     ctx: FieldCtx | None = None,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
     source_seed: int | None = None,
 ) -> SketchSet:
     """Materialize the full pair set for length n over all q points.
@@ -256,20 +256,16 @@ def build_sketch(
     The context defaults to the sizing rule applied to the language's own
     density bound; passing ctx overrides the rule (and the sketch records
     that it is not rule-sized, so acceptance bounds are not promised).
-    A build of more than entry_budget stored entries (member_count x q,
-    1, 2 or 4 bytes each) raises EntryBudgetError before it evaluates
-    anything.
+    A build that could make more than ENTRY_CAP stored entries, q x f(n)
+    (1, 2 or 4 bytes each), raises ValueError before any member is listed.
     """
-    if entry_budget < 0:
-        raise ValueError(f"--entry-budget must be >= 0, got {entry_budget}")
-    members, ctx, rule_sized = _resolve(spec, n, ctx)
+    ctx, rule_sized, bound = _size(spec, n, ctx)
     q = ctx.q
-    projected = q * len(members)
-    if projected > entry_budget:
-        raise EntryBudgetError(
-            f"build would create {projected} entries, over the budget of "
-            f"{entry_budget}; raise --entry-budget to proceed"
-        )
+    if q * bound > ENTRY_CAP:
+        raise ValueError(f"a sketch of up to f(n) = {bound} members over q = 2^{ctx.k} "
+                         f"points could hold {q * bound} entries, over "
+                         f"sketch.ENTRY_CAP = {ENTRY_CAP}")
+    members = _members(spec, n, bound)
     import numpy as np
     from . import kernels
 
@@ -423,10 +419,11 @@ def fp_rate_experiment(
         raise ValueError(f"--trials must be >= 1, got {trials}")
     if a_samples is not None and a_samples < 1:
         raise ValueError(f"--a-samples must be >= 1, got {a_samples}")
-    members, fctx, rule_sized = _resolve(spec, n, ctx)
+    fctx, rule_sized, bound = _size(spec, n, ctx)
     if a_samples is None and fctx.k > EXHAUSTIVE_DEGREE_CAP:
         raise ValueError(f"exhaustive mode sweeps q = 2^{fctx.k} points per input; "
                          "use --a-samples N to sample N points for fields this large")
+    members = _members(spec, n, bound)
     r = -(-n // fctx.k)
     denom = fctx.q if a_samples is None else a_samples  # points per string
     xs = _draw_nonmembers(spec, n, trials, seed)

@@ -22,7 +22,6 @@ import pytest
 from streamfp import cli
 from streamfp.cli import (
     EXIT_BOUND,
-    EXIT_BUDGET,
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -599,30 +598,27 @@ def test_sketch_query_on_empty_language_rejects(tmp_path, capsys):
     assert json.loads(out)["accepted"] is False
 
 
-def test_sketch_build_budget_exit(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sketch", "build", "--language", "seeded-random",
-                           "--n", "40", "--seed", "1", "--entry-budget", "1000",
-                           "--output", os.fspath(tmp_path / "x.spsk"))
-    assert code == EXIT_BUDGET
-    assert "budget" in err
-
-
 @pytest.mark.parametrize("command", [
-    ["sketch", "build", "--output"],
+    ["sketch", "build", "--output", "n1.spsk"],
+    ["sketch", "fp-rate", "--trials", "1"],
 ])
-def test_negative_entry_budget_exits_3_naming_the_flag(tmp_path, capsys, command):
-    code, _, err = run_cli(capsys, *command, os.fspath(tmp_path / "out"), "--language",
-                           "empty", "--n", "4", "--seed", "1", "--entry-budget", "-1")
-    assert code == EXIT_PRECONDITION
-    assert "--entry-budget must be >= 0" in err
+def test_sketch_commands_run_at_n_1(tmp_path, capsys, monkeypatch, command):
+    # n = 1, the least length: one seeded-random member of the two strings.
+    monkeypatch.chdir(tmp_path)
+    report = run_json(capsys, *command, "--n", "1", "--seed", "3")
+    assert (report["n"], report["k"], report["member_count"]) == (1, 4, 1)
 
 
-def test_fp_rate_takes_no_entry_budget(capsys):
-    # fp-rate stores no table, so it has no budget flag.
-    with pytest.raises(SystemExit) as exc:
-        main(["sketch", "fp-rate", "--n", "4", "--trials", "1", "--entry-budget", "1"])
-    assert exc.value.code == EXIT_PRECONDITION
-    assert "unrecognized arguments: --entry-budget" in capsys.readouterr().err
+def test_sketch_build_budget_exit(tmp_path, capsys):
+    # n = 191 is the first seeded-random length whose q x f(n) passes
+    # sketch.ENTRY_CAP: 2^19 x 191 = 100139008 entries.
+    code, out, err = run_cli(capsys, "sketch", "build", "--language", "seeded-random",
+                             "--n", "191", "--seed", "1",
+                             "--output", os.fspath(tmp_path / "x.spsk"))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err == ("streamfp: a sketch of up to f(n) = 191 members over q = 2^19 points "
+                   "could hold 100139008 entries, over sketch.ENTRY_CAP = 100000000\n")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", [
@@ -739,6 +735,13 @@ def test_fp_rate_sampled_mode_refuses_a_samples_below_one(capsys, a_samples):
                              "--a-samples", a_samples)
     assert code == EXIT_PRECONDITION and out == ""
     assert err == f"streamfp: --a-samples must be >= 1, got {a_samples}\n"
+
+
+def test_fp_rate_samples_a_single_point(capsys):
+    report = run_json(capsys, "sketch", "fp-rate", "--language", "seeded-random",
+                      "--n", "10", "--trials", "3", "--seed", "42", "--a-samples", "1")
+    assert (report["mode"], report["points_per_query"]) == ("sampled-a", 1)
+    assert set(report["nonmember_accept_counts"]) <= {0, 1}
 
 
 def test_fp_rate_refuses_trials_below_one_naming_the_flag(capsys):
@@ -986,6 +989,9 @@ def test_usage_errors_exit_3(capsys, argv):
     # A query streams at its sketch's n; --a-samples alone selects sampling.
     ["sketch", "query", "--sketch", "lw.spsk", "--bits", "000100", "--n", "6"],
     ["sketch", "fp-rate", "--n", "6", "--trials", "1", "--mode", "sampled-a"],
+    # The entry cap is the constant sketch.ENTRY_CAP; fp-rate stores no table.
+    ["sketch", "fp-rate", "--n", "4", "--trials", "1", "--entry-budget", "1"],
+    ["sketch", "build", "--n", "6", "--output", "x.spsk", "--entry-budget", "5"],
 ])
 def test_removed_input_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

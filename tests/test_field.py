@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
 from streamfp.field import (
     ENUMERATION_DEGREE_CAP,
+    DensityFn,
+    _iroot,
     field_of,
     horner_fold,
     make_field,
@@ -43,6 +46,26 @@ def test_select_field_size_validates():
         select_field_size(0, 1)
     with pytest.raises(ValueError):
         select_field_size(1, 0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 64, 1000])
+def test_iroot_is_the_floor_root(r):
+    rng = random.Random(r)
+    xs = [0, 1, 2, 3] + [rng.getrandbits(rng.choice([8, 64, 1000, 10 ** 4, 10 ** 5]))
+                         for _ in range(12)]
+    for base in (2, 3, 255, 10 ** 5, 2 ** 70 + 1):  # perfect powers and their neighbours
+        xs += [base ** r - 1, base ** r, base ** r + 1]
+    for x in xs:
+        t = _iroot(x, r)
+        assert t ** r <= x < (t + 1) ** r, (x.bit_length(), r)
+
+
+def test_iroot_of_a_large_root_degree_is_fast():
+    # f(2) = 2^(10^6 / 1000) = 2^1000, so k = 1005.  Newton from twice the
+    # root shrank by about 1/1000 a step, and took over a minute.
+    start = time.perf_counter()
+    assert DensityFn("power", 1000000, 1000).field_size(2) == 1005
+    assert time.perf_counter() - start < 1.0
 
 
 def test_select_field_size_huge_inputs_supported():

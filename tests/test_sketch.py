@@ -4,6 +4,7 @@ the acceptance-rate experiment driver."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,7 +27,6 @@ from streamfp.field import make_field
 from streamfp.sketch import (
     ACCEPT_BOUND,
     DensityFn,
-    EntryBudgetError,
     SparseLanguageSpec,
     build_sketch,
     contains,
@@ -472,23 +472,49 @@ def test_exact_count_is_the_points_a_query_accepts(k, n):
 
 # ------------------------------------------------------------------ budgets
 
-def test_entry_budget_flag():
-    spec = make_language("seeded-random", seed=1)
-    with pytest.raises(EntryBudgetError):
-        build_sketch(spec, 16, entry_budget=100)
-    build_sketch(spec, 16, entry_budget=10 ** 6)  # plenty
+def unlisted(spec: SparseLanguageSpec) -> SparseLanguageSpec:
+    """spec with an enumerator that fails the test if anything lists a member."""
+    def no_listing(n):
+        raise AssertionError(f"a refused run listed the members at n={n}")
+
+    return dataclasses.replace(spec, enumerator=no_listing)
 
 
 def test_default_entry_budget_refuses_before_evaluating(monkeypatch):
-    # n = 400 sizes k = 21: 400 x 2^21 = 8.4e8 entries, over the default 10^8.
+    # n = 400 sizes k = 21: q x f(n) = 2^21 x 400 = 8.4e8 entries, over
+    # ENTRY_CAP = 10^8.  k and f(n) decide it, so no member is listed.
     def no_evaluation(*args, **kwargs):
         raise AssertionError("a refused build evaluated a polynomial")
 
     monkeypatch.setattr(kernels, "eval_points", no_evaluation)
-    spec = make_language("seeded-random", seed=1)
-    with pytest.raises(EntryBudgetError,
-                       match="838860800 entries, over the budget of 100000000;"):
+    spec = unlisted(make_language("seeded-random", seed=1))
+    with pytest.raises(ValueError, match="could hold 838860800 entries, over "
+                                         "sketch.ENTRY_CAP = 100000000$"):
         build_sketch(spec, 400)
+    assert sketch_mod.ENTRY_CAP == 10 ** 8
+
+
+def test_refusals_from_k_and_f_n_list_no_member():
+    # A --k override over a dense language: f(20) = 2^20 low-weight strings.
+    dense = unlisted(make_language("low-weight", max_ones=22))
+    with pytest.raises(ValueError, match="could hold 1099511627776 entries"):
+        build_sketch(dense, 20, ctx=make_field(20))
+    # Exhaustive fp-rate past EXHAUSTIVE_DEGREE_CAP.
+    with pytest.raises(ValueError, match="exhaustive mode sweeps q = 2\\^22 points"):
+        fp_rate_experiment(dense, 22, trials=1, seed=1, ctx=make_field(22))
+    # The log tables' k <= 24, by override and by the sizing rule (n = 1500: k = 25).
+    need = "which need k <= 24; got k = 25"
+    with pytest.raises(ValueError, match=need):
+        build_sketch(dense, 22, ctx=make_field(25))
+    for a_samples in (None, 512):
+        with pytest.raises(ValueError, match=need):
+            fp_rate_experiment(dense, 22, trials=1, seed=1, ctx=make_field(25),
+                               a_samples=a_samples)
+    wide = unlisted(make_language("seeded-random", seed=1))
+    with pytest.raises(ValueError, match=need):
+        build_sketch(wide, 1500)
+    with pytest.raises(ValueError, match=need):
+        fp_rate_experiment(wide, 1500, trials=1, seed=1, a_samples=64)
 
 
 # ------------------------------------------------------------------- files
@@ -674,6 +700,16 @@ def test_sampled_bound_rejects_only_improbable_hits():
             for h in range(n + 1):
                 if reject(h, n, trials):
                     assert _binomial_tail(n, h) <= sketch_mod.SAMPLED_ALPHA / trials, (h, n)
+
+
+def test_sampled_bound_weighs_the_misses_too():
+    # 20 hits of 64 is over 1/4, but not by enough to reject at one trial:
+    # the misses' term (1 - x) log((1 - x)/(1 - p)) of D is negative.
+    assert not sketch_mod._bound_rejected(20, 64, 1)
+    # With both terms, N = 64 rejects from h = 30 at one trial, 34 at 50.
+    for trials, least in ((1, 30), (50, 34)):
+        rejected = [h for h in range(65) if sketch_mod._bound_rejected(h, 64, trials)]
+        assert rejected == list(range(least, 65)), trials
 
 
 @given(n=st.integers(1, 1 << 20), trials=st.integers(1, 10 ** 4), data=st.data())

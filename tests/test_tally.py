@@ -171,6 +171,31 @@ def test_padding_stable_lhs_over_cap_raises():
         is_padding_stable_at(DOUBLED_EXP2, 4)  # lhs needs ~2^38 bits
 
 
+def test_padding_stable_past_the_cap_at_the_bit_length_boundaries():
+    # g(1) = CAP_BITS, so 2^g(1) + g(1), of g(1) + 1 bits, is never built,
+    # and g(2^1 + 1) = 2^(b - 1) has b bits: b alone decides the comparison,
+    # except at b = g(1) + 1, which only the built tower could.
+    gn = CAP_BITS
+
+    def gap(b: int) -> GrowthFn:
+        return growth("custom-table", points=[(1, gn), (3, 1 << (b - 1))])
+
+    assert is_padding_stable_at(gap(gn - 1), 1) is True
+    assert is_padding_stable_at(gap(gn), 1) is True
+    with pytest.raises(OutOfRangeError, match="equal bit lengths"):
+        is_padding_stable_at(gap(gn + 1), 1)
+    assert is_padding_stable_at(gap(gn + 2), 1) is False
+
+
+def test_padding_stable_builds_2_to_the_n_up_to_the_cap():
+    # A custom table reads g(2^n + n) without a tower, so only 2^n + n
+    # itself meets the cap: built at n = CAP_BITS - 1, refused at CAP_BITS.
+    flat = growth("custom-table", points=[(1, 1)])
+    assert is_padding_stable_at(flat, CAP_BITS - 1) is True
+    with pytest.raises(OutOfRangeError, match=f"exceeds the {CAP_BITS}-bit cap"):
+        is_padding_stable_at(flat, CAP_BITS)
+
+
 def test_padding_unstable_slow_gap():
     # g(n) = 2n: g(2^n+n) = 2^(n+1)+2n >= 2^(2n)+2n for n >= 1... equality
     # region aside, at n=4: lhs 40, rhs 2^8+8 = 264 -> stable; at n=2:
@@ -265,6 +290,24 @@ def test_construct_strictly_increasing_with_shrinking_gap():
     assert out[0] == 1
     assert all(b > a for a, b in zip(out, out[1:]))
     assert validate_tally(out, IDENTITY, flat).ok
+
+
+def test_construct_with_a_gap_at_or_below_the_identity():
+    # Neither g(f(j-1)) + 1 nor a density that steps at every length
+    # pushes past f(j-1) + 1, so that term alone sets each pick.
+    zero = growth("custom-table", points=[(1, 0)])
+    for g in (IDENTITY, zero):
+        out = construct_lengths(IDENTITY, g, 4)
+        assert out == [1, 2, 3, 4]
+        assert validate_tally(out, IDENTITY, g).ok
+
+
+def test_construct_with_a_density_that_steps_at_consecutive_lengths():
+    # d steps at 1, 2 and 3, then at 10: n_j is the next length, and the
+    # search for n_{j+1} starts just past n_j.
+    steps = growth("custom-table", points=[(1, 1), (2, 2), (3, 3), (10, 4)])
+    zero = growth("custom-table", points=[(1, 0)])
+    assert construct_lengths(steps, zero, 4) == [1, 2, 3, 10]
 
 
 def test_construct_refuses_bounded_density():
