@@ -44,7 +44,6 @@ fails.  It reads the values only once the length check has passed.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -423,10 +422,11 @@ def fp_rate_experiment(
     if a_samples is None and fctx.k > EXHAUSTIVE_DEGREE_CAP:
         raise ValueError(f"exhaustive mode sweeps q = 2^{fctx.k} points per input; "
                          "use --a-samples N to sample N points for fields this large")
+    # First, so that a language too dense to draw from refuses before it is listed.
+    xs = _draw_nonmembers(spec, n, trials, seed)
     members = _members(spec, n, bound)
     r = -(-n // fctx.k)
     denom = fctx.q if a_samples is None else a_samples  # points per string
-    xs = _draw_nonmembers(spec, n, trials, seed)
     if a_samples is None:
         nm_counts = exact_fp_count(fctx, n, members, xs)
     else:
@@ -481,10 +481,11 @@ def save_sketch(sketch: SketchSet, path: str) -> None:
     }, sort_keys=True, separators=(",", ":")).encode()
     header += b" " * (-(_SPSK_PREFIX.size + len(header)) % _SPSK_ALIGN)
     head = _SPSK_PREFIX.pack(_SPSK_MAGIC, _SPSK_VERSION, len(header)) + header
-    digest = hashlib.sha256(head)
-    digest.update(sketch.table)
+    import hashlib  # OpenSSL's SHA-256, the fastest on a whole file
     from ._atomic import write_atomic
 
+    digest = hashlib.sha256(head)
+    digest.update(sketch.table)
     write_atomic(path, head, sketch.table, digest.digest())
 
 
@@ -542,6 +543,8 @@ def load_sketch(path: str) -> SketchSet:
             raise ValueError(
                 f"corrupt sketch file: {size} bytes, expected {start + end + _DIGEST_BYTES}")
         body = fh.read(end + _DIGEST_BYTES)
+    import hashlib
+
     digest = hashlib.sha256(head)
     digest.update(memoryview(body)[:end])
     if digest.digest() != body[end:]:

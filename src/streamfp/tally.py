@@ -21,7 +21,8 @@ CAP_BITS (10^7 bits); out-of-range is the distinct OutOfRangeError,
 never a boolean.  Stability comparisons stay exact past the cap when
 bit lengths alone decide them: 2^{g(n)} + g(n) has exactly g(n) + 1
 bits, so any in-cap left side with at most g(n) bits is smaller without
-materializing the tower.
+materializing the tower.  An iter-exp gap needs neither side built: its
+stability has a closed form (see is_padding_stable_at).
 """
 
 from __future__ import annotations
@@ -201,9 +202,14 @@ def pad(lengths: Sequence[int]) -> tuple[int, ...]:
 def is_padding_stable_at(g: GrowthFn, n: int) -> bool:
     """Exact check of g(2^n + n) < 2^{g(n)} + g(n).
 
-    The left side is always materialized (OutOfRangeError past the cap).
-    The right side is materialized only while g(n) stays under the cap;
-    beyond that its bit length g(n) + 1 alone decides the comparison,
+    For g = exp^(d)(s n), s >= 1, the left side is 2^A with A =
+    exp^(d-1)(s(2^n + n)) and the right 2^G + G with G = exp^(d)(s n), so
+    it holds exactly when A <= G, that is, as exp is strictly increasing,
+    when s(2^n + n) <= 2^(s n): decided without a tower at every n.
+
+    Any other g has its left side materialized (OutOfRangeError past the
+    cap).  The right side is materialized only while g(n) stays under the
+    cap; beyond that its bit length g(n) + 1 alone decides the comparison,
     which keeps the check exact out to arguments whose towers could
     never be stored.
     """
@@ -211,6 +217,8 @@ def is_padding_stable_at(g: GrowthFn, n: int) -> bool:
         raise ValueError("n must be >= 1")
     if n >= CAP_BITS:
         raise OutOfRangeError(f"2^{n} + {n} exceeds the {CAP_BITS}-bit cap")
+    if g.family == "iter-exp" and (s := int(g.params.get("scale", 1))) >= 1:
+        return (s * ((1 << n) + n) - 1).bit_length() <= s * n
     lhs = g.eval((1 << n) + n)
     gn = g.eval(n)
     if gn + 1 <= CAP_BITS:

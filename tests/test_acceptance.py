@@ -226,14 +226,14 @@ def test_criterion_8_padding_stability():
     g2 = GrowthFn("iter-exp", 2, {"scale": 2})
     stable_range = all(is_padding_stable_at(g1, n) for n in range(2, 21))
     unstable_at_1 = is_padding_stable_at(g1, 1) is False
-    # Depth 2 at n=2: 2^4096 < 2^65536 + 65536, both sides materialized.
+    # Depth 2 at n=2: 2^4096 < 2^65536 + 65536, decided in closed form.
     depth2 = is_padding_stable_at(g2, 2) is True
     elapsed = time.perf_counter() - start
     ok = stable_range and unstable_at_1 and depth2 and elapsed < 5.0
     report_line(
         8, ok,
         f"padding stability: 2^(2n) stable for all n in [2,20], unstable at "
-        f"n=1, and the depth-2 tower at n=2 passes its exact 65536-bit "
+        f"n=1, and the depth-2 tower at n=2 passes its exact closed-form "
         f"comparison ({elapsed:.2f}s < 5s)",
     )
 

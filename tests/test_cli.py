@@ -815,8 +815,24 @@ def test_tally_padding_stable_needs_n(capsys):
     assert code == EXIT_PRECONDITION
 
 
-def test_tally_out_of_range_exit(capsys):
+def test_tally_padding_stable_decides_an_iter_exp_gap_at_any_n(capsys):
+    # The closed form builds no tower: the default exp(2n) at n = 23 has a
+    # left side of 2^24 + 47 bits, and depth 3 at n = 2 one of 2^4096 bits.
+    for n in ("23", "1000000"):
+        r = run_json(capsys, "tally", "--padding-stable", "--n", n)
+        assert (r["stable"], r["n"], r["cap_bits"]) == (True, int(n), 10 ** 7)
     gap = json.dumps({"family": "iter-exp", "depth": 3, "params": {"scale": 2}})
+    assert run_json(capsys, "tally", "--padding-stable", "--gap", gap, "--n", "2")["stable"]
+
+
+def test_tally_out_of_range_exit(capsys):
+    # 2^n + n itself is past the cap, for any gap.
+    gap = json.dumps({"family": "iter-exp", "depth": 3, "params": {"scale": 2}})
+    code, _, err = run_cli(capsys, "tally", "--padding-stable", "--gap", gap,
+                           "--n", "10000000")
+    assert code == EXIT_PRECONDITION
+    assert "cap" in err
+    gap = json.dumps({"family": "polynomial", "params": {"exponent": 10 ** 7}})
     code, _, err = run_cli(capsys, "tally", "--padding-stable", "--gap", gap, "--n", "2")
     assert code == EXIT_PRECONDITION
     assert "cap" in err

@@ -1,10 +1,10 @@
 """Start-up footprint: the commands that run no batch kernel load no
 numpy, a stream folds in numpy only from 2^25 bits at 16 <= k <= 64,
 only the tally command loads the tally code, a command imports no module
-it does not run, importing the package loads only its version while
-every exported name still resolves to its defining module's object, and
-a CLI process keeps OpenBLAS single-threaded unless the user says
-otherwise."""
+it does not run (fp-rate no OpenSSL), importing the package loads only
+its version while every exported name still resolves to its defining
+module's object, and a CLI process keeps OpenBLAS single-threaded unless
+the user says otherwise."""
 
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ def _assert_unloaded(bare: set[str], modules: tuple[str, ...], *argv: str,
 
 
 # Modules the fingerprint command does not run: the sketch layer, the
-# seed derivation and its hashlib, the atomic writer, and dataclasses.
+# seed derivation, hashlib, the atomic writer, and dataclasses.
 _NOT_FINGERPRINT = ("streamfp.sketch", "streamfp.seeds", "streamfp._atomic", "dataclasses",
                     "hashlib")
 
@@ -162,6 +162,17 @@ def test_fingerprint_of_bits_imports_only_what_it_runs(bare_modules):
 def test_sketch_query_imports_no_atomic_writer(bare_modules, low_weight_sketch, bits, code):
     _assert_unloaded(bare_modules, ("streamfp._atomic",), "sketch", "query", "--sketch",
                      low_weight_sketch, "--bits", bits, "--seed", "11", code=code)
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("mode", [[], ["--a-samples", "64"]], ids=["exhaustive", "sampled"])
+def test_fp_rate_loads_no_openssl(bare_modules, tmp_path, mode, output):
+    # fp-rate hashes no file: its seeds hash with the interpreter's own
+    # SHA-256, and only a sketch file's save and load import hashlib.
+    argv = ["sketch", "fp-rate", "--n", "16", "--trials", "4", "--seed", "5", *mode]
+    if output:
+        argv += ["--output", os.fspath(tmp_path / "report.json")]
+    _assert_unloaded(bare_modules, ("hashlib", "_hashlib", "streamfp.tally"), *argv)
 
 
 def test_package_import_loads_only_its_version():

@@ -796,3 +796,14 @@ def test_nonmember_draw_refuses_dense_language():
     )
     with pytest.raises(ValueError, match="dense"):
         fp_rate_experiment(full, 2, trials=3, seed=1, ctx=GF4)
+
+
+def test_nonmember_draw_refuses_before_the_members_are_listed():
+    # Every string of length 20 has at most 20 ones: the draw reads only
+    # the membership predicate, so it refuses before the 2^20 members
+    # would be listed, in both modes.
+    dense = unlisted(make_language("low-weight", max_ones=20))
+    for a_samples in (None, 64):
+        with pytest.raises(ValueError, match="language too dense"):
+            fp_rate_experiment(dense, 20, trials=1, seed=1, ctx=make_field(20),
+                               a_samples=a_samples)

@@ -160,15 +160,20 @@ def test_padding_stable_range_depth1():
 
 
 def test_padding_stable_uses_size_comparison_when_rhs_is_huge():
-    # At n=3, depth 2: g(n) = 2^64, so 2^(g(n)) is far beyond the cap,
-    # but the left side (2^(2^22), about 4M bits) is materializable and
-    # its bit length settles the comparison exactly.
+    # The depth-2 doubled tower's values at n=3 and 2^3+3, as a table:
+    # g(n) = 2^64, so 2^(g(n)) is far beyond the cap, but the left side
+    # (2^(2^22), about 4M bits) is materializable and its bit length
+    # settles the comparison exactly.
+    tower = growth("custom-table", points=[(3, iter_exp(2, 6)), (11, iter_exp(2, 22))])
+    assert is_padding_stable_at(tower, 3) is True
     assert is_padding_stable_at(DOUBLED_EXP2, 3) is True
 
 
 def test_padding_stable_lhs_over_cap_raises():
+    # g(2^4 + 4) = 20^(2.5 * 10^6) is refused by its size bound, 12.5M bits.
+    steep = growth("polynomial", exponent=CAP_BITS // 4)
     with pytest.raises(OutOfRangeError):
-        is_padding_stable_at(DOUBLED_EXP2, 4)  # lhs needs ~2^38 bits
+        is_padding_stable_at(steep, 4)
 
 
 def test_padding_stable_past_the_cap_at_the_bit_length_boundaries():
@@ -194,6 +199,57 @@ def test_padding_stable_builds_2_to_the_n_up_to_the_cap():
     assert is_padding_stable_at(flat, CAP_BITS - 1) is True
     with pytest.raises(OutOfRangeError, match=f"exceeds the {CAP_BITS}-bit cap"):
         is_padding_stable_at(flat, CAP_BITS)
+
+
+def _built(g: GrowthFn, n: int) -> bool:
+    """The comparison a gap other than iter-exp gets: g's two values, as a
+    table, through the materialized sides (OutOfRangeError past the cap)."""
+    table = growth("custom-table", points=[(n, g.eval(n)), ((1 << n) + n, g.eval((1 << n) + n))])
+    return is_padding_stable_at(table, n)
+
+
+def test_padding_stable_closed_form_matches_the_built_comparison():
+    # exp^(d)(s n) is stable at n exactly when s(2^n + n) <= 2^(s n).  On
+    # every case the cap lets the built sides decide, the two agree.
+    decided = 0
+    for depth in (1, 2, 3):
+        for scale in (1, 2, 3, 4):
+            g = growth("iter-exp", depth, scale=scale)
+            for n in range(1, 40):
+                try:
+                    built = _built(g, n)
+                except OutOfRangeError:
+                    continue
+                assert is_padding_stable_at(g, n) is built, (depth, scale, n)
+                assert built is (scale * ((1 << n) + n) <= 1 << (scale * n))
+                decided += 1
+    assert decided == 98
+
+
+def test_padding_stable_closed_form_past_the_cap():
+    # 2^(2 * 23) needs no tower, nor does n = 10^6 at depth 3.
+    assert is_padding_stable_at(DOUBLED_EXP, 23) is True
+    assert is_padding_stable_at(growth("iter-exp", 3, scale=2), 10 ** 6) is True
+    with pytest.raises(OutOfRangeError):
+        _built(DOUBLED_EXP, 23)
+    with pytest.raises(OutOfRangeError, match=f"exceeds the {CAP_BITS}-bit cap"):
+        is_padding_stable_at(DOUBLED_EXP, CAP_BITS)
+
+
+def test_padding_stable_scale_1_is_false_at_every_n():
+    # s = 1: 2^n + n > 2^n.
+    for depth in (1, 2, 3):
+        g = growth("iter-exp", depth, scale=1)
+        for n in (*range(1, 64), 10 ** 6, CAP_BITS - 1):
+            assert is_padding_stable_at(g, n) is False, (depth, n)
+
+
+def test_padding_stable_scale_0_and_below_take_the_built_comparison():
+    # exp^(d)(0) is a constant g, stable everywhere; a negative argument
+    # is outside the tower's domain.
+    assert is_padding_stable_at(growth("iter-exp", 2, scale=0), 5) is True
+    with pytest.raises(ValueError, match="argument must be >= 0"):
+        is_padding_stable_at(growth("iter-exp", 1, scale=-1), 5)
 
 
 def test_padding_unstable_slow_gap():
