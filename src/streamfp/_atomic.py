@@ -6,9 +6,9 @@ import os
 import tempfile
 
 
-def write_atomic(path: str, *parts) -> None:
-    """Replace path with the bytes-like parts in order, so readers see the
-    old file or the new one.
+def write_atomic(path: str, parts) -> None:
+    """Replace path with the bytes-like parts of an iterable, written in
+    order as it yields them, so readers see the old file or the new one.
 
     The file gets the mode a plain ``open(path, "w")`` would give it
     (0o666 less the umask), not mkstemp's 0o600.

@@ -64,7 +64,7 @@ def _write_output(text: str, path: str | None = None) -> None:
         return
     from ._atomic import write_atomic
 
-    write_atomic(path, text.encode())
+    write_atomic(path, [text.encode()])
 
 
 def _write_error(text: str = "") -> None:

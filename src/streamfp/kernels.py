@@ -2,7 +2,7 @@
 
 This is the one module that imports numpy at module level.  The others
 import numpy, or this module, inside the functions that run batch work:
-a sketch build, an exact or sampled count, and the stream calls that the
+a sketch save, an exact or sampled count, and the stream calls that the
 fold rule of :mod:`streamfp.stream` gives the numpy block fold.  Other
 stream calls, sketch lookups and the other commands never load numpy.
 Elements are uint64 bit patterns, so ``mulmod``, ``cut_segments`` and

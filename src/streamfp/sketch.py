@@ -9,16 +9,15 @@ while a nonmember's polynomial can agree with the members' on at most
 a single random-point query accepts a nonmember with probability
 at most 1/4, with no false negatives.
 
-Storage is that pair set as a member_count x q table, values[j, a] =
-d_{y_j}(a), in the narrowest unsigned little-endian type that holds a
-field element (1, 2 or 4 bytes, by k alone).  A :class:`SketchSet` keeps
-the table as that value buffer: the array one batched kernel call filled
-for a built sketch, and the file's own bytes, used in place, for a loaded
-one, with no numpy view of it.  A lookup reads the member_count values of
-one column straight from the buffer, so loading a sketch and querying it
-never import numpy.  The false-positive counts read no table: they
-evaluate the members with the counted strings a block of points at a
-time, and a member's own count is its point count by construction.
+A built :class:`SketchSet` holds that pair set as the members' m
+coefficient rows, which fix it.  The member_count x q table values[j, a] =
+d_{y_j}(a), in the narrowest unsigned little-endian type that holds a field
+element (1, 2 or 4 bytes, by k alone), exists only in the file, which a save
+writes a block of rows at a time, and in a loaded sketch, as the file's own
+bytes used in place.  A lookup evaluates a built sketch's rows at a by
+Horner's rule, or reads column a of a loaded one: neither imports numpy.
+The false-positive counts read no table either: they evaluate the members
+with the counted strings a block of points at a time.
 
 Results are plain dicts with no ``kind`` or ``tool``: the CLI adds that
 envelope.  :func:`sketch_header` holds the fields a build summary and an
@@ -53,7 +52,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .field import ENUMERATION_DEGREE_CAP, DensityFn, FieldCtx, field_of, item_bytes, make_field
+from .field import (ENUMERATION_DEGREE_CAP, DensityFn, FieldCtx, field_of, horner_fold,
+                    item_bytes, make_field, split_tables)
 from .stream import coefficients, fingerprint
 
 if TYPE_CHECKING:
@@ -64,6 +64,7 @@ __all__ = [
     "SparseLanguageSpec",
     "make_language",
     "ENTRY_CAP",
+    "LISTED_BITS_CAP",
     "SketchSet",
     "build_sketch",
     "contains",
@@ -82,7 +83,8 @@ ACCEPT_BOUND = 0.25
 # this unlikely, Bonferroni-split over the trials, at rate ACCEPT_BOUND.
 SAMPLED_ALPHA = 1e-3
 
-ENTRY_CAP = 10 ** 8  # the most entries, q x f(n), a sketch build may make
+ENTRY_CAP = 10 ** 8  # the most entries, q x f(n), a built sketch's save may write
+LISTED_BITS_CAP = 1 << 21  # the most member bits, f(n) x n, a run may list: 8 f(n) n < 2^24
 
 EXHAUSTIVE_DEGREE_CAP = 20  # beyond this, fp-rate's per-input full-field sweeps get slow
 
@@ -187,19 +189,19 @@ def make_language(kind: str, *, seed: int | None = None, max_ones: int | None = 
 
 @dataclass(frozen=True)
 class SketchSet:
-    """All pairs (a, d_y(a)) for members y, as the little-endian buffer of
-    the member_count x q table values[j, a] = d_{y_j}(a)."""
+    """All pairs (a, d_y(a)) for members y: a built sketch's rows or a loaded one's table."""
 
     n: int
     ctx: FieldCtx
     member_count: int
-    table: object = field(repr=False)  # flat bytes, item_bytes(k) per value
+    table: object = field(default=None, repr=False)  # loaded: flat bytes, item_bytes(k) per value
     source_seed: int | None = None
     rule_sized: bool = True
+    rows: list | None = field(default=None, repr=False)  # built: m lists of r ints
 
     @property
     def size(self) -> int:
-        """Stored entries: member_count x q; a build keeps q x f(n) <= ENTRY_CAP."""
+        """Entries of the pair set, member_count x q: the values a save writes."""
         return self.member_count * self.ctx.q
 
 
@@ -218,6 +220,9 @@ def _size(spec: SparseLanguageSpec, n: int, ctx: FieldCtx | None):
 
 def _members(spec: SparseLanguageSpec, n: int, bound: int) -> list[str]:
     """The members of length n, validated and held to f(n) = bound."""
+    if bound * n > LISTED_BITS_CAP:
+        raise ValueError(f"listing f(n) = {bound} members of n = {n} bits could take "
+                         f"{bound * n} bits, over sketch.LISTED_BITS_CAP = {LISTED_BITS_CAP}")
     members = spec.enumerator(n)
     for y in members:
         if len(y) != n or y.strip("01"):
@@ -250,38 +255,34 @@ def build_sketch(
     ctx: FieldCtx | None = None,
     source_seed: int | None = None,
 ) -> SketchSet:
-    """Materialize the full pair set for length n over all q points.
+    """The pair set for length n over all q points, as the members' rows.
 
     The context defaults to the sizing rule applied to the language's own
     density bound; passing ctx overrides the rule (and the sketch records
     that it is not rule-sized, so acceptance bounds are not promised).
-    A build that could make more than ENTRY_CAP stored entries, q x f(n)
-    (1, 2 or 4 bytes each), raises ValueError before any member is listed.
+    A build whose save could write more than ENTRY_CAP entries, q x f(n),
+    or list more than LISTED_BITS_CAP bits raises ValueError first.
     """
     ctx, rule_sized, bound = _size(spec, n, ctx)
-    q = ctx.q
-    if q * bound > ENTRY_CAP:
+    if ctx.q * bound > ENTRY_CAP:
         raise ValueError(f"a sketch of up to f(n) = {bound} members over q = 2^{ctx.k} "
-                         f"points could hold {q * bound} entries, over "
+                         f"points could hold {ctx.q * bound} entries, over "
                          f"sketch.ENTRY_CAP = {ENTRY_CAP}")
     members = _members(spec, n, bound)
-    import numpy as np
-    from . import kernels
-
-    values = np.empty((len(members), q), kernels.value_dtype(ctx.k))
-    kernels.eval_points(range(q), _coeff_rows(ctx, n, members), ctx.m_low, ctx.k, out=values)
-    return SketchSet(n=n, ctx=ctx, member_count=len(members),
-                     table=values.reshape(-1).view(np.uint8), source_seed=source_seed,
-                     rule_sized=rule_sized)
+    return SketchSet(n=n, ctx=ctx, member_count=len(members), source_seed=source_seed,
+                     rule_sized=rule_sized, rows=[coefficients(ctx, y) for y in members])
 
 
 def contains(sketch: SketchSet, fp) -> bool:
-    """Whether the pair (a, v) of this fingerprint is in the sketch: one
-    little-endian value of column a per member, read from the buffer."""
+    """Whether the pair (a, v) of this fingerprint is in the sketch: a built
+    row evaluated at a, or a loaded table's value of column a, is v."""
     if fp.n != sketch.n:
         raise ValueError(f"length mismatch: fingerprint n={fp.n}, sketch n={sketch.n}")
     if fp.ctx != sketch.ctx:
         raise ValueError("fingerprint context does not match the sketch's field")
+    if sketch.rows is not None:
+        tables = split_tables(fp.a, sketch.ctx.m_bits, sketch.ctx.k)
+        return any(horner_fold(1, row, tables) == fp.v for row in sketch.rows)
     width = item_bytes(sketch.ctx.k)
     table = memoryview(sketch.table)
     want = fp.v.to_bytes(width, "little")
@@ -472,6 +473,18 @@ _HEADER_TYPES = {"k": int, "member_count": int, "n": int, "rule_sized": bool,
                  "seed": (int, type(None)), "t_hex": str}
 
 
+def _table_blocks(sketch: SketchSet):
+    """A built sketch's table, a block of whole rows at a time in one buffer."""
+    import numpy as np
+    from . import kernels
+
+    ctx, m = sketch.ctx, sketch.member_count
+    step = max(1, (1 << 16) // (ctx.q * item_bytes(ctx.k)))  # rows in 64 KiB, or one
+    buf = np.empty((min(step, m), ctx.q), kernels.value_dtype(ctx.k))
+    return (kernels.eval_points(range(ctx.q), sketch.rows[s:s + step], ctx.m_low, ctx.k,
+                                out=buf[:m - s]) for s in range(0, m, step))
+
+
 def save_sketch(sketch: SketchSet, path: str) -> None:
     """Write the deterministic .spsk form (atomic: temp file + rename)."""
     header = json.dumps({
@@ -484,9 +497,15 @@ def save_sketch(sketch: SketchSet, path: str) -> None:
     import hashlib  # OpenSSL's SHA-256, the fastest on a whole file
     from ._atomic import write_atomic
 
-    digest = hashlib.sha256(head)
-    digest.update(sketch.table)
-    write_atomic(path, head, sketch.table, digest.digest())
+    def parts():  # each block is hashed and written before the next is evaluated
+        digest = hashlib.sha256(head)
+        yield head
+        for block in [sketch.table] if sketch.rows is None else _table_blocks(sketch):
+            digest.update(block)
+            yield block
+        yield digest.digest()
+
+    write_atomic(path, parts())
 
 
 def _parse_header(text: bytes) -> dict:
@@ -549,12 +568,13 @@ def load_sketch(path: str) -> SketchSet:
     digest.update(memoryview(body)[:end])
     if digest.digest() != body[end:]:
         raise ValueError("corrupt sketch file: digest mismatch")
-    # A value is below 2^k when byte i of it, little-endian, is below
-    # 2^(k - 8i): take that byte of every value and delete the allowed ones.
+    # A value is below 2^k when its little-endian byte i is below 2^(k - 8i):
+    # take that byte of each value, 1 MiB of the table at a time, and delete the allowed ones.
     for i in range(k // 8, width):
         allowed = bytes(range(1 << max(0, k - 8 * i)))
-        if body[i:end:width].translate(None, allowed):
-            raise ValueError(f"corrupt sketch file: a value is not below 2^{k}")
+        for s in range(i, end, 1 << 20):
+            if body[s:min(s + (1 << 20), end):width].translate(None, allowed):
+                raise ValueError(f"corrupt sketch file: a value is not below 2^{k}")
     return SketchSet(n=header["n"], ctx=ctx, member_count=members,
                      table=memoryview(body)[:end], source_seed=header["seed"],
                      rule_sized=header["rule_sized"])

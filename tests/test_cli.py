@@ -621,6 +621,23 @@ def test_sketch_build_budget_exit(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, bits", [
+    (["sketch", "build", "--k", "4", "--n", "64", "--max-ones", "4"], "679121 members of n = 64"),
+    (["sketch", "fp-rate", "--k", "20", "--n", "30", "--max-ones", "15", "--trials", "1"],
+     "614429672 members of n = 30"),
+    (["sketch", "fp-rate", "--k", "20", "--n", "30", "--max-ones", "15", "--trials", "1",
+      "--a-samples", "64"], "614429672 members of n = 30"),
+], ids=["build-k4", "fp-rate", "fp-rate-sampled"])
+def test_listed_bits_cap_exit(tmp_path, capsys, argv, bits):
+    # Refusals from f(n) x n alone: nothing is listed, nothing is written.
+    code, out, err = run_cli(capsys, *argv, "--language", "low-weight", "--seed", "1",
+                             "--output", os.fspath(tmp_path / "out"))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith(f"streamfp: listing f(n) = {bits} bits could take ")
+    assert err.endswith(" bits, over sketch.LISTED_BITS_CAP = 2097152\n") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", [
     ["sketch", "build", "--language", "singleton", "--member", "1011", "--n", "4"],
     ["fingerprint", "--bits", "1011"],

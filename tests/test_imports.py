@@ -175,6 +175,26 @@ def test_fp_rate_loads_no_openssl(bare_modules, tmp_path, mode, output):
     _assert_unloaded(bare_modules, ("hashlib", "_hashlib", "streamfp.tally"), *argv)
 
 
+def test_build_and_built_lookup_import_no_numpy(tmp_path):
+    # A build lists and validates the members and keeps their rows; a
+    # lookup on it evaluates them at a on split tables.  Only the save,
+    # which evaluates the table, imports numpy.
+    proc = _child(
+        "import sys\n"
+        "from streamfp.sketch import build_sketch, contains, make_language, save_sketch\n"
+        "from streamfp.stream import fingerprint\n"
+        "spec = make_language('seeded-random', seed=5)\n"
+        "sk = build_sketch(spec, 32)\n"
+        "assert all(contains(sk, fingerprint(32, y, seed=1, ctx=sk.ctx))\n"
+        "           for y in spec.enumerator(32))\n"
+        "assert not contains(sk, fingerprint(32, '01' * 16, seed=1, ctx=sk.ctx))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "save_sketch(sk, sys.argv[1])\n"
+        "assert 'numpy' in sys.modules\n",
+        os.fspath(tmp_path / "s.spsk"))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_import_loads_only_its_version():
     proc = _child("import sys, streamfp\n"
                   "print(' '.join(sorted(m for m in sys.modules if m.startswith('streamfp'))))")

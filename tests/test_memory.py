@@ -1,9 +1,11 @@
 """Memory claims, measured on the running process.  The O(k + log n)
 state claim: the peak RSS of `fingerprint --format raw` stays flat as the
 input grows, read from a file or from a stdin pipe.  Entry budgets bound
-real bytes: a sketch build's peak allocation is a small constant per
-projected entry.  The fp-rate counts hold no members x points array, and
-the field's log tables are built with little beyond their own bytes."""
+real bytes: a sketch build and its save peak at a small constant per
+projected entry, as the save holds one block of table rows whatever the
+member count, and a load holds the file and one range-check window.
+The fp-rate counts hold no members x points array, and the field's log
+tables are built with little beyond their own bytes."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import pytest
 from streamfp import kernels, stream
 from streamfp.field import make_field, select_field_size
 from streamfp.sketch import (_draw_nonmembers, _sampled_counts, build_sketch, exact_fp_count,
-                             make_language)
+                             load_sketch, make_language, save_sketch)
 
 # A child's ru_maxrss also holds the peak of the address space it was
 # spawned from (Linux keeps the old high-water mark across exec, and a
@@ -97,7 +99,7 @@ def test_fingerprint_rss_is_flat_in_n(inputs, source, k, sizes):
 BUILD_BYTES_PER_ENTRY = 4
 
 
-def test_build_peak_bytes_per_projected_entry():
+def test_build_peak_bytes_per_projected_entry(tmp_path):
     spec = make_language("seeded-random", seed=3)
     n = 32
     ctx = make_field(select_field_size(n, spec.density.eval(n)))
@@ -107,13 +109,55 @@ def test_build_peak_bytes_per_projected_entry():
     # so they are built before the measurement starts.
     kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
     tracemalloc.start()
-    try:
+    try:  # what `sketch build --output` runs: the build, then the save that writes the table
         sk = build_sketch(spec, n)
+        save_sketch(sk, os.fspath(tmp_path / "n32.spsk"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sk.ctx == ctx
     assert peak <= BUILD_BYTES_PER_ENTRY * projected, peak / projected
+
+
+def test_build_and_save_peak_is_one_block_whatever_the_member_count(tmp_path):
+    # A built sketch holds its rows; its save evaluates the table a block
+    # of whole rows at a time into one reused buffer (at k = 16 one row,
+    # 128 KiB), hashing and writing each before the next.  So building and
+    # saving 128 members peaks as high as 32, far below the 16 MiB table.
+    ctx = make_field(16)
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
+    peaks = []
+    for n in (32, 128):
+        spec = make_language("seeded-random", seed=n)
+        path = os.fspath(tmp_path / f"n{n}.spsk")
+        tracemalloc.start()
+        try:
+            save_sketch(build_sketch(spec, n, ctx=ctx), path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(path) > n * ctx.q * 2
+    assert peaks[1] - peaks[0] <= 64 << 10, peaks
+    assert peaks[1] <= (128 * ctx.q * 2) // 8, peaks
+
+
+def test_load_peak_is_the_file_and_one_range_check_window(tmp_path):
+    # At k = 18 the values are 4 bytes and bytes 2 and 3 are range-checked.
+    # Taking byte i of every value at once copied a quarter of the table
+    # (4 MiB of this 16 MiB file); a window of it stays under 2 MiB.
+    ctx = make_field(18)
+    path = os.fspath(tmp_path / "k18.spsk")
+    save_sketch(build_sketch(make_language("low-weight", max_ones=1), 15, ctx=ctx), path)
+    size = os.path.getsize(path)
+    assert size > 16 * ctx.q * 4
+    tracemalloc.start()
+    try:
+        sk = load_sketch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sk.member_count == 16
+    assert peak - size < 2 * MIB, (peak - size) / MIB
 
 
 @pytest.mark.parametrize("r", [16, 64])

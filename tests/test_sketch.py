@@ -38,7 +38,7 @@ from streamfp.sketch import (
     _sampled_counts,
     save_sketch,
 )
-from streamfp.stream import Fingerprint, direct_eval, fingerprint
+from streamfp.stream import Fingerprint, coefficients, direct_eval, fingerprint
 
 GF4 = make_field(2)
 
@@ -53,9 +53,14 @@ def listed_language(*members: str) -> SparseLanguageSpec:
 
 
 def table_values(sk) -> np.ndarray:
-    """A sketch's table as a member_count x q numpy view of its buffer."""
-    return np.frombuffer(sk.table, kernels.value_dtype(sk.ctx.k)).reshape(
-        sk.member_count, sk.ctx.q)
+    """A sketch's member_count x q table: a numpy view of a loaded sketch's
+    buffer, or a built sketch's rows evaluated at every point."""
+    shape, dtype = (sk.member_count, sk.ctx.q), kernels.value_dtype(sk.ctx.k)
+    if sk.rows is None:
+        return np.frombuffer(sk.table, dtype).reshape(shape)
+    rows = np.array(sk.rows, np.uint64).reshape(sk.member_count, -(-sk.n // sk.ctx.k))
+    return kernels.eval_points(range(sk.ctx.q), rows, sk.ctx.m_low, sk.ctx.k,
+                               out=np.empty(shape, dtype))
 
 
 # ---------------------------------------------------------------- languages
@@ -232,7 +237,7 @@ def test_empty_sketch():
     assert not query_membership(sk, "1011", seed=5)
 
 
-def test_sketch_matches_direct_set_construction():
+def test_sketch_matches_direct_set_construction(tmp_path):
     spec = make_language("seeded-random", seed=31)
     n = 8
     sk = build_sketch(spec, n)
@@ -243,6 +248,18 @@ def test_sketch_matches_direct_set_construction():
     ]
     assert table_values(sk).tolist() == oracle
     assert sk.rule_sized
+    # The table exists only in the file: the save evaluates it block by block.
+    path = os.fspath(tmp_path / "n8.spsk")
+    save_sketch(sk, path)
+    assert table_values(load_sketch(path)).tolist() == oracle
+
+
+def test_built_sketch_holds_its_members_rows_and_no_table():
+    spec = make_language("seeded-random", seed=31)
+    sk = build_sketch(spec, 20)
+    assert sk.table is None
+    assert sk.rows == [coefficients(sk.ctx, y) for y in spec.enumerator(20)]
+    assert sk.size == 20 * sk.ctx.q
 
 
 @pytest.mark.parametrize("spec, n, ctx", [
@@ -250,8 +267,10 @@ def test_sketch_matches_direct_set_construction():
     (make_language("low-weight", max_ones=2), 9, None),  # many agreements, zero segments
     (make_language("seeded-random", seed=5), 12, None),
 ])
-def test_values_table_is_members_by_points_in_the_narrowest_dtype(spec, n, ctx):
-    sk = build_sketch(spec, n, ctx=ctx)
+def test_values_table_is_members_by_points_in_the_narrowest_dtype(tmp_path, spec, n, ctx):
+    path = os.fspath(tmp_path / "t.spsk")
+    save_sketch(build_sketch(spec, n, ctx=ctx), path)
+    sk = load_sketch(path)
     q = sk.ctx.q
     values = table_values(sk)
     assert values.shape == (len(spec.enumerator(n)), q)
@@ -315,6 +334,37 @@ def test_completeness_exhaustive_rule_sized():
         for a in sk.ctx.elements():
             fp = Fingerprint(n=n, a=a, v=direct_eval(sk.ctx, y, a), ctx=sk.ctx)
             assert contains(sk, fp)
+
+
+@pytest.mark.parametrize("spec, n, k", [
+    (make_language("seeded-random", seed=11), 32, None),  # k = 14, r = 3
+    (make_language("seeded-random", seed=11), 1, None),   # n = 1: k = 4, one member
+    (make_language("low-weight", max_ones=1), 13, None),  # k = 11 does not divide n
+    (make_language("singleton", member="1011001"), 7, None),  # k = 6 does not divide n
+    (make_language("empty"), 5, None),
+    (make_language("seeded-random", seed=11), 40, 12),    # --k 12
+], ids=["seeded-random", "n1", "low-weight", "singleton", "empty", "k12"])
+def test_built_and_loaded_lookups_agree_with_direct_eval(tmp_path, spec, n, k):
+    # A built sketch evaluates its rows at a; its saved-and-loaded copy
+    # reads column a of the file's table.  Both must answer as the members'
+    # polynomials do, for every member and for 200 non-member fingerprints.
+    sk = build_sketch(spec, n, ctx=None if k is None else make_field(k))
+    path, again = os.fspath(tmp_path / "d.spsk"), os.fspath(tmp_path / "again.spsk")
+    save_sketch(sk, path)
+    loaded = load_sketch(path)
+    save_sketch(loaded, again)  # a loaded sketch saves the file's own table
+    assert open(again, "rb").read() == open(path, "rb").read()
+    ctx, members = sk.ctx, spec.enumerator(n)
+    rng = random.Random(n)
+    fps = [fingerprint(n, y, seed=s, ctx=ctx) for y in members for s in range(2)]
+    while len(fps) < 2 * len(members) + 200:
+        x = format(rng.getrandbits(n), f"0{n}b")
+        if x not in members:
+            fps.append(fingerprint(n, x, seed=len(fps), ctx=ctx))
+    for i, fp in enumerate(fps):
+        want = any(direct_eval(ctx, y, fp.a) == fp.v for y in members)
+        assert contains(sk, fp) == contains(loaded, fp) == want, fp
+        assert want or i >= 2 * len(members)
 
 
 @pytest.mark.parametrize("k, n", [
@@ -515,6 +565,39 @@ def test_refusals_from_k_and_f_n_list_no_member():
         build_sketch(wide, 1500)
     with pytest.raises(ValueError, match=need):
         fp_rate_experiment(wide, 1500, trials=1, seed=1, a_samples=64)
+
+
+def test_listed_bits_cap_refuses_before_listing():
+    # f(n) x n past LISTED_BITS_CAP = 2^21 bits refuses before a member is
+    # listed: a --k 4 build that ENTRY_CAP allows (16 x 679121 entries),
+    # and fp-rate at --k 20 --n 30 --max-ones 15 (f(30) = 614429672), in
+    # both modes, once its non-member has been drawn.
+    assert sketch_mod.LISTED_BITS_CAP == 1 << 21
+    with pytest.raises(ValueError, match=r"^listing f\(n\) = 679121 members of n = 64 bits "
+                                         r"could take 43463744 bits, over "
+                                         r"sketch.LISTED_BITS_CAP = 2097152$"):
+        build_sketch(unlisted(make_language("low-weight", max_ones=4)), 64, ctx=make_field(4))
+    dense = unlisted(make_language("low-weight", max_ones=15))
+    for a_samples in (None, 64):
+        with pytest.raises(ValueError, match="over sketch.LISTED_BITS_CAP"):
+            fp_rate_experiment(dense, 30, trials=1, seed=1, ctx=make_field(20),
+                               a_samples=a_samples)
+
+
+def test_listed_bits_cap_admits_every_rule_sized_run():
+    # The sizing rule's 8 f(n) n < 2^k makes f(n) x n < 2^21 at k <= 24,
+    # so the cap refuses only overrides; at n = 64 it admits f(n) = 32768.
+    for n in range(1, 400):
+        for density in (DensityFn("linear"), DensityFn("power", 3, 2),
+                        DensityFn("binomial-sum", 2)):
+            if density.field_size(n) <= 24:
+                assert density.eval(n) * n <= sketch_mod.LISTED_BITS_CAP
+    ok = SparseLanguageSpec("listed", DensityFn("constant", 32768), lambda n: ["1" * n],
+                            lambda x: x == "1" * 64)
+    assert build_sketch(ok, 64, ctx=make_field(1)).member_count == 1
+    over = unlisted(dataclasses.replace(ok, density=DensityFn("constant", 32769)))
+    with pytest.raises(ValueError, match="2097216 bits, over sketch.LISTED_BITS_CAP"):
+        build_sketch(over, 64, ctx=make_field(1))
 
 
 # ------------------------------------------------------------------- files
