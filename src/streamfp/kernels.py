@@ -21,8 +21,8 @@ Given points, and rows with short runs (``log_order``), go in blocks of
 about 32768 / rows points (``block_points``): a power row
 P <- exp[log[P] + log[a]] shared by the batch, and one gather
 ``exp[log[c] + log[P]]`` per row, coefficient and point (Horner needs
-two per step).  ``sweep_field`` yields the whole-field values of all
-rows a block of points at a time: those runs, or those gather blocks.
+two per step).  ``sweep_field`` yields those runs or gathers a block at a
+time: the strings' values, then the members' a batch at a time.
 ``log[0]`` is a sentinel past every log sum, clipped into the zero tail
 of ``exp``, so a zero coefficient or a = 0 gives a zero product.  ``log`` holds q
 uint32 entries and ``exp`` 2q of the value table's type (``value_dtype``:
@@ -170,6 +170,11 @@ def block_points(rows: int) -> int:
     return max(1, (1 << 15) // max(1, rows))
 
 
+def block_rows(width: int, k: int) -> int:
+    """Rows of width GF(2^k) values in a block of about 64 KiB, or one."""
+    return max(1, (1 << 16) // (width * item_bytes(k)))
+
+
 def log_order(k: int, r: int) -> bool:
     """Whether a whole-field sweep of r coefficients per row runs in log order:
     a run costs r + 1 numpy calls, which beat the gathers from 512 points."""
@@ -231,29 +236,35 @@ def _eval_field(batch, log, exp, res) -> None:
             np.take(acc, log[s:s + (1 << 16)], out=row[s:s + (1 << 16)], mode="clip")
 
 
-def sweep_field(coeffs, m_low: int, k: int):
-    """eval_points(range(q), coeffs) of a 2-D coeffs as rows x width blocks
-    (a reused buffer) whose columns hold every point once, in no stated
-    order: a = 0, then runs of at most SWEEP_WIDTH powers of g in log
-    order, or else gather blocks of block_points(rows) points."""
+def sweep_field(members, strings, m_low: int, k: int, out):
+    """eval_points(range(q), ·) of 2-D member and string rows by blocks of
+    points as wide as out, a buffer of at least as many rows as strings:
+    a = 0, then runs of powers of g in log order (out at most (q - 1) // r
+    wide), or else point ranges.  Per block, the strings' values, in out,
+    and an iterator, read before the next block, of the members' rows
+    there, evaluated block_rows(width, k) at a time into one buffer."""
     log, exp = _log_tables(k, m_low)
-    coeffs = np.asarray(coeffs, np.uint64)
-    rows, r = coeffs.shape
+    (rows, r), (_, width), m = strings.shape, out.shape, len(members)
     order = (1 << k) - 1
-    if not log_order(k, r):
-        buf = np.empty((rows, block_points(rows)), exp.dtype)
-        for s in range(0, order + 1, buf.shape[1]):
-            block = buf[:, :order + 1 - s]
-            yield eval_points(range(s, s + block.shape[1]), coeffs, m_low, k, out=block)
-        return
-    yield coeffs[:, -1:].astype(exp.dtype)  # a = 0
-    logs = log[coeffs].tolist()
-    buf = np.empty((rows, min(SWEEP_WIDTH, order // r)), exp.dtype)
-    for s in range(0, order, buf.shape[1]):
-        block = buf[:, :order - s]
-        for run, row_logs in zip(block, logs):
+    yield strings[:, -1:].astype(exp.dtype), members[:, -1:].astype(exp.dtype)  # a = 0
+    gather = not log_order(k, r)
+    member_logs, string_logs = ([], []) if gather else (
+        log[members].tolist(), log[strings].tolist())
+
+    def fill(coeffs, coeff_logs, s, block):  # at g^s, g^(s+1), ... in log order, else s + 1, ...
+        if gather:
+            return eval_points(range(s + 1, s + 1 + block.shape[1]), coeffs, m_low, k, out=block)
+        for run, row_logs in zip(block, coeff_logs):
             _fill_run(run, s, row_logs, exp)
-        yield block
+        return block
+
+    step = block_rows(width, k)
+    batch = np.empty((min(step, m), width), exp.dtype)
+    for s in range(0, order, width):
+        w = min(width, order - s)
+        yield fill(strings, string_logs, s, out[:rows, :w]), (
+            y for j in range(0, m, step)
+            for y in fill(members[j:j + step], member_logs[j:j + step], s, batch[:m - j, :w]))
 
 
 def _fill_run(run, s: int, logs: list, exp) -> None:

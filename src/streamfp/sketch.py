@@ -16,8 +16,8 @@ element (1, 2 or 4 bytes, by k alone), exists only in the file, which a save
 writes a block of rows at a time, and in a loaded sketch, as the file's own
 bytes used in place.  A lookup evaluates a built sketch's rows at a by
 Horner's rule, or reads column a of a loaded one: neither imports numpy.
-The false-positive counts read no table either: they evaluate the members
-with the counted strings a block of points at a time.
+The false-positive counts read no table either: they evaluate the strings
+a block of points at a time, and each member there before its compare.
 
 Results are plain dicts with no ``kind`` or ``tool``: the CLI adds that
 envelope.  :func:`sketch_header` holds the fields a build summary and an
@@ -291,22 +291,21 @@ def contains(sketch: SketchSet, fp) -> bool:
 
 
 def _coeff_rows(ctx: FieldCtx, n: int, strings: list[str]) -> np.ndarray:
-    """The coefficients of each d_x, one row per length-n string."""
+    """The coefficients of each d_x, one row per length-n string, with no list of rows."""
     import numpy as np
 
-    rows = [coefficients(ctx, x) for x in strings]
-    return np.array(rows, np.uint64).reshape(len(rows), -(-n // ctx.k))
+    rows = itertools.chain.from_iterable(coefficients(ctx, x) for x in strings)
+    return np.fromiter(rows, np.uint64).reshape(len(strings), -(-n // ctx.k))
 
 
 def exact_fp_count(ctx: FieldCtx, n: int, members: list[str], x):
     """|{a : d_y(a) = d_x(a) for some member y}| over every field point,
     where a sketch of the members accepts x.  x is one string (an int
-    back) or a list of strings (a list of counts).  The members and a
-    group of strings are evaluated together per block of
-    ``kernels.sweep_field``, and the strings' values compared with one
-    member row per numpy step.  A group holds _STRING_GROUP strings, or
-    4m if more, so the members' sweep, repeated per group, adds at most a
-    quarter to the strings' own."""
+    back) or a list of strings (a list of counts).  Per block of
+    ``kernels.sweep_field``, a group of strings is compared with each
+    member row just after its evaluation, in buffers reused throughout.
+    A group holds _STRING_GROUP strings, or 4m if more, so the members'
+    sweep, repeated per group, adds at most a quarter to the strings'."""
     import numpy as np
     from . import kernels
 
@@ -314,16 +313,21 @@ def exact_fp_count(ctx: FieldCtx, n: int, members: list[str], x):
     for y in (*members, *xs):
         if len(y) != n:
             raise ValueError(f"length mismatch: |x|={len(y)}, n={n}")
+    rows = _coeff_rows(ctx, n, members)
     counts = np.zeros(len(xs), np.int64)
-    m = len(members)
-    group = max(_STRING_GROUP, 4 * m)
+    group = max(_STRING_GROUP, 4 * len(members))
+    held, r = min(group, len(xs)), -(-n // ctx.k)
+    width = (min(kernels.SWEEP_WIDTH, (ctx.q - 1) // r) if kernels.log_order(ctx.k, r)
+             else kernels.block_points(held))  # points per block of every group
+    vals = np.empty((held, width), kernels.value_dtype(ctx.k))
+    flags = np.empty((2, vals.size), bool)
     for i in range(0, len(xs), group):
-        rows = _coeff_rows(ctx, n, members + xs[i:i + group])
-        for vals in kernels.sweep_field(rows, ctx.m_low, ctx.k):
-            hit = np.zeros((len(rows) - m, vals.shape[1]), bool)
-            same = np.empty_like(hit)
-            for y in vals[:m]:
-                np.equal(y, vals[m:], out=same)
+        strings = _coeff_rows(ctx, n, xs[i:i + group])
+        for block, member_rows in kernels.sweep_field(rows, strings, ctx.m_low, ctx.k, vals):
+            hit, same = flags[:, :block.size].reshape(2, *block.shape)
+            hit[:] = False
+            for y in member_rows:
+                np.equal(y, block, out=same)
                 hit |= same
             counts[i:i + group] += np.count_nonzero(hit, axis=1)
     return int(counts[0]) if isinstance(x, str) else counts.tolist()
@@ -479,7 +483,7 @@ def _table_blocks(sketch: SketchSet):
     from . import kernels
 
     ctx, m = sketch.ctx, sketch.member_count
-    step = max(1, (1 << 16) // (ctx.q * item_bytes(ctx.k)))  # rows in 64 KiB, or one
+    step = kernels.block_rows(ctx.q, ctx.k)
     buf = np.empty((min(step, m), ctx.q), kernels.value_dtype(ctx.k))
     return (kernels.eval_points(range(ctx.q), sketch.rows[s:s + step], ctx.m_low, ctx.k,
                                 out=buf[:m - s]) for s in range(0, m, step))

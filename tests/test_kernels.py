@@ -284,24 +284,58 @@ def test_field_sweep_dispatch(monkeypatch):
             assert (got == kernels.eval_points(pts, rows, ctx.m_low, 12)).all(), (r, points)
 
 
+def test_block_rows_hold_about_64_kib():
+    # Whole rows of width values in 64 KiB, by k's value size, and one
+    # row when a row is longer: the save's table blocks and the exact
+    # count's member batches.
+    assert [kernels.block_rows(4096, k) for k in (8, 16, 18)] == [16, 8, 4]
+    assert kernels.block_rows(1023, 11) == 32  # one run of 1023 points in log order at k = 11
+    assert kernels.block_rows(655, 10) == 50
+    assert kernels.block_rows(1, 8) == 1 << 16
+    assert [kernels.block_rows(1 << k, k) for k in (14, 15, 16, 18)] == [2, 1, 1, 1]
+
+
 # Log order in several runs of SWEEP_WIDTH and fewer points, and in
-# runs of (q - 1) // r; gathers in several blocks and in one.
-@pytest.mark.parametrize("k, r", [(13, 1), (12, 3), (14, 40), (12, 9), (1, 1), (3, 2)])
+# runs of (q - 1) // r (at (11, 2) one less than (q + 1) // r), the
+# longest a run may be; gathers of block_points(5) points in several
+# blocks and in one.  The 15 member rows fill one batch at (12, 3) and
+# (11, 2), of 24 and 32 rows, and span several elsewhere: 8 rows a batch
+# at (13, 1), 5 at (14, 40) and (12, 9), 10 at k = 1 and 3.
+@pytest.mark.parametrize("k, r", [(13, 1), (12, 3), (14, 40), (12, 9), (1, 1), (3, 2), (11, 2)])
 def test_sweep_field_blocks_hold_every_point_once(k, r):
-    # A block's column is one point's values in every row: the blocks'
-    # columns, taken together, are the whole field's, each once.
+    # A block's column is one point's values in every string row, and the
+    # member rows yielded with the block are the members' at the same
+    # points: the blocks' columns, members over strings, taken together,
+    # are the whole field's, each once.  The buffer out, as wide as
+    # exact_fp_count makes it, fixes the width, and has two rows more
+    # than the strings, as for a short last group.
     ctx = make_field(k)
     rng = random.Random(k * 100 + r)
-    rows = _sweep_rows(ctx, _sweep_strings(rng, k, r), r)
-    whole = kernels.eval_points(np.arange(ctx.q, dtype=np.uint64), rows, ctx.m_low, k)
-    blocks = [block.copy() for block in kernels.sweep_field(rows, ctx.m_low, k)]
+    strings = _sweep_rows(ctx, _sweep_strings(rng, k, r), r)
+    members = _sweep_rows(ctx, [x for _ in range(3) for x in _sweep_strings(rng, k, r)], r)
+    whole = kernels.eval_points(np.arange(ctx.q, dtype=np.uint64), np.vstack([members, strings]),
+                                ctx.m_low, k)
+    if kernels.log_order(k, r):
+        width = min(kernels.SWEEP_WIDTH, (ctx.q - 1) // r)
+    else:
+        width = kernels.block_points(len(strings))
+    per_batch = kernels.block_rows(width, k)
+    out = np.empty((len(strings) + 2, width), kernels.value_dtype(k))
+    blocks = []
+    for i, (block, member_rows) in enumerate(
+            kernels.sweep_field(members, strings, ctx.m_low, k, out)):
+        views, rows = zip(*[(y, y.copy()) for y in member_rows])  # each read in its turn
+        if i:  # past a = 0: the strings in out, and row j of the members in slot j % per_batch
+            assert np.shares_memory(block, out[:len(strings)])
+            assert not np.shares_memory(block, out[len(strings):])
+            assert all(np.shares_memory(y, views[j % per_batch]) for j, y in enumerate(views))
+            assert not any(np.shares_memory(y, out) for y in views)
+        blocks.append(np.vstack([*rows, block]))
+    assert (per_batch < len(members)) == ((k, r) not in ((12, 3), (11, 2)))
     assert all(block.dtype == kernels.value_dtype(k) for block in blocks)
     widths = [block.shape[1] for block in blocks]
-    if kernels.log_order(k, r):
-        assert widths[0] == 1  # a = 0
-        assert max(widths) == min(kernels.SWEEP_WIDTH, (ctx.q - 1) // r)
-    else:
-        assert max(widths) == min(ctx.q, kernels.block_points(len(rows)))
+    assert widths[0] == 1  # a = 0
+    assert max(widths[1:]) == min(width, ctx.q - 1)
     got = np.concatenate(blocks, axis=1)
     assert sorted(map(tuple, got.T.tolist())) == sorted(map(tuple, whole.T.tolist()))
 

@@ -4,7 +4,8 @@ input grows, read from a file or from a stdin pipe.  Entry budgets bound
 real bytes: a sketch build and its save peak at a small constant per
 projected entry, as the save holds one block of table rows whatever the
 member count, and a load holds the file and one range-check window.
-The fp-rate counts hold no members x points array, and the field's log
+The fp-rate counts hold no members x points array, the exact count not
+even every member's values at one block of points, and the field's log
 tables are built with little beyond their own bytes."""
 
 from __future__ import annotations
@@ -183,10 +184,11 @@ def test_field_sweep_peak_does_not_grow_with_r(r):
 
 
 def test_exact_fp_count_peak_is_below_the_table():
-    # The exact count evaluates the members and the strings a block of
-    # points at a time and reads no table, so its working arrays stay far
-    # below the members x q table a sketch of them would store (128 MiB
-    # at n = 128, k = 18).
+    # The exact count evaluates a group of strings a block of points at a
+    # time, and each member row just before its compare, and reads no
+    # table: it holds the group's values, hit and compare flags and one
+    # batch of member rows (at n = 128, k = 18: 20 strings x 4096 points,
+    # and 4 rows), 0.5 MiB, where a sketch of the members stores 128 MiB.
     spec = make_language("seeded-random", seed=3)
     n = 128
     members = spec.enumerator(n)
@@ -200,8 +202,41 @@ def test_exact_fp_count_peak_is_below_the_table():
     finally:
         tracemalloc.stop()
     assert ctx.k == 18 and len(counts) == len(xs)
-    table = len(members) * ctx.q * kernels.value_dtype(ctx.k).itemsize
-    assert peak <= table // 8, peak / table
+    item = kernels.value_dtype(ctx.k).itemsize
+    width = kernels.SWEEP_WIDTH  # a log-order block: r = 8 coefficients
+    assert kernels.log_order(ctx.k, 8) and (ctx.q - 1) // 8 >= width
+    group = len(xs) * width * (item + 2)  # values, hit and compare
+    batch = kernels.block_rows(width, ctx.k) * width * item
+    # np.count_nonzero along an axis sums through numpy's cast buffer,
+    # getbufsize() intp values (64 KiB), for a moment per block.
+    reduce = np.getbufsize() * np.dtype(np.intp).itemsize
+    assert peak <= group + batch + reduce + (64 << 10), (peak - group - batch - reduce) / 1024
+
+
+def test_exact_fp_count_peak_is_flat_in_the_number_of_members():
+    # Each member row is evaluated at a block's points just before its
+    # compare, a batch of about 64 KiB at a time, so 256 members peak as
+    # high as 32.  Holding every member's values beside the strings' grew
+    # the peak by (256 - 32) x 4096 points x 2 bytes, 1.8 MiB.
+    ctx = make_field(16)
+    n = 64
+    rng = random.Random(16)
+    strings = list(dict.fromkeys(format(rng.getrandbits(n), "064b") for _ in range(32 + 256)))
+    xs, members = strings[:32], strings[32:]
+    assert len(members) == 256
+    width = kernels.SWEEP_WIDTH  # a log-order block: r = 4 coefficients
+    assert kernels.log_order(ctx.k, 4) and (ctx.q - 1) // 4 >= width
+    batch = kernels.block_rows(width, ctx.k) * width * kernels.value_dtype(ctx.k).itemsize
+    kernels.eval_points(np.zeros(1, np.uint64), np.ones(1, np.uint64), ctx.m_low, ctx.k)
+    peaks = []
+    for count in (32, 256):
+        tracemalloc.start()
+        try:
+            exact_fp_count(ctx, n, members[:count], xs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= batch + (64 << 10), peaks
 
 
 def test_exact_fp_count_peak_is_flat_in_the_number_of_strings():

@@ -462,9 +462,29 @@ def _strings(rng: random.Random, n: int, count: int) -> list[str]:
     return [format(b, f"0{n}b") for b in bits]
 
 
+def _referee_rows(ctx, strings, points) -> dict:
+    """{x: {a: d_x(a)}} term by term as direct_eval, from each string's
+    coefficients listed once and each point's powers taken once for every
+    string, where direct_eval redoes both per call."""
+    coeffs = {x: coefficients(ctx, x) for x in strings}
+    r = len(next(iter(coeffs.values()), []))
+    rows = {x: {} for x in coeffs}
+    for a in points:
+        powers = [ctx.pow(a, e) for e in range(r + 1)]
+        for x, cs in coeffs.items():
+            acc = powers[r]
+            for j, c in enumerate(cs):
+                acc = ctx.add(acc, ctx.mul(c, powers[r - 1 - j]))
+            rows[x][a] = acc
+    return rows
+
+
 # Member counts none, one, and 7, 8 and 9 around C = 8; string counts
 # around the string group G: one short of a group, one group, and one
-# string into a second group.
+# string into a second group.  Member counts around B, the member rows
+# sweep_field evaluates per batch beside the strings: 32 rows of a
+# 1023-point run in log order at k = 10 and 11, and 12 rows of a
+# 2730-point block (block_points of 12 strings) in gather order at k = 10.
 @pytest.mark.parametrize("k, n, members, batch, given", [
     *[(4, 9, m, 40, False) for m in ("0", "1", "C-1", "C", "C+1")],
     *[(4, 9, "C", b, False) for b in ("G-1", "G", "G+1")],
@@ -473,16 +493,30 @@ def _strings(rng: random.Random, n: int, count: int) -> list[str]:
     (5, 4, "C-1", 16, False),    # n <= k: r = 1, every string of length 4
     (1, 3, "C-1", 8, True),      # k = 1: two points, every string of length 3
     (11, 22, "C+1", 40, False),  # log order: runs of 1023 points, then a = 0
+    *[(11, 22, m, 8, False) for m in ("B-1", "B", "B+1")],
+    *[(10, 23, m, 12, False) for m in ("B-1", "B", "B+1")],
+    (10, 10, "B+1", "G+1", False),  # log order: two string groups, two member batches
+    # Gather order, 65 members: groups of 260 strings, then 64, whose
+    # blocks keep the first group's width of block_points(260) = 126 points.
+    (10, 23, 65, 324, False),
 ], ids=[f"k4-members-{m}" for m in ("0", "1", "C-1", "C", "C+1")]
     + [f"k4-strings-{b}" for b in ("G-1", "G", "G+1")]
-    + ["k10-two-blocks", "k10-given-points", "r1", "k1", "k11-row-groups"])
-def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given):
+    + ["k10-two-blocks", "k10-given-points", "r1", "k1", "k11-row-groups"]
+    + [f"k11-members-{m}" for m in ("B-1", "B", "B+1")]
+    + [f"k10-members-{m}" for m in ("B-1", "B", "B+1")]
+    + ["two-groups-two-batches", "gather-two-groups-short-last"])
+def test_exact_fp_count_matches_direct_eval_referee(monkeypatch, k, n, members, batch, given):
     rng = random.Random(k * 100 + n)
     ctx = make_field(k)
     chunk = 8
-    count = {"0": 0, "1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1}[members]
+    per_batch = 32 if kernels.log_order(k, -(-n // k)) else 12
+    count = {"0": 0, "1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1,
+             "B-1": per_batch - 1, "B": per_batch, "B+1": per_batch + 1}.get(members, members)
     group = max(sketch_mod._STRING_GROUP, 4 * count)
     batch = {"G-1": group - 1, "G": group, "G+1": group + 1}.get(batch, batch)
+    block_rows, batches = kernels.block_rows, set()
+    monkeypatch.setattr(kernels, "block_rows", lambda *args: (
+        batches.add(block_rows(*args)) or block_rows(*args)))
     stored = _strings(rng, n, count)
     assert len(stored) == count
     xs = _strings(rng, n, batch)
@@ -490,15 +524,38 @@ def test_exact_fp_count_matches_direct_eval_referee(k, n, members, batch, given)
     if given:
         points = [0, 0, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(900)] + [0]
     # The referee: x is accepted at a exactly when some member's polynomial
-    # takes x's value there, each evaluated on its own by direct_eval.
+    # takes x's value there, each evaluated on its own term by term, as
+    # direct_eval does (the first string checked against it).
     at = sorted(set(points))
-    rows = {y: dict(zip(at, (direct_eval(ctx, y, a) for a in at))) for y in {*stored, *xs}}
-    want = [sum(any(rows[y][a] == rows[x][a] for y in stored) for a in points) for x in xs]
+    rows = _referee_rows(ctx, {*stored, *xs}, at)
+    assert rows[xs[0]] == {a: direct_eval(ctx, xs[0], a) for a in at}
+    taken = {a: {rows[y][a] for y in stored} for a in at}  # the members' values at a
+    want = [sum(rows[x][a] in taken[a] for a in points) for x in xs]
     if given:  # the sampled count, from the member rows with no table
         got = _sampled_counts(ctx, n, stored, xs, [np.array(points, np.uint64)] * len(xs))
     else:
         got = exact_fp_count(ctx, n, stored, xs)
+        if str(members).startswith("B"):  # the batch edge is where the count puts it
+            assert batches == {per_batch}
     assert got == want
+
+
+# A group holds _STRING_GROUP strings, or 4m if more.  One buffer serves
+# every group, as wide as a run may be in log order ((q - 1) // r points
+# at r = 1, under SWEEP_WIDTH), and in gather order block_points of the
+# strings the first group holds (128 for 256, 102 for 320, 126 for 260).
+@pytest.mark.parametrize("k, n, m, count, groups, shape", [
+    (4, 9, 8, 257, [256, 1], (256, 128)), (4, 9, 80, 321, [320, 1], (320, 102)),
+    (10, 10, 3, 12, [12], (12, 1023)), (10, 23, 65, 324, [260, 64], (260, 126))])
+def test_exact_count_sweeps_the_strings_a_group_at_a_time(monkeypatch, k, n, m, count, groups,
+                                                          shape):
+    sweep, sizes, outs = kernels.sweep_field, [], []
+    monkeypatch.setattr(kernels, "sweep_field", lambda members, strings, *args: (
+        sizes.append(len(strings)) or outs.append(args[-1]) or sweep(members, strings, *args)))
+    rng = random.Random(m)
+    counts = exact_fp_count(make_field(k), n, _strings(rng, n, m), _strings(rng, n, count))
+    assert len(counts) == count and sizes == groups
+    assert all(out is outs[0] for out in outs) and outs[0].shape == shape
 
 
 @pytest.mark.parametrize("k, n", [(11, 22), (10, 23)], ids=["log-order", "gather"])
