@@ -265,17 +265,22 @@ class FieldCtx(_Record):
         return format(a, f"0{self.k}b")
 
 
+def _basis(a: int, modulus: int, k: int) -> list[int]:
+    """a*u^j for j = 0 .. k - 1 in GF(2)[u]/(modulus), deg modulus = k."""
+    out = []
+    for _ in range(k):
+        out.append(a)
+        a <<= 1
+        if a >> k:
+            a ^= modulus
+    return out
+
+
 def split_tables(a: int, modulus: int, k: int) -> list[list[int]]:
     """Tables for v -> v*a in GF(2)[u]/(modulus), deg modulus = k: entry b
     of table i is a * (b u^{8i}).  Each table is the XOR span of its 8
     basis products a*u^j, built one new bit at a time."""
-    basis = []
-    p = a
-    for _ in range(k):
-        basis.append(p)
-        p <<= 1
-        if p >> k:
-            p ^= modulus
+    basis = _basis(a, modulus, k)
     tables = []
     for i in range(0, k, 8):
         table = [0] * 256
@@ -377,12 +382,10 @@ def _lane_fold(v: int, segments: int, count: int, a: int, modulus: int, k: int,
 
 
 def fold_block_length(r: int) -> int:
-    """Block length L of the block fold of r segments (see
-    :mod:`streamfp.kernels`): about sqrt(r/32), which balances its numpy
-    steps against its join.  The lane fold runs 8L lanes, so about
-    sqrt(r/2) steps, for the same balance of big-int steps against the
-    join of its lanes.  Which calls fold in blocks or lanes is
-    :mod:`streamfp.stream`'s rule."""
+    """L of the lane fold of r segments, about sqrt(r/32): it runs 8L
+    lanes, so about sqrt(r/2) big-int steps, which balances them against
+    the join of its lanes.  Under r = 128 L is 1, one step per segment,
+    and :mod:`streamfp.stream`'s rule keeps such calls off numpy."""
     return max(1, math.isqrt(r >> 5))
 
 

@@ -3,12 +3,12 @@
 This is the one module that imports numpy at module level.  The others
 import numpy, or this module, inside the functions that run batch work:
 a sketch save, an exact or sampled count, and the stream calls that the
-fold rule of :mod:`streamfp.stream` gives the numpy block fold.  Other
-stream calls, sketch lookups and the other commands never load numpy.
-Elements are uint64 bit patterns, so ``mulmod``, ``cut_segments`` and
-the fold cover extension degrees 1..``WORD_DEGREE_CAP`` (the word tier);
-wider fields stay on the big-int tier.  Both tiers must agree bit for
-bit; the differential tests enforce that.
+fold rule of :mod:`streamfp.stream` gives the numpy fold.  Other stream
+calls, sketch lookups and the other commands never load numpy.
+Elements are uint64 bit patterns, so ``mulmod`` and the fold cover
+extension degrees 1..``WORD_DEGREE_CAP`` (the word tier); wider fields
+stay on the big-int tier.  Both tiers must agree bit for bit; the
+differential tests enforce that.
 
 ``eval_points`` evaluates a batch of polynomials, one per row, on
 log/antilog tables of the multiplicative group (Plank, Greenan & Miller,
@@ -28,19 +28,15 @@ of ``exp``, so a zero coefficient or a = 0 gives a zero product.  ``log`` holds 
 uint32 entries and ``exp`` 2q of the value table's type (``value_dtype``:
 1, 2 or 4 bytes), cached per field for k in 1..``ENUMERATION_DEGREE_CAP``.
 
-``cut_segments`` cuts a stream call's packed bits into its k-bit
-segments, one uint64 each, with two gathers per segment.
-``fold_segments`` is the stream's Horner fold v <- v*a + s by the k-th
-order Horner rule (Knuth, TAOCP vol. 2, 4.6.4; Estrin 1960).  The
-incoming v (1 unless the caller passes the stream's) is one more
-leading coefficient, folded from 0; the coefficients are
-zero-padded at the front to B blocks of L, and Horner runs down all B
-blocks at once: L numpy steps, each ceil(k/8) gathers from the uint64
-split tables of a, one per byte of the block values.  The B block values
-are then joined by :func:`streamfp.field._lane_fold` on a^L, the same
-algebra as composing chunks.  L is
-:func:`streamfp.field.fold_block_length`, about sqrt(R/32) for R
-segments.  Which stream calls this fold serves is the stream's rule.
+``fold_groups`` is the stream's Horner fold v <- v*a + s as a table
+cascade.  Eight k-bit fields make a k-byte group, whose value
+f_0·a^7 + … + f_7 is GF(2)-linear in its bytes: the XOR of k reads from
+k x 256 tables of a, one per byte (CRC's slicing-by-N; Kounavis & Berry,
+ISCC 2005).  The group values, as fields again, fold the same way at
+a^8, and so on until at most 64 values are left, which
+:func:`streamfp.field.horner_fold` joins.  ``fold_segments`` frames v
+and the segments as fields for it.  Which stream calls this fold serves
+is the stream's rule.
 
 Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
 64: per step the low bit of one operand gates an XOR of the other into the
@@ -58,8 +54,8 @@ import numpy as np
 from .field import (
     ENUMERATION_DEGREE_CAP,
     WORD_DEGREE_CAP,
-    _lane_fold,
-    fold_block_length,
+    _basis,
+    horner_fold,
     item_bytes,
     split_tables,
 )
@@ -72,7 +68,7 @@ __all__ = [
     "block_points",
     "eval_points",
     "sweep_field",
-    "cut_segments",
+    "fold_groups",
     "fold_segments",
 ]
 
@@ -281,75 +277,56 @@ def _fill_run(run, s: int, logs: list, exp) -> None:
     run ^= exp[logs[-1]]  # the constant term: exp[log 0] is 0
 
 
-# A stream needs the tables of its point a and of a^L, and its chunks
-# share one block length L but for the last, so a few entries suffice.
+# A stream's chunks share one group count but for the last, so its cascade
+# reads the tables of the same few points a, a^8, a^64, ...
 @functools.lru_cache(maxsize=8)
-def _point_tables(a: int, m_low: int, k: int, e: int = 1):
-    """a^e and its split tables, as int lists (the join) and as a
-    ceil(k/8) x 256 uint64 array (the block steps)."""
-    power = _powmod(a, e, m_low | (1 << k))
-    tables = split_tables(power, m_low | (1 << k), k)
-    words = np.array(tables, np.uint64)
-    words.flags.writeable = False  # shared by every caller
-    return power, tables, words
+def _group_tables(a: int, m_low: int, k: int) -> tuple[np.ndarray, int]:
+    """The k x 256 uint64 tables of a group at a, and a^8: entry b of row p
+    is f_0·a^7 + … + f_7 for the group whose byte p is b and the rest 0,
+    field f_j being bits jk .. jk + k - 1 of its little-endian bytes."""
+    modulus = m_low | (1 << k)
+    # Bit jk + i stands for a^(7-j)·u^i; a row spans its byte's 8 bits.
+    basis = [x for j in range(8) for x in _basis(_powmod(a, 7 - j, modulus), modulus, k)]
+    basis = np.array(basis, np.uint64).reshape(k, 8)
+    tables = np.zeros((k, 256), np.uint64)
+    for i in range(8):
+        np.bitwise_xor(tables[:, :1 << i], basis[:, i, None], out=tables[:, 1 << i:2 << i])
+    tables.flags.writeable = False  # shared by every caller
+    return tables, _powmod(a, 8, modulus)
 
 
-def cut_segments(data: bytes, count: int, k: int) -> np.ndarray:
-    """The first count k-bit fields of little-endian data as uint64
-    elements: the stream's segments (see :mod:`streamfp.stream`)."""
+def _groups(values: np.ndarray, k: int) -> np.ndarray:
+    """The uint64 values as the k-bit fields of k-byte groups of eight,
+    zero-padded at the front: a (groups, k) uint8 array."""
+    fields = np.zeros((-(-values.size // 8) * 8, 8), np.uint8)
+    fields[fields.shape[0] - values.size:] = values.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(fields, axis=1, count=k, bitorder="little")
+    return np.packbits(bits.reshape(-1, 8 * k), axis=1, bitorder="little")
+
+
+@functools.lru_cache(maxsize=8)
+def _split_tables(a: int, m_low: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """split_tables of a, frozen, for the cascade's last join."""
+    return tuple(map(tuple, split_tables(a, m_low | (1 << k), k)))
+
+
+def fold_groups(groups, a: int, m_low: int, k: int) -> int:
+    """Fold v <- v·a + f from v = 0 over the k-bit fields f of k-byte
+    groups (bytes, or a uint8 array), by the table cascade."""
     _check_k(k)
-    words = np.zeros(len(data) // 8 + 2, "<u8")
-    words.view(np.uint8)[:len(data)] = np.frombuffer(data, np.uint8)
-    # Field i starts at bit ik: bit `shift` of word w, with its top bits
-    # in word w + 1.
-    w = np.arange(0, count * k, k)
-    shift = np.empty(count, np.uint64)
-    np.bitwise_and(w, 63, out=shift, casting="unsafe")
-    w >>= 6
-    segments = words.take(w)
-    segments >>= shift
-    w += 1
-    high = words.take(w)
-    high <<= 1
-    shift ^= 63  # 63 - shift: two steps, as a shift by 64 is undefined
-    high <<= shift
-    segments |= high
-    segments &= _U64_ALL >> (64 - k)
-    return segments
-
-
-def _block_fold(v: int, segments: np.ndarray, a: int, m_low: int, k: int,
-                length: int) -> int:
-    """fold_segments with blocks of the given length."""
-    words = _point_tables(a, m_low, k)[2]
-    r = segments.size
-    blocks = -(-(r + 1) // length)
-    pad = blocks * length - r - 1
-    coeffs = np.zeros(blocks * length, np.uint64)
-    coeffs[pad] = v
-    coeffs[pad + 1:] = segments
-    coeffs = coeffs.reshape(blocks, length)  # row b is block b
-    # The accumulator's little-endian bytes index the split tables directly.
-    acc = coeffs[:, 0].astype("<u8")
-    acc_bytes = acc.view(np.uint8).reshape(blocks, 8)
-    prod = np.empty(blocks, np.uint64)
-    term = np.empty(blocks, np.uint64)
-    for j in range(1, length):
-        words[0].take(acc_bytes[:, 0], out=prod)
-        for i in range(1, len(words)):
-            words[i].take(acc_bytes[:, i], out=term)
-            prod ^= term
-        np.bitwise_xor(prod, coeffs[:, j], out=acc)
-    a_pow, tables, _ = _point_tables(a, m_low, k, length)
-    # The block values as the k-bit fields of one int, block 0 lowest.
-    fields = np.packbits(np.unpackbits(acc_bytes, axis=1, bitorder="little")[:, :k],
-                         bitorder="little")
-    return _lane_fold(0, int.from_bytes(fields, "little"), blocks, a_pow,
-                      m_low | (1 << k), k, tables)
+    groups = np.frombuffer(groups, np.uint8).reshape(-1, k)
+    while True:
+        tables, a = _group_tables(a, m_low, k)  # a is now the joining point
+        values = tables[0].take(groups[:, 0])
+        for p in range(1, k):
+            values ^= tables[p].take(groups[:, p])
+        if values.size <= 64:
+            return horner_fold(0, values.tolist(), _split_tables(a, m_low, k))
+        groups = _groups(values, k)
 
 
 def fold_segments(segments, a: int, m_low: int, k: int, v: int = 1) -> int:
-    """Fold v ← v·a + s over the segments, in order, by blocks of L."""
+    """Fold v ← v·a + s over the segments, in order."""
     _check_k(k)
-    segments = np.asarray(segments, np.uint64).ravel()
-    return _block_fold(v, segments, a, m_low, k, fold_block_length(segments.size))
+    fields = np.concatenate((np.array([v], np.uint64), np.asarray(segments, np.uint64).ravel()))
+    return fold_groups(_groups(fields, k), a, m_low, k)

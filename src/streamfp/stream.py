@@ -28,20 +28,20 @@ segments, the bits past them the next register.  One rule, made from the
 call's segment count R, k and the stream's length n, picks the fold:
 
 - R >= 128, 16 <= k <= 64 and n >= 2^25 bits (4 MiB of raw input; the
-  ``_NUMPY_FOLD_*`` bounds): :func:`streamfp.kernels.fold_segments` runs
-  Horner down blocks of the fields, cut into uint64 words, in numpy.
+  ``_NUMPY_FOLD_*`` bounds): :func:`streamfp.kernels.fold_groups` reads
+  the fields, v framed in front of them, through its table cascade in
+  numpy, k-byte groups of eight fields at a time.
 - otherwise :func:`streamfp.field._lane_fold` on Python ints: Horner down
   8 * fold_block_length(R) lanes at once in the slots of one int, or,
-  below R = 128 where blocks would share nothing, one step per segment.
+  below R = 128 where lanes would share nothing, one step per segment.
 
-In process numpy folds about twice as fast per bit (16 MiB at k = 58:
-0.35 against 0.61 s), but loading it costs a CLI run about 0.09 s and
-13 MiB.  In CLI pairs at the default k the lanes won at 2 MiB and numpy
-from 4 MiB, and below k = 16 the lanes won up to 16 MiB.  So 1 MiB
-streams, a sketch query's, narrow fields and every k past 64 run on
-Python ints.  The rule reads n, not the call, so the long calls of one
-stream share a fold.  Every way the algebra, and so the result, is the
-one-step-per-segment fold's.
+Loading numpy costs a CLI run about 0.09 s and 13 MiB.  The bounds were
+fitted in CLI pairs against the block fold that the cascade replaced:
+at the default k the lanes won at 2 MiB and numpy from 4 MiB, and below
+k = 16 the lanes won up to 16 MiB.  So 1 MiB streams, a sketch query's,
+narrow fields and every k past 64 run on Python ints.  The rule reads n,
+not the call, so the long calls of one stream share a fold.  Every way
+the algebra, and so the result, is the one-step-per-segment fold's.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), a k-bit
@@ -50,11 +50,12 @@ calls, and their count is the read cursor less k times the completed
 segments), and three counters of |n| bits each (n, the read cursor,
 completed segments).  That is 4k + 1 + 3|n| bits for every chunking of
 the input, within C*(k + log2 n) for C = 8, for every n, k >= 1.  The split
-tables (ceil(k/8) * 256 elements of k bits) are derived from a alone and
-are constant in n, so they are a cache of a, not state that grows with
-the input.  The buffers of one feed call, the block fold's B block
-values and the lane fold's B lanes among them, scale with that call's
-chunk, never with n, and are gone when the call returns.  The counters
+tables (ceil(k/8) * 256 elements of k bits), like the cascade's tables
+of a, a^8, ... (k * 256 each), are derived from a alone and are constant
+in n, so they are a cache of a, not state that grows with the input.
+The buffers of one feed call, the cascade's group values and the lane
+fold's B lanes among them, scale with that call's chunk, never with n,
+and are gone when the call returns.  The counters
 model the one-pass verifier: conversions and field_ops count one
 conversion and two operations per segment, not a fold's own schedule.
 
@@ -237,16 +238,16 @@ class StreamState:
         used = min(count * k, total)
         self._partial, self._partial_bits = bits >> used, total - used
         # Bit ik + j is bit j of segment i, its u^j coefficient, so a short
-        # final segment zero-extends high; the bytes are zero-padded to whole
-        # k-byte groups of eight segments for the cutters.
+        # final segment zero-extends high.
         segments = bits & ((1 << used) - 1)
         if (k in _NUMPY_FOLD_DEGREES and self.n >= _NUMPY_FOLD_BITS
                 and fold_block_length(count) > 1):
             from . import kernels
 
-            data = segments.to_bytes(-(-count // 8) * k, "little")
-            words = kernels.cut_segments(data, count, k)
-            self.v = kernels.fold_segments(words, self.a, self.ctx.m_low, k, self.v)
+            pad = -(count + 1) % 8  # v leads the segments; zero fields pad to whole groups
+            data = ((segments << k | self.v) << pad * k).to_bytes((count + 1 + pad) * k // 8,
+                                                                   "little")
+            self.v = kernels.fold_groups(data, self.a, self.ctx.m_low, k)
         else:
             self.v = _lane_fold(self.v, segments, count, self.a, self.ctx.m_bits, k,
                                 self._tables)

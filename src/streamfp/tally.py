@@ -119,6 +119,9 @@ class GrowthFn:
             raise ValueError("depth must be >= 1")
         if not all(_int_like(self.params.get(key, 1)) for key in ("scale", "coeff", "exponent")):
             raise ValueError("growth params scale, coeff and exponent must be integers")
+        # A negative one gives a float or a decreasing function.
+        if any(int(self.params.get(key, 1)) < 0 for key in ("scale", "coeff", "exponent")):
+            raise ValueError("growth params scale, coeff and exponent must be >= 0")
         if self.family == "custom-table":
             pts = self.params.get("points", ())
             if not isinstance(pts, (list, tuple)) or not all(

@@ -876,6 +876,16 @@ def test_tally_construct_cli(capsys):
     assert r["lengths"] == ["1", "3", "7"]
 
 
+# A negative exponent made a float (a TypeError traceback in
+# --padding-stable), and a negative coeff a decreasing function; a
+# negative iter-exp scale failed deep in the tower.
+NEGATIVE_GROWTH = (
+    '{"family": "polynomial", "params": {"exponent": -1}}',
+    '{"family": "polynomial", "params": {"coeff": -1}}',
+    '{"family": "iter-exp", "params": {"scale": -2}}',
+)
+
+
 @pytest.mark.parametrize("mode", ["--validate", "--construct"])
 @pytest.mark.parametrize("gap", [
     None,
@@ -891,6 +901,7 @@ def test_tally_construct_cli(capsys):
     '{"family": "polynomial", "depth": 1.5}',
     '{"family": "polynomial", "params": {"coeff": 2.7}}',
     '{"family": "custom-table", "params": {"points": [[1.5, 2]]}}',
+    *NEGATIVE_GROWTH,
     pytest.param("[" * 5000 + "]" * 5000, id="nested"),  # deeper than the JSON parser goes
 ])
 def test_tally_bad_growth_argument_exits_3(capsys, mode, gap):
@@ -901,6 +912,15 @@ def test_tally_bad_growth_argument_exits_3(capsys, mode, gap):
     assert code == EXIT_PRECONDITION and out == ""
     assert err.startswith("streamfp: ")
     assert gap is not None or "--gap" in err
+    if gap in NEGATIVE_GROWTH:
+        assert err == "streamfp: growth params scale, coeff and exponent must be >= 0\n"
+
+
+@pytest.mark.parametrize("gap", NEGATIVE_GROWTH)
+def test_tally_padding_stable_refuses_negative_growth_params(capsys, gap):
+    code, out, err = run_cli(capsys, "tally", "--padding-stable", "--n", "3", "--gap", gap)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err == "streamfp: growth params scale, coeff and exponent must be >= 0\n"
 
 
 @pytest.mark.parametrize("gap", [

@@ -124,20 +124,43 @@ def test_numpy_folds_streams_from_2_25_bits_at_k_16_to_64(monkeypatch, n, k, num
 
     assert (stream._NUMPY_FOLD_BITS, stream._NUMPY_FOLD_DEGREES) == (1 << 25, range(16, 65))
     calls = []
-    fold = kernels.fold_segments
+    fold = kernels.fold_groups
 
-    def spy(segments, *args):
-        calls.append(len(segments))
-        return fold(segments, *args)
+    def spy(groups, *args):
+        calls.append(len(groups) // k)
+        return fold(groups, *args)
 
-    monkeypatch.setattr(kernels, "fold_segments", spy)
+    monkeypatch.setattr(kernels, "fold_groups", spy)
     data = random.Random(n + k).randbytes(-(-n // 8))
     state = stream.begin_seeded(n, 1, ctx=make_field(k))
     for pos in range(0, len(data), 1 << 17):
         chunk = data[pos:pos + (1 << 17)]
         state.feed_bytes(chunk, min(8 * len(chunk), n - 8 * pos))
     state.finish()
-    assert len(calls) == numpy_calls and all(c >= 128 for c in calls), calls
+    assert len(calls) == numpy_calls and all(c >= 16 for c in calls), calls
+
+
+def test_numpy_folds_calls_from_128_segments(monkeypatch):
+    # In a 2^25-bit stream at k = 16 a call of 128 segments (v and them:
+    # 17 groups) folds in numpy, and the last call, of 127, in lanes.
+    from streamfp import kernels
+
+    calls = []
+    fold = kernels.fold_groups
+
+    def spy(groups, *args):
+        calls.append(len(groups) // 16)
+        return fold(groups, *args)
+
+    monkeypatch.setattr(kernels, "fold_groups", spy)
+    data = random.Random(16).randbytes(1 << 22)
+    state = stream.begin_seeded(1 << 25, 1, ctx=make_field(16))
+    state.feed_bytes(data[:-510])
+    state.feed_bytes(data[-510:-254])
+    state.feed_bytes(data[-254:])
+    fp = state.finish()
+    assert calls == [-(-((1 << 21) - 254) // 8), 17]
+    assert fp == stream.fingerprint(1 << 25, stream.bits_from_bytes(data), 1, ctx=make_field(16))
 
 
 @pytest.mark.parametrize("argv", [

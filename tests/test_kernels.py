@@ -7,8 +7,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from streamfp import kernels
 from streamfp.field import (ENUMERATION_DEGREE_CAP, fold_block_length, horner_fold, make_field,
@@ -341,7 +339,9 @@ def test_sweep_field_blocks_hold_every_point_once(k, r):
 
 
 def test_fold_segments_is_horner():
-    # 5000 segments fold in 417 blocks of L = 12, the last block padded.
+    # v and 5000 segments are 626 groups, the first padded; their values
+    # are 79 groups at a^8, those 79 values 10 groups at a^64, and those
+    # 10 values are joined at a^512.
     rng = random.Random(9)
     for k in (1, 8, 33, 64):
         ctx = make_field(k)
@@ -381,37 +381,59 @@ def _segment_bits(segs, k: int) -> str:
     return "".join(format(s, f"0{k}b")[::-1] for s in segs)
 
 
-@given(
-    k=st.sampled_from([1, 8, 9, 63, 64]),
-    r=st.integers(min_value=0, max_value=700),
-    length=st.integers(min_value=1, max_value=80),
-    a=st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=2**64 - 1)),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-@example(k=9, r=5, length=40, a=3, seed=1)      # R < L: one block, mostly padding
-@example(k=9, r=40, length=40, a=3, seed=2)     # R = L: v alone in the first block
-@example(k=63, r=41, length=6, a=0, seed=3)     # R not divisible by L, a = 0
-@example(k=64, r=700, length=7, a=1, seed=4)    # R >> L, a = 1
-@example(k=1, r=300, length=80, a=1, seed=5)
-@settings(max_examples=150, deadline=None)
-def test_block_fold_matches_horner_fold_and_direct_eval(k, r, length, a, seed):
+def _fields(data: bytes, k: int) -> list[int]:
+    """The k-bit fields of little-endian data, eight per k-byte group."""
+    out = []
+    for i in range(0, len(data), k):
+        group = int.from_bytes(data[i:i + k], "little")
+        out += [group >> (j * k) & ((1 << k) - 1) for j in range(8)]
+    return out
+
+
+@pytest.mark.parametrize("k", DIFF_KS)
+def test_group_tables_match_direct_eval(k):
+    # A group's value f_0·a^7 + … + f_7 is d_x(a) - a^8 for the eight
+    # segments f_j; the tables also give a^8, the next level's point.
     ctx = make_field(k)
-    a %= ctx.q
-    rng = random.Random(seed)
-    segs = [rng.getrandbits(k) for _ in range(r)]
-    v = rng.getrandbits(k)
-    arr = np.array(segs, np.uint64)
-    tables = split_tables(a, ctx.m_bits, k)
-    got = kernels._block_fold(v, arr, a, ctx.m_low, k, length)
-    assert got == horner_fold(v, segs, tables)
-    if r:
-        # From v = 1 the fold is d_x(a) for the input whose segments these are.
-        want = direct_eval(ctx, _segment_bits(segs, k), a)
-        assert kernels._block_fold(1, arr, a, ctx.m_low, k, length) == want
-    # The public entry picks L from R alone and must give the same value.
-    assert kernels.fold_segments(arr, a, ctx.m_low, k, v) == got
-    if r:
-        assert kernels.fold_segments(arr, a, ctx.m_low, k) == want
+    rng = random.Random(9700 + k)
+    for a in (0, 1, ctx.q - 1, rng.getrandbits(k)):
+        tables, a8 = kernels._group_tables(a, ctx.m_low, k)
+        assert tables.shape == (k, 256) and a8 == ctx.pow(a, 8)
+        for _ in range(20):
+            group = rng.randbytes(k)
+            got = 0
+            for row, b in zip(tables, group):
+                got ^= int(row[b])
+            want = direct_eval(ctx, _segment_bits(_fields(group, k), k), a) ^ a8
+            assert got == want, (k, a, group.hex())
+
+
+# Group counts on both sides of each cascade level: one group; a first
+# level of at most 64 values, or of 65, which takes one more level; 511
+# and 513, whose second level has 64 values and 65; and the CLI's chunk
+# of 4096 groups of segments with v in front, padded to 4097.
+FOLD_GROUPS = (1, 7, 8, 9, 63, 64, 65, 511, 513, 4097)
+
+
+@pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 58, 63, 64])
+def test_fold_groups_matches_horner_fold_and_direct_eval(k):
+    ctx = make_field(k)
+    rng = random.Random(9800 + k)
+    point = rng.getrandbits(k)
+    for a in (0, 1, ctx.q - 1, point):
+        tables = split_tables(a, ctx.m_bits, k)
+        for groups in FOLD_GROUPS:
+            data = rng.randbytes(groups * k)
+            fields = _fields(data, k)
+            got = kernels.fold_groups(data, a, ctx.m_low, k)
+            assert got == horner_fold(0, fields, tables), (k, a, groups)
+            assert kernels.fold_groups(np.frombuffer(data, np.uint8), a, ctx.m_low, k) == got
+            if groups <= 9 or a == point and groups <= 65:
+                # With 1 in its first field the fold is d_x(a) for the
+                # input whose segments are the other fields.
+                data = (int.from_bytes(data, "little") >> k << k | 1).to_bytes(len(data), "little")
+                want = direct_eval(ctx, _segment_bits(fields[1:], k), a)
+                assert kernels.fold_groups(data, a, ctx.m_low, k) == want, (k, a, groups)
 
 
 def test_degree_guard():
@@ -422,6 +444,8 @@ def test_degree_guard():
         kernels.mulmod(xs, xs, 3, 65)
     with pytest.raises(ValueError):
         kernels.fold_segments(xs, 1, 3, 65)
+    with pytest.raises(ValueError):
+        kernels.fold_groups(bytes(65), 1, 3, 65)
     for k in (0, ENUMERATION_DEGREE_CAP + 1):
         with pytest.raises(ValueError):
             kernels.eval_points(xs, xs, 3, k)

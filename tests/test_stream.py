@@ -412,8 +412,8 @@ def test_first_cli_chunk_of_a_long_stream_matches_bigint(k):
 
 
 def test_first_chunk_check_catches_a_wrong_numpy_fold(monkeypatch):
-    fold = kernels.fold_segments
-    monkeypatch.setattr(kernels, "fold_segments", lambda *a: fold(*a) ^ 1)
+    fold = kernels.fold_groups
+    monkeypatch.setattr(kernels, "fold_groups", lambda *a: fold(*a) ^ 1)
     assert not _first_chunk_matches_bigint(16)
 
 

@@ -245,11 +245,12 @@ def test_padding_stable_scale_1_is_false_at_every_n():
 
 
 def test_padding_stable_scale_0_and_below_take_the_built_comparison():
-    # exp^(d)(0) is a constant g, stable everywhere; a negative argument
-    # is outside the tower's domain.
+    # exp^(d)(0) is a constant g, stable everywhere; a negative scale,
+    # which would put the argument outside the tower's domain, is refused
+    # when the function is made.
     assert is_padding_stable_at(growth("iter-exp", 2, scale=0), 5) is True
-    with pytest.raises(ValueError, match="argument must be >= 0"):
-        is_padding_stable_at(growth("iter-exp", 1, scale=-1), 5)
+    with pytest.raises(ValueError, match="scale, coeff and exponent must be >= 0"):
+        growth("iter-exp", 1, scale=-1)
 
 
 def test_padding_unstable_slow_gap():
