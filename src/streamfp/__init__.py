@@ -29,10 +29,10 @@ _LAZY = {
     **dict.fromkeys(("eval_points", "fold_segments", "mulmod"), "kernels"),
     **dict.fromkeys(("derive_seed", "derived_rng"), "seeds"),
     **dict.fromkeys((
-        "ACCEPT_BOUND", "ENTRY_CAP", "LISTED_BITS_CAP", "SketchSet", "SparseLanguageSpec",
-        "build_sketch", "contains", "exact_fp_count", "fp_rate_experiment", "load_sketch",
-        "make_language", "query_membership", "save_sketch",
+        "ACCEPT_BOUND", "ENTRY_CAP", "LISTED_BITS_CAP", "SparseLanguageSpec", "build_sketch",
+        "exact_fp_count", "fp_rate_experiment", "make_language", "query_membership",
     ), "sketch"),
+    **dict.fromkeys(("SketchSet", "contains", "load_sketch", "save_sketch"), "spsk"),
     **dict.fromkeys((
         "Fingerprint", "ResourceProfile", "SPACE_CONSTANT", "StreamState", "begin",
         "begin_seeded", "bits_from_bytes", "coefficients", "count_agreements",

@@ -88,9 +88,7 @@ def _stream_input(args, n: int | None, start, *, n_name: str = "--n",
     bits file.  Bits text must hold exactly n bits; raw input at least n,
     and exactly ceil(n/8) bytes unless prefix.  Errors name n as n_name.
     """
-    sources = [s for s in (args.bits, args.input) if s is not None]
-    if len(sources) != 1:
-        raise ValueError("provide exactly one of --bits or --input")
+    _one_source(args)
     if args.bits is not None:
         return _stream_file(n, n_name, prefix, "bits",
                             io.BytesIO(os.fsencode(args.bits)), start)
@@ -101,6 +99,11 @@ def _stream_input(args, n: int | None, start, *, n_name: str = "--n",
         return _stream_file(n, n_name, prefix, args.format, sys.stdin.buffer, start)
     with open(args.input, "rb") as fh:
         return _stream_file(n, n_name, prefix, args.format, fh, start)
+
+
+def _one_source(args) -> None:
+    if (args.bits is None) == (args.input is None):
+        raise ValueError("provide exactly one of --bits or --input")
 
 
 def _checked_length(n: int) -> int:
@@ -218,16 +221,19 @@ def _cmd_sketch_build(args) -> int:
 
 
 def _cmd_sketch_query(args) -> int:
-    from . import sketch as sketch_mod
+    from . import spsk
 
     seed = _resolve_seed(args.seed)
-    sk = sketch_mod.load_sketch(args.sketch)
+    _one_source(args)  # argument-only refusals come before the sketch is read
+    if seed < 0:
+        raise ValueError("seed must be >= 0")  # as begin_seeded says
+    sk = spsk.load_sketch(args.sketch)
 
     # The same draw and test as sketch.query_membership, on streamed input
     # of exactly the sketch's n bits.
     fp = _stream_input(args, sk.n, lambda n: begin_seeded(n, seed, ctx=sk.ctx),
                        n_name="the sketch's n =", prefix=False)
-    accepted = sketch_mod.contains(sk, fp)
+    accepted = spsk.contains(sk, fp)
     result = _report(
         "sketch-query",
         seed=seed,

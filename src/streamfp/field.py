@@ -76,6 +76,7 @@ class _Record:
     importing dataclasses (about 10 ms, most of it inspect)."""
 
     _fields: tuple[str, ...] = ()
+    _unprinted: tuple[str, ...] = ()  # compared and hashed, but left out of the repr
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -89,7 +90,8 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                           if name not in self._unprinted)
         return f"{type(self).__name__}({fields})"
 
 

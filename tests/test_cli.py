@@ -87,6 +87,28 @@ def test_negative_seed_exits_3(capsys, tmp_path):
                              "--bits", "1011", "--seed", "-11")
     assert code == EXIT_PRECONDITION and out == ""
     assert "seed must be >= 0" in err
+    code, out, _ = run_cli(capsys, "sketch", "query", "--sketch", path,
+                           "--bits", "1011", "--seed", "0")
+    assert code == EXIT_OK and json.loads(out)["seed"] == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bits", "1011", "--seed", "-1"], "seed must be >= 0"),
+    (["--bits", "1011", "--input", "in.bin", "--seed", "1"],
+     "provide exactly one of --bits or --input"),
+    (["--seed", "1"], "provide exactly one of --bits or --input"),
+], ids=["negative-seed", "bits-and-input", "no-input"])
+def test_sketch_query_refuses_bad_arguments_before_reading_the_sketch(monkeypatch, capsys,
+                                                                      tmp_path, flags, message):
+    # A refusal the arguments alone decide costs no read or hash of the sketch.
+    from streamfp import spsk
+
+    def unread(path):
+        raise AssertionError(f"{path} was loaded")
+
+    monkeypatch.setattr(spsk, "load_sketch", unread)
+    assert run_cli(capsys, "sketch", "query", "--sketch", os.fspath(tmp_path / "s.spsk"),
+                   *flags) == (EXIT_PRECONDITION, "", f"streamfp: {message}\n")
 
 
 def test_fingerprint_tuple_bits(capsys):

@@ -1,10 +1,10 @@
 """Start-up footprint: the commands that run no batch kernel load no
 numpy, a stream folds in numpy only from 2^25 bits at 16 <= k <= 64,
 only the tally command loads the tally code, a command imports no module
-it does not run (fp-rate no OpenSSL), importing the package loads only
-its version while every exported name still resolves to its defining
-module's object, and a CLI process keeps OpenBLAS single-threaded unless
-the user says otherwise."""
+it does not run (fp-rate no OpenSSL, a query no language code and no
+dataclasses), importing the package loads only its version while every
+exported name still resolves to its defining module's object, and a CLI
+process keeps OpenBLAS single-threaded unless the user says otherwise."""
 
 from __future__ import annotations
 
@@ -37,9 +37,10 @@ sys.exit(code)
 """
 
 
-def _child(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def _child(code: str, *args: str, env: dict | None = None,
+           stdin: str | None = None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, input=stdin)
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +61,10 @@ def bare_modules() -> set[str]:
 
 
 def _assert_unloaded(bare: set[str], modules: tuple[str, ...], *argv: str,
-                     code: int = EXIT_OK) -> None:
+                     code: int = EXIT_OK, stdin: str | None = None) -> None:
     banned = [name for name in modules if name not in bare]
     assert any(name.startswith("streamfp.") for name in banned)
-    proc = _child(_UNLOADED_CHILD, ",".join(banned), *argv)
+    proc = _child(_UNLOADED_CHILD, ",".join(banned), *argv, stdin=stdin)
     assert proc.returncode == code and "was imported" not in proc.stderr, proc.stderr
 
 
@@ -181,10 +182,22 @@ def test_fingerprint_of_bits_imports_only_what_it_runs(bare_modules):
                      "--seed", "3")
 
 
-@pytest.mark.parametrize("bits, code", [("000100", EXIT_OK), ("110110", EXIT_REJECT)])
-def test_sketch_query_imports_no_atomic_writer(bare_modules, low_weight_sketch, bits, code):
-    _assert_unloaded(bare_modules, ("streamfp._atomic",), "sketch", "query", "--sketch",
-                     low_weight_sketch, "--bits", bits, "--seed", "11", code=code)
+# Modules a sketch query does not run: it loads the file layer
+# (streamfp.spsk) and hashlib, but no language code, dataclasses, batch
+# kernels, atomic writer or seed derivation.
+_NOT_QUERY = ("streamfp.sketch", "dataclasses", "streamfp.kernels", "numpy",
+              "streamfp._atomic", "streamfp.seeds")
+
+
+@pytest.mark.parametrize("flags, stdin, code", [
+    (["--bits", "000100"], None, EXIT_OK),
+    (["--bits", "110110"], None, EXIT_REJECT),
+    (["--input", "-", "--format", "raw"], "\x10", EXIT_OK),  # the bits 000100, padded
+], ids=["member", "non-member", "raw-stdin"])
+def test_sketch_query_loads_only_the_file_layer(bare_modules, low_weight_sketch, flags, stdin,
+                                                code):
+    _assert_unloaded(bare_modules, _NOT_QUERY, "sketch", "query", "--sketch", low_weight_sketch,
+                     *flags, "--seed", "11", code=code, stdin=stdin)
 
 
 @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
@@ -235,7 +248,9 @@ def test_every_exported_name_is_its_defining_modules_object():
         obj = getattr(streamfp, name)
         assert obj is getattr(module, name), name
         assert getattr(obj, "__module__", module.__name__) == module.__name__, name
-    assert streamfp.DensityFn is streamfp.sketch.DensityFn  # a name sketch keeps
+    assert streamfp.DensityFn is streamfp.sketch.DensityFn  # names sketch keeps
+    for name in ("SketchSet", "contains", "load_sketch", "save_sketch"):
+        assert getattr(streamfp.sketch, name) is getattr(streamfp.spsk, name), name
 
 
 def test_package_import_is_numpy_free_and_kernels_resolve_lazily():

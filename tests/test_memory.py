@@ -145,7 +145,8 @@ def test_build_and_save_peak_is_one_block_whatever_the_member_count(tmp_path):
 def test_load_peak_is_the_file_and_one_range_check_window(tmp_path):
     # At k = 18 the values are 4 bytes and bytes 2 and 3 are range-checked.
     # Taking byte i of every value at once copied a quarter of the table
-    # (4 MiB of this 16 MiB file); a window of it stays under 2 MiB.
+    # (4 MiB of this 16 MiB file); a 1 MiB window of it peaks 513 KiB over
+    # the file, and a 2 MiB window 1025 KiB.
     ctx = make_field(18)
     path = os.fspath(tmp_path / "k18.spsk")
     save_sketch(build_sketch(make_language("low-weight", max_ones=1), 15, ctx=ctx), path)
@@ -158,7 +159,7 @@ def test_load_peak_is_the_file_and_one_range_check_window(tmp_path):
     finally:
         tracemalloc.stop()
     assert sk.member_count == 16
-    assert peak - size < 2 * MIB, (peak - size) / MIB
+    assert peak - size < 768 << 10, (peak - size) / MIB
 
 
 @pytest.mark.parametrize("r", [16, 64])

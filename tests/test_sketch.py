@@ -709,6 +709,33 @@ def test_save_load_round_trip_edge_sketches(tmp_path, spec, n, ctx):
     assert np.array_equal(values, table_values(sk))
 
 
+def test_sketch_set_compares_and_hashes_by_its_fields_and_prints_no_table(tmp_path):
+    # As the dataclass it replaces: equality and hashing by every field,
+    # table and rows included, and a repr without the table or the rows.
+    from streamfp.spsk import SketchSet
+
+    sk = build_sketch(make_language("seeded-random", seed=77), 8, source_seed=77)
+    path = os.fspath(tmp_path / "s.spsk")
+    save_sketch(sk, path)
+    loaded = load_sketch(path)
+    assert loaded == load_sketch(path) and hash(loaded) == hash(load_sketch(path))
+    assert loaded != sk  # a table, not rows
+    assert sk == build_sketch(make_language("seeded-random", seed=77), 8, source_seed=77)
+    fields = dict(n=8, ctx=sk.ctx, member_count=8, table=b"\x01", source_seed=77,
+                  rule_sized=True, rows=None)
+    one = SketchSet(**fields)
+    assert one == SketchSet(**fields) and hash(one) == hash(SketchSet(**fields))
+    for name, other in [("n", 9), ("ctx", make_field(5)), ("member_count", 7),
+                        ("table", b"\x02"), ("source_seed", 78), ("rule_sized", False),
+                        ("rows", [[1]])]:
+        assert one != SketchSet(**{**fields, name: other}), name
+    assert one != fields
+    with pytest.raises(TypeError):
+        hash(sk)  # rows are lists
+    want = f"SketchSet(n=8, ctx={sk.ctx!r}, member_count=8, source_seed=77, rule_sized=True)"
+    assert repr(one) == repr(sk) == repr(loaded) == want
+
+
 def test_save_is_deterministic(tmp_path):
     sk = build_sketch(make_language("seeded-random", seed=77), 8, source_seed=77)
     first, second = tmp_path / "a.spsk", tmp_path / "b.spsk"

@@ -6,20 +6,22 @@ the tests notice.
         --tests tests/test_sketch.py tests/test_kernels.py
 
 Each target is a module and a comma-separated list of its functions
-(nested functions included).  Each mutant makes one change inside them:
-it flips a comparison (< and >=, > and <=, == and !=, is and is not,
-in and not in), swaps a bit or arithmetic operator (+ and -, * and //,
-% to //, | and ^, & to |, << and >>, ** to *), in an expression or an
-augmented assignment, or adds 1 to an integer constant.  --sample N runs
-a sample of N sites drawn with --seed (0, the default, runs every site).
+and classes (nested functions and methods included).  Each mutant makes
+one change inside them: it flips a comparison (< and >=, > and <=, ==
+and !=, is and is not, in and not in), swaps a bit or arithmetic
+operator (+ and -, * and //, % to //, | and ^, & to |, << and >>, ** to
+*), in an expression or an augmented assignment, or adds 1 to an
+integer constant.  --sample N runs a sample of N sites drawn with --seed
+(0, the default, runs every site).
 
-The checkout's src/, tests/ and pyproject.toml are copied to a temporary
-directory, the unmutated tests are run there once, and then each mutant
-in turn is written over its module in the copy and the test files are
-run with pytest -x, under a 4 GiB address-space limit.  A mutant is
-killed when they fail or run past three times the unmutated run plus
-30 s; each survivor is printed as a diff of its source.  The exit status
-is 1 if any mutant survived.  The checkout itself is never written.
+The checkout's src/, tests/, pyproject.toml and README.md (which a CLI
+test reads) are copied to a temporary directory, the unmutated tests are
+run there once, and then each mutant in turn is written over its module
+in the copy and the test files are run with pytest -x, under a 4 GiB
+address-space limit.  A mutant is killed when they fail or run past
+three times the unmutated run plus 30 s; each survivor is printed as a
+diff of its source.  The exit status is 1 if any mutant survived.  The
+checkout itself is never written.
 
 This file is a tool, not a test: pytest does not collect it.
 """
@@ -65,13 +67,13 @@ def _replace(source: bytes, node: ast.AST, text: str) -> bytes:
     return b"".join(lines[:first] + [joined] + lines[last + 1:])
 
 
-def _nodes(func: ast.FunctionDef):
-    """Every node of func's arguments and body, outside f-strings."""
+def _nodes(func: ast.FunctionDef | ast.ClassDef):
+    """Every node of func's arguments (a function's) and body, outside f-strings."""
     skip = set()
     for node in ast.walk(func):
         if isinstance(node, ast.JoinedStr):
             skip.update(id(n) for n in ast.walk(node))
-    for root in (func.args, *func.body):
+    for root in func.body if isinstance(func, ast.ClassDef) else (func.args, *func.body):
         for node in ast.walk(root):
             if id(node) not in skip:
                 yield node
@@ -80,10 +82,10 @@ def _nodes(func: ast.FunctionDef):
 def mutants(module: str, functions: set[str], source: bytes) -> list[tuple[str, bytes]]:
     """(label, mutated source) for every site inside the named functions."""
     tree = ast.parse(source)
-    found = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    found = {f.name: f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.ClassDef))}
     missing = functions - found.keys()
     if missing:
-        raise SystemExit(f"{module} has no function {', '.join(sorted(missing))}")
+        raise SystemExit(f"{module} has no function or class {', '.join(sorted(missing))}")
     out = []
     for name in sorted(functions, key=lambda f: found[f].lineno):
         for node in _nodes(found[name]):
@@ -151,7 +153,8 @@ def main(argv=None) -> int:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, work / name)
         for module, source in originals.items():
             (work / "src" / module_path(module)).write_bytes(source)
         start = time.perf_counter()
