@@ -300,7 +300,12 @@ def _cmd_tally(args) -> int:
     elif args.mode == "validate":
         if not args.lengths:
             raise ValueError("--validate needs --lengths")
-        lengths = tally_mod.as_tally(int(x) for x in args.lengths.split(","))
+        try:
+            lengths = [int(x) for x in args.lengths.split(",")]
+        except ValueError:
+            raise ValueError(f"--lengths needs comma-separated integers, got {args.lengths!r}"
+                             ) from None
+        lengths = tally_mod.as_tally(lengths)
         d = _growth_from_arg(args.density, "--density")
         g = _growth_from_arg(args.gap, "--gap")
         check = tally_mod.validate_tally(lengths, d, g)

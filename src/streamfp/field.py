@@ -278,10 +278,12 @@ def _basis(a: int, modulus: int, k: int) -> list[int]:
     return out
 
 
-def split_tables(a: int, modulus: int, k: int) -> list[list[int]]:
+# A stream, its cascade's last join and a query each read one point's tables.
+@functools.lru_cache(maxsize=8)
+def split_tables(a: int, modulus: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Tables for v -> v*a in GF(2)[u]/(modulus), deg modulus = k: entry b
     of table i is a * (b u^{8i}).  Each table is the XOR span of its 8
-    basis products a*u^j, built one new bit at a time."""
+    basis products a*u^j, built one new bit at a time, and frozen."""
     basis = _basis(a, modulus, k)
     tables = []
     for i in range(0, k, 8):
@@ -290,11 +292,11 @@ def split_tables(a: int, modulus: int, k: int) -> list[list[int]]:
             bit = 1 << j
             for b in range(bit):
                 table[bit | b] = table[b] ^ pj
-        tables.append(table)
-    return tables
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def horner_fold(v: int, segments, tables: list[list[int]]) -> int:
+def horner_fold(v: int, segments, tables) -> int:
     """v <- v*a + s for each s in turn, a being the point the split tables
     were built for; one multiplication and one addition per segment."""
     nbytes = len(tables)
@@ -305,16 +307,15 @@ def horner_fold(v: int, segments, tables: list[list[int]]) -> int:
     return v
 
 
-def _cut_segments(data: bytes, count: int, k: int) -> list[int]:
-    """The first count k-bit fields of little-endian data as ints, for any
-    k: eight at a time from each k-byte group, a shift and a mask each."""
+def _cut_segments(data: bytes, k: int) -> list[int]:
+    """The k-bit fields of little-endian data as ints, for any k: eight at
+    a time from each k-byte group, a shift and a mask each."""
     mask = (1 << k) - 1
     shifts = range(0, 8 * k, k)
     segments = []
     for i in range(0, len(data), k):
         group = int.from_bytes(data[i:i + k], "little")
         segments += [group >> s & mask for s in shifts]
-    del segments[count:]
     return segments
 
 
@@ -339,32 +340,30 @@ def _lane_plan(a: int, modulus: int, k: int, lanes: int):
             even, even << k, low << k)
 
 
-def _lane_fold(v: int, segments: int, count: int, a: int, modulus: int, k: int,
-               tables: list[list[int]]) -> int:
-    """horner_fold(v, the count k-bit fields of segments, tables of a).
-    Under 128 fields, where fold_block_length is 1, that is what it runs;
-    from 128, B = 8 * fold_block_length(count) lanes run Horner by A = a^B
-    down coefficients t, t + B, ... of v, s_1, ..., zero-padded at the
-    front to whole steps of B, and horner_fold joins the lane values.  One
-    int holds the lanes in 2k-bit slots, even lanes in its low half and odd
-    lanes in its high half, so a step's B fields enter through two masks;
-    a step multiplies every lane by A, one shift-XOR per nonzero w-bit digit
-    of A from a table of the lanes times each digit, and folds each slot's
-    high half back in shift-XOR rounds on the sparse modulus tail (two for
-    every modulus find_irreducible gives).  This is SIMD within a register
-    (Fisher & Dietz, LCPC 1998): the big-int shifts and XORs run in C."""
+def _lane_fold(groups: bytes, a: int, modulus: int, k: int) -> int:
+    """horner_fold(0, the count k-bit fields of the k-byte groups, tables of
+    a), field j of a group its bits jk .. jk + k - 1.  Under 128 fields,
+    where fold_block_length is 1, that is what it runs; from 128, B = 8 *
+    fold_block_length(count) lanes run Horner by A = a^B down fields t,
+    t + B, ..., zero-padded at the front to whole steps of B, and
+    horner_fold joins the lane values.  One int holds the lanes in 2k-bit
+    slots, even lanes in its low half and odd lanes in its high half, so a
+    step's B fields enter through two masks; a step multiplies every lane
+    by A, one shift-XOR per nonzero w-bit digit of A from a table of the
+    lanes times each digit, and folds each slot's high half back in
+    shift-XOR rounds on the sparse modulus tail (two for every modulus
+    find_irreducible gives).  This is SIMD within a register (Fisher &
+    Dietz, LCPC 1998): the big-int shifts and XORs run in C."""
+    count = 8 * len(groups) // k
     if fold_block_length(count) == 1:
-        data = segments.to_bytes(-(-count // 8) * k, "little")
-        return horner_fold(v, _cut_segments(data, count, k), tables)
+        return horner_fold(0, _cut_segments(groups, k), split_tables(a, modulus, k))
     lanes = 8 * fold_block_length(count)
     step = lanes * k // 8  # bytes
-    steps = -(-(count + 1) // lanes)
-    data = ((segments << k | v) << (steps * lanes - count - 1) * k).to_bytes(
-        steps * step, "little")
+    groups = bytes(-len(groups) % step) + groups
     size, digits, tail, even, odd, high = _lane_plan(a, modulus, k, lanes)
     acc = 0
-    for s in range(0, len(data), step):
-        fields = int.from_bytes(data[s:s + step], "little")
+    for s in range(0, len(groups), step):
+        fields = int.from_bytes(groups[s:s + step], "little")
         times = [0, acc]  # times[d] = the lanes times the digit d
         for d in range(2, size):
             times.append(times[d >> 1] << 1 if d % 2 == 0 else times[d - 1] ^ acc)
@@ -377,10 +376,10 @@ def _lane_fold(v: int, segments: int, count: int, a: int, modulus: int, k: int,
             for j in tail:
                 prod ^= hi << j
         acc = prod ^ (fields & even) ^ (fields & odd) << (lanes - 1) * k
-    slots = _cut_segments(acc.to_bytes(2 * step, "little"), lanes, 2 * k)
+    slots = _cut_segments(acc.to_bytes(2 * step, "little"), 2 * k)
     values = [0] * lanes  # slot p holds lane 2p, slot lanes/2 + p lane 2p + 1
     values[::2], values[1::2] = slots[:lanes // 2], slots[lanes // 2:]
-    return horner_fold(0, values, tables)
+    return horner_fold(0, values, split_tables(a, modulus, k))
 
 
 def fold_block_length(r: int) -> int:

@@ -34,9 +34,9 @@ f_0·a^7 + … + f_7 is GF(2)-linear in its bytes: the XOR of k reads from
 k x 256 tables of a, one per byte (CRC's slicing-by-N; Kounavis & Berry,
 ISCC 2005).  The group values, as fields again, fold the same way at
 a^8, and so on until at most 64 values are left, which
-:func:`streamfp.field.horner_fold` joins.  ``fold_segments`` frames v
-and the segments as fields for it.  Which stream calls this fold serves
-is the stream's rule.
+:func:`streamfp.field.horner_fold` joins.  A stream frames each call
+in such groups for this fold or the lane fold, as ``fold_segments``
+frames v and an array of segments.
 
 Only ``mulmod`` multiplies by shift-and-reduce, k steps for any k up to
 64: per step the low bit of one operand gates an XOR of the other into the
@@ -304,12 +304,6 @@ def _groups(values: np.ndarray, k: int) -> np.ndarray:
     return np.packbits(bits.reshape(-1, 8 * k), axis=1, bitorder="little")
 
 
-@functools.lru_cache(maxsize=8)
-def _split_tables(a: int, m_low: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """split_tables of a, frozen, for the cascade's last join."""
-    return tuple(map(tuple, split_tables(a, m_low | (1 << k), k)))
-
-
 def fold_groups(groups, a: int, m_low: int, k: int) -> int:
     """Fold v <- v·a + f from v = 0 over the k-bit fields f of k-byte
     groups (bytes, or a uint8 array), by the table cascade."""
@@ -321,7 +315,7 @@ def fold_groups(groups, a: int, m_low: int, k: int) -> int:
         for p in range(1, k):
             values ^= tables[p].take(groups[:, p])
         if values.size <= 64:
-            return horner_fold(0, values.tolist(), _split_tables(a, m_low, k))
+            return horner_fold(0, values.tolist(), split_tables(a, m_low | (1 << k), k))
         groups = _groups(values, k)
 
 

@@ -24,24 +24,21 @@ is allowed, and each call folds the whole segments it completes.  The
 partial segment waits in an int register, first-read bit lowest; the
 packer turns the call's bits into one Python int whose bit p is the p-th
 bit read, and joined above the register its k-bit fields are the
-segments, the bits past them the next register.  One rule, made from the
-call's segment count R, k and the stream's length n, picks the fold:
+segments, the bits past them the next register.  A call that completes
+no segment folds nothing; any other is framed once, v leading its R
+segments and zero fields in front making whole k-byte groups of eight
+fields, and one fold reads those bytes from v = 0.  The rule picks it:
+the numpy table cascade (:func:`streamfp.kernels.fold_groups`) when
+R >= 128, k <= 64 and n >= 2^25 bits (4 MiB of raw input,
+``_NUMPY_FOLD_BITS``); otherwise :func:`streamfp.field._lane_fold` on
+Python ints, 8 * fold_block_length lanes at once in the slots of one
+int, or one step per field under 128 fields.
 
-- R >= 128, 16 <= k <= 64 and n >= 2^25 bits (4 MiB of raw input; the
-  ``_NUMPY_FOLD_*`` bounds): :func:`streamfp.kernels.fold_groups` reads
-  the fields, v framed in front of them, through its table cascade in
-  numpy, k-byte groups of eight fields at a time.
-- otherwise :func:`streamfp.field._lane_fold` on Python ints: Horner down
-  8 * fold_block_length(R) lanes at once in the slots of one int, or,
-  below R = 128 where lanes would share nothing, one step per segment.
-
-Loading numpy costs a CLI run about 0.09 s and 13 MiB.  The bounds were
-fitted in CLI pairs against the block fold that the cascade replaced:
-at the default k the lanes won at 2 MiB and numpy from 4 MiB, and below
-k = 16 the lanes won up to 16 MiB.  So 1 MiB streams, a sketch query's,
-narrow fields and every k past 64 run on Python ints.  The rule reads n,
-not the call, so the long calls of one stream share a fold.  Every way
-the algebra, and so the result, is the one-step-per-segment fold's.
+Loading numpy costs a CLI run about 0.06 s and 14 MiB.  In CLI pairs
+(``BENCH_fold_rule.json``) the cascade ran 16 MiB 1.3-2.1x faster than
+the lanes at every k under 16 and tied at 4 MiB, and the lanes won at
+2 MiB.  The rule reads n, not the call, so the long calls of one stream
+share a fold, whose algebra is the one-step-per-segment fold's.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), a k-bit
@@ -78,10 +75,8 @@ from .field import (
     _Record,
     _lane_fold,
     field_of,
-    fold_block_length,
     make_field,
     select_field_size,
-    split_tables,
 )
 
 __all__ = [
@@ -111,10 +106,9 @@ SPACE_CONSTANT = 8
 # and the chunk, not the input, sets the memory the reader holds.
 _CHUNK_BLOCKS = 4096
 
-# Streams of at least this many bits, at these k, fold in numpy; the
-# rest fold in lanes (see the module docstring for the measurements).
+# Streams of at least this many bits fold in numpy up to the word tier's
+# k; the rest fold in lanes (see the module docstring for the measurements).
 _NUMPY_FOLD_BITS = 1 << 25
-_NUMPY_FOLD_DEGREES = range(16, WORD_DEGREE_CAP + 1)
 
 
 class ResourceProfile(_Record):
@@ -194,7 +188,6 @@ class StreamState:
         self.seed = seed
         self.profile = ResourceProfile(
             random_bits=ctx.k, peak_state_bits=4 * ctx.k + 1 + 3 * n.bit_length())
-        self._tables = split_tables(self.a, ctx.m_bits, ctx.k)
         # The partial segment's register: its bits, the first read lowest,
         # and how many there are (fewer than k between calls).
         self._partial = 0
@@ -237,20 +230,19 @@ class StreamState:
         bits = _pack(chunk, nbits) << self._partial_bits | self._partial
         used = min(count * k, total)
         self._partial, self._partial_bits = bits >> used, total - used
+        if not count:
+            return  # no segment completed: nothing to fold
         # Bit ik + j is bit j of segment i, its u^j coefficient, so a short
         # final segment zero-extends high.
-        segments = bits & ((1 << used) - 1)
-        if (k in _NUMPY_FOLD_DEGREES and self.n >= _NUMPY_FOLD_BITS
-                and fold_block_length(count) > 1):
+        pad = -(count + 1) % 8
+        groups = (((bits & ((1 << used) - 1)) << k | self.v) << pad * k).to_bytes(
+            (count + 1 + pad) * k // 8, "little")
+        if k <= WORD_DEGREE_CAP and self.n >= _NUMPY_FOLD_BITS and count >= 128:
             from . import kernels
 
-            pad = -(count + 1) % 8  # v leads the segments; zero fields pad to whole groups
-            data = ((segments << k | self.v) << pad * k).to_bytes((count + 1 + pad) * k // 8,
-                                                                   "little")
-            self.v = kernels.fold_groups(data, self.a, self.ctx.m_low, k)
+            self.v = kernels.fold_groups(groups, self.a, self.ctx.m_low, k)
         else:
-            self.v = _lane_fold(self.v, segments, count, self.a, self.ctx.m_bits, k,
-                                self._tables)
+            self.v = _lane_fold(groups, self.a, self.ctx.m_bits, k)
         self.profile.conversions += count
         self.profile.field_ops += 2 * count
 

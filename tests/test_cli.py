@@ -890,6 +890,13 @@ def test_tally_validate_cli(capsys):
     assert r["witness"] == [1, 2]
 
 
+@pytest.mark.parametrize("lengths", ["1,,2", "1.5", "a"])
+def test_tally_validate_names_bad_lengths(capsys, lengths):
+    code, out, err = run_cli(capsys, "tally", "--validate", "--lengths", lengths)
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == f"streamfp: --lengths needs comma-separated integers, got {lengths!r}\n"
+
+
 def test_tally_construct_cli(capsys):
     density = json.dumps({"family": "identity"})
     gap = json.dumps({"family": "polynomial", "params": {"coeff": 2, "exponent": 1}})

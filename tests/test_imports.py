@@ -1,5 +1,6 @@
 """Start-up footprint: the commands that run no batch kernel load no
-numpy, a stream folds in numpy only from 2^25 bits at 16 <= k <= 64,
+numpy, a stream folds in numpy only from 2^25 bits at k <= 64, a call
+that completes no segment folds nothing,
 only the tally command loads the tally code, a command imports no module
 it does not run (fp-rate no OpenSSL, a query no language code and no
 dataclasses), importing the package loads only its version while every
@@ -18,7 +19,7 @@ import pytest
 import streamfp
 from streamfp import stream
 from streamfp.cli import EXIT_OK, EXIT_REJECT, main
-from streamfp.field import make_field
+from streamfp.field import WORD_DEGREE_CAP, make_field
 
 # Runs cli.main on the arguments after the first, then fails if any of
 # the modules named in the first (comma-separated) was imported.
@@ -112,18 +113,18 @@ def test_1_mib_raw_fingerprint_imports_no_numpy(bare_modules, tmp_path):
 
 def test_1_mib_raw_fingerprint_past_the_word_tier_imports_no_numpy(bare_modules, tmp_path):
     # Past k = 64 every stream folds in lanes.
-    assert 100 not in stream._NUMPY_FOLD_DEGREES
+    assert 100 > WORD_DEGREE_CAP
     _raw_fingerprint_imports_no_numpy(bare_modules, tmp_path / "input.bin", 1 << 20, "--k", "100")
 
 
 @pytest.mark.parametrize("n, k, numpy_calls", [
-    (1 << 25, 58, 32), (1 << 25, 16, 32), (1 << 25, 64, 32), ((1 << 25) - 1, 58, 0),
-    (1 << 25, 15, 0), (1 << 25, 65, 0),
+    (1 << 25, 1, 32), (1 << 25, 8, 32), (1 << 25, 15, 32), (1 << 25, 16, 32),
+    (1 << 25, 58, 32), (1 << 25, 64, 32), ((1 << 25) - 1, 58, 0), (1 << 25, 65, 0),
 ])
-def test_numpy_folds_streams_from_2_25_bits_at_k_16_to_64(monkeypatch, n, k, numpy_calls):
+def test_numpy_folds_streams_from_2_25_bits_at_k_up_to_64(monkeypatch, n, k, numpy_calls):
     from streamfp import kernels
 
-    assert (stream._NUMPY_FOLD_BITS, stream._NUMPY_FOLD_DEGREES) == (1 << 25, range(16, 65))
+    assert stream._NUMPY_FOLD_BITS == 1 << 25 and WORD_DEGREE_CAP == 64
     calls = []
     fold = kernels.fold_groups
 
@@ -162,6 +163,25 @@ def test_numpy_folds_calls_from_128_segments(monkeypatch):
     fp = state.finish()
     assert calls == [-(-((1 << 21) - 254) // 8), 17]
     assert fp == stream.fingerprint(1 << 25, stream.bits_from_bytes(data), 1, ctx=make_field(16))
+
+
+@pytest.mark.parametrize("k", [16, 65])
+def test_a_call_that_completes_no_segment_folds_nothing(monkeypatch, k):
+    # A bit-by-bit feeder pays no fold until a segment is complete, in a
+    # stream long enough for numpy (k = 16) and past the word tier (k = 65).
+    from streamfp import kernels
+
+    calls = []
+    lane_fold, fold = stream._lane_fold, kernels.fold_groups
+    monkeypatch.setattr(stream, "_lane_fold", lambda *a: calls.append("lanes") or lane_fold(*a))
+    monkeypatch.setattr(kernels, "fold_groups", lambda *a: calls.append("numpy") or fold(*a))
+    state = stream.begin_seeded(1 << 25, 1, ctx=make_field(k))
+    for bit in ("10" * k)[:k - 1]:
+        state.feed(bit)
+    state.feed_bytes(b"", 0)
+    assert calls == [] and state.v == 1
+    state.feed("1")
+    assert calls == ["lanes"] and state.profile.conversions == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -436,6 +436,20 @@ def test_fold_groups_matches_horner_fold_and_direct_eval(k):
                 assert kernels.fold_groups(data, a, ctx.m_low, k) == want, (k, a, groups)
 
 
+def test_fold_groups_joins_at_most_64_values(monkeypatch):
+    # The schedule, which the value does not show: a level runs while more
+    # than 64 values are left, so 65 values take one more level.
+    joined = []
+    join = kernels.horner_fold
+    monkeypatch.setattr(kernels, "horner_fold",
+                        lambda v, values, tables: joined.append(len(values)) or join(v, values, tables))
+    ctx = make_field(16)
+    rng = random.Random(9900)
+    for groups in FOLD_GROUPS:
+        kernels.fold_groups(rng.randbytes(16 * groups), 3, ctx.m_low, 16)
+    assert joined == [1, 7, 8, 9, 63, 64, 9, 64, 9, 9]
+
+
 def test_degree_guard():
     xs = np.ones(4, np.uint64)
     with pytest.raises(ValueError):

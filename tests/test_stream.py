@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfp import kernels, stream
+from streamfp import field, kernels, stream
 from streamfp.field import (
+    WORD_DEGREE_CAP,
     _lane_fold,
     _lane_plan,
     fold_block_length,
@@ -403,9 +404,8 @@ def _first_chunk_matches_bigint(k: int) -> bool:
     return state.v == want
 
 
-# At 2^25 bits k = 16, 63 and 64, the numpy fold's edges, fold in numpy;
-# k = 1, 9 and 15, under its k = 16 floor, and two degrees past the word
-# tier fold in lanes.
+# At 2^25 bits every k of the word tier folds the chunk in numpy, k = 1
+# and 64 at its edges; two degrees past the word tier fold in lanes.
 @pytest.mark.parametrize("k", [1, 9, 15, 16, 63, 64, 65, 100])
 def test_first_cli_chunk_of_a_long_stream_matches_bigint(k):
     assert _first_chunk_matches_bigint(k)
@@ -574,33 +574,42 @@ LANE_DEGREES = [1, 2, 7, 8, 9, 14, 16, 50, 63, 64, 65, 66, 100, 127, 128, 129]
 
 
 def _lane_counts() -> list[int]:
-    """Segment counts from 128 on where v and the segments fill whole steps
-    of B lanes, or miss by one either way."""
+    """Segment counts from 128 on whose framed groups fill whole steps of B
+    lanes, or miss by one group either way."""
     counts = []
     for count in range(128, 700):
-        lanes = 8 * fold_block_length(count)
-        if (count + 1) % lanes in (0, 1, lanes - 1):
+        fields = -(-(count + 1) // 8) * 8
+        lanes = 8 * fold_block_length(fields)
+        if fields % lanes in (0, 8, lanes - 8):
             counts.append(count)
     return counts[::4] + [1000, 4096]
 
 
-def _as_int(segments: list[int], k: int) -> int:
-    return sum(s << i * k for i, s in enumerate(segments))
+def _framed(v: int, segments: list[int], k: int) -> bytes:
+    """v and the segments as a stream frames a call for its folds: v leads,
+    zero fields in front make whole k-byte groups of eight fields."""
+    fields = [0] * (-(len(segments) + 1) % 8) + [v] + segments
+    return sum(f << i * k for i, f in enumerate(fields)).to_bytes(len(fields) * k // 8, "little")
 
 
 @pytest.mark.parametrize("k", LANE_DEGREES)
 def test_lane_fold_matches_horner_fold_and_direct_eval(k):
+    # One differential test for the stream's two folds: both read the same
+    # framed groups, the cascade only in the word tier.
     ctx = make_field(k)
     rng = random.Random(9100 + k)
     counts = _lane_counts()
-    assert len({8 * fold_block_length(c) for c in counts}) >= 4
+    assert len({8 * fold_block_length(-(-(c + 1) // 8) * 8) for c in counts}) >= 4
     for a in (0, 1, rng.getrandbits(k)):
         tables = split_tables(a, ctx.m_bits, k)
-        for count in counts:
+        for count in [1, 7, 8, 126, 127] + counts:
             segments = [rng.getrandbits(k) for _ in range(count)]
             v = rng.randrange(2, 1 << k) if k > 1 else 0
-            assert _lane_fold(v, _as_int(segments, k), count, a, ctx.m_bits, k, tables) == \
-                horner_fold(v, segments, tables), (k, a, count)
+            groups = _framed(v, segments, k)
+            want = horner_fold(v, segments, tables)
+            assert _lane_fold(groups, a, ctx.m_bits, k) == want, (k, a, count)
+            if k <= WORD_DEGREE_CAP:
+                assert kernels.fold_groups(groups, a, ctx.m_low, k) == want, (k, a, count)
         # A stream's own calls, k not dividing n: one call, then chunks of
         # 128 to 300 segments through feed and feed_bytes in turn.
         n = 700 * k + rng.randrange(1, k) if k > 1 else 701
@@ -618,6 +627,24 @@ def test_lane_fold_matches_horner_fold_and_direct_eval(k):
             pos += len(piece)
             calls += 1
         assert calls >= 3 and state.finish().v == want, (k, a)
+
+
+def test_lane_fold_runs_8l_lanes_from_128_fields(monkeypatch):
+    # The schedule, which the value does not show: one step per field
+    # under 128 fields, and 8 * fold_block_length(fields) lanes from 128.
+    lanes = []
+    plan = field._lane_plan
+    monkeypatch.setattr(field, "_lane_plan", lambda *a: lanes.append(a[3]) or plan(*a))
+    ctx = make_field(16)
+    rng = random.Random(9200)
+    for groups in (1, 15, 16, 17, 100, 513):
+        lanes.clear()
+        data = rng.randbytes(16 * groups)
+        assert _lane_fold(data, 3, ctx.m_bits, 16) == horner_fold(
+            0, [int.from_bytes(data[i:i + 2], "little") for i in range(0, len(data), 2)],
+            split_tables(3, ctx.m_bits, 16))
+        fields = 8 * groups
+        assert lanes == ([8 * fold_block_length(fields)] if fields >= 128 else []), groups
 
 
 def test_lane_plan_digits_spell_the_power_at_every_width():
@@ -659,5 +686,4 @@ def test_lane_fold_reduces_any_tail():
     a = rng.getrandbits(16)
     tables = split_tables(a, modulus, 16)
     segments = [rng.getrandbits(16) for _ in range(500)]
-    assert _lane_fold(5, _as_int(segments, 16), 500, a, modulus, 16, tables) == \
-        horner_fold(5, segments, tables)
+    assert _lane_fold(_framed(5, segments, 16), a, modulus, 16) == horner_fold(5, segments, tables)
