@@ -36,9 +36,9 @@ int, or one step per field under 128 fields.
 
 Loading numpy costs a CLI run about 0.06 s and 14 MiB.  In CLI pairs
 (``BENCH_fold_rule.json``) the cascade ran 16 MiB 1.3-2.1x faster than
-the lanes at every k under 16 and tied at 4 MiB, and the lanes won at
-2 MiB.  The rule reads n, not the call, so the long calls of one stream
-share a fold, whose algebra is the one-step-per-segment fold's.
+the lanes at every k under 16, came within 10 % either way at 4 MiB
+and lost at 2 MiB.  The rule reads n, not the call, so the long calls
+of one stream share a fold, whose algebra is the one-step fold's.
 
 Space accounting (ResourceProfile.peak_state_bits) counts the live
 state: modulus (k+1 bits), point a (k), accumulator v (k), a k-bit
